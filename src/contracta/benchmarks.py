@@ -51,11 +51,6 @@ def scalar_state_halfwidth(k: int, lam: float) -> float:
     return 10.0 * q + (1.0 - q) / (1.1 - lam)
 
 
-def scalar_cmax_halfwidth(lam: float) -> float:
-    """Half width of the maximal contractive box: 1 / (1.1 - lam)."""
-    return 1.0 / (1.1 - lam)
-
-
 def oscillator_system() -> SystemModel:
     """Quarter-turn rotation with input on the second state, |x_i| <= 5, |u| <= 1."""
     return SystemModel(
@@ -95,11 +90,3 @@ def stabilizable_system() -> SystemModel:
         X=validate_cset(symmetric_box([5.0])),
         U=validate_cset(symmetric_box([1.0])),
     )
-
-
-def stabilizable_step_halfwidth(lam: float, tau: float) -> float:
-    """One-step half width for the stabilizable benchmark: ``lam tau / 0.8``
-    (valid while tau <= 4, keeping the state constraints inactive)."""
-    if not 0.0 < tau <= 4.0:
-        raise ValidationError("closed form valid only for tau in (0, 4]")
-    return lam * tau / 0.8

@@ -7,8 +7,10 @@ and negative parts internally. Bland's smallest-index rule is used for both
 the entering and the leaving choice, so the pivot sequence -- and therefore
 the reported outcome -- is a pure, deterministic function of the input.
 
-Instances here are tiny (at most a few hundred rows), which is why a dense
-tableau beats anything clever.
+Instances here have a few variables and at most about a hundred rows:
+support and inclusion LPs over one polytope's facets, and redundancy tests
+against the facets found so far. At that size a dense tableau beats
+anything clever.
 """
 
 from __future__ import annotations

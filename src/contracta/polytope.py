@@ -33,6 +33,7 @@ from .lp import LinearProgram, LpStatus, solve_lp
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
+_RAY_BLOCK = 256  # rows per block of the normal-ray table in remove_redundancy
 
 
 def _facet_cap() -> int:
@@ -180,30 +181,119 @@ def is_subset(inner: HPolytope, outer: HPolytope) -> bool:
 def remove_redundancy(p: HPolytope) -> HPolytope:
     """Drop facets whose removal does not change the set.
 
-    Each facet is tested by maximizing its normal over the remaining facets
-    (with its own offset relaxed by one unit so the LP stays bounded); it is
-    removed when the optimum stays within ``feas`` of the original offset.
-    """
-    probe = solve_lp(LinearProgram(np.zeros(p.dim), p.H, p.b))
-    if probe.status is LpStatus.INFEASIBLE:
-        raise EmptySetError("cannot reduce an empty polytope")
+    The rows of :func:`_collapse_parallel` are kept or removed in that
+    order. A row is redundant when maximizing its normal over the rows it is tested
+    against (with its own offset relaxed by one unit so the LP stays
+    bounded) stays within ``feas`` of its offset. Redundant rows are
+    removed, and the kept rows are returned in that order.
 
+    Rows are tested by Clarkson's output-sensitive algorithm, only against
+    the rows already known to be facets, so each LP has |facets| + 1 rows
+    instead of one row per input row:
+
+    * The interior point is the origin when every offset exceeds ``feas``,
+      as for C-sets and their Fourier-Motzkin shadows; such input is
+      nonempty, so no LP is needed. Otherwise it is the Chebyshev centre,
+      whose LP also raises ``EmptySetError`` on empty input.
+    * The ray from the interior point along each row normal marks the first
+      row it crosses as a facet, with no LP.
+    * When a row's LP optimum beats its offset, the ray from the interior
+      point to the optimum marks the first row it crosses as a facet, and
+      the row is tested again unless it was that row.
+
+    A ray hit counts only when the next row lies more than ``10 feas`` of
+    violation behind it. On a tied hit, and for every row of a set whose
+    Chebyshev radius is at most ``feas`` (a flat set), the row is tested
+    against all rows not yet removed instead. The kept rows are thus those
+    of testing every row, in order, against all rows not yet removed.
+    """
     H, b = _collapse_parallel(p.H, p.b)
     k = H.shape[0]
     if k <= 1:
         return HPolytope(H, b)
-    keep = np.ones(k, dtype=bool)
+    center, radius = _interior_point(H, b)
+    slack = b - H @ center
+    flat = radius <= TOL.feas
+    known = np.zeros(k, dtype=bool) if flat else _normal_ray_facets(H, slack)
+    removed = np.zeros(k, dtype=bool)
     for i in range(k):
-        rows = keep.copy()
-        rows[i] = False
-        trial_H = np.vstack([H[rows], H[i][None, :]])
-        trial_b = np.concatenate([b[rows], [b[i] + 1.0]])
-        out = solve_lp(LinearProgram(H[i], trial_H, trial_b))
-        if out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas:
-            keep[i] = False
-    if not np.any(keep):  # cannot happen for a bounded set; fail safe
+        wide = flat
+        while not known[i]:
+            rows = ~removed if wide else known.copy()
+            rows[i] = False
+            tested = np.append(np.flatnonzero(rows), i)
+            trial_b = b[tested]
+            trial_b[-1] += 1.0
+            out = solve_lp(LinearProgram(H[i], H[tested], trial_b))
+            if out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas:
+                removed[i] = True
+                break
+            if wide:
+                known[i] = True
+                break
+            # the test set holds the interior point and caps row i: the LP is optimal
+            dots = H @ (out.x - center)
+            dots[removed] = 0.0
+            first, clear = _first_hits(dots[None, :], slack)
+            if clear[0] and not known[first[0]]:  # each retest adds a facet
+                known[first[0]] = True
+            else:
+                wide = True
+    if np.all(removed):  # cannot happen for a bounded set; fail safe
         return HPolytope(H, b)
-    return HPolytope(H[keep], b[keep])
+    return HPolytope(H[~removed], b[~removed])
+
+
+def _interior_point(H: np.ndarray, b: np.ndarray):
+    """A point inside ``{x | H x <= b}`` and a lower bound on its clearance.
+
+    The origin when every offset exceeds ``feas``; otherwise the Chebyshev
+    centre, with the radius capped at 1 so unbounded sets stay bounded LPs.
+    """
+    n = H.shape[1]
+    if np.all(b > TOL.feas):
+        return np.zeros(n), float(np.min(b))
+    objective = np.zeros(n + 1)
+    objective[n] = 1.0
+    lower = np.full(n + 1, -np.inf)
+    lower[n] = 0.0
+    upper = np.full(n + 1, np.inf)
+    upper[n] = 1.0
+    out = solve_lp(
+        LinearProgram(objective, np.hstack([H, np.ones((H.shape[0], 1))]), b, lower, upper)
+    )
+    if out.status is LpStatus.INFEASIBLE:
+        raise EmptySetError("cannot reduce an empty polytope")
+    return out.x[:n], out.value
+
+
+def _normal_ray_facets(H: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Mask of the rows crossed first, clear of ties, by the rays from the
+    interior point along each row normal (``slack`` are its row slacks)."""
+    known = np.zeros(H.shape[0], dtype=bool)
+    for start in range(0, H.shape[0], _RAY_BLOCK):
+        first, clear = _first_hits(H[start : start + _RAY_BLOCK] @ H.T, slack)
+        known[first[clear]] = True
+    return known
+
+
+def _first_hits(dots: np.ndarray, slack: np.ndarray):
+    """First row crossed by each ray, and whether that crossing is clear.
+
+    Ray ``r`` leaves a point with row slacks ``slack`` along a direction
+    ``d`` with ``dots[r, j] = H_j . d``; rows with ``dots <= 0`` are never
+    crossed. The crossing is clear when the ray can violate the first row
+    by more than ``10 feas`` before it reaches the next one, which makes
+    that row a facet even under the ``feas`` redundancy test.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(dots > 0.0, slack / dots, np.inf)
+    rays = np.arange(t.shape[0])
+    first = np.argmin(t, axis=1)
+    t_first = t[rays, first]
+    t[rays, first] = np.inf
+    gap = dots[rays, first] * (np.min(t, axis=1) - t_first)
+    return first, gap > 10.0 * TOL.feas
 
 
 def _collapse_parallel(H: np.ndarray, b: np.ndarray):
@@ -211,13 +301,8 @@ def _collapse_parallel(H: np.ndarray, b: np.ndarray):
     keys = np.vstack([b[None, :], H.T[::-1]])  # lexsort: H columns first, offset last
     order = np.lexsort(keys)
     H, b = H[order], b[order]
-    keep = np.ones(H.shape[0], dtype=bool)
-    group = 0
-    for i in range(1, H.shape[0]):
-        if np.array_equal(H[i], H[group]):
-            keep[i] = False  # within a group the first row carries the smallest offset
-        else:
-            group = i
+    # equal normals are adjacent, and the first row of a run has the smallest offset
+    keep = np.concatenate([[True], np.any(H[1:] != H[:-1], axis=1)])
     return H[keep], b[keep]
 
 
@@ -226,7 +311,16 @@ def project(p: HPolytope, keep: int) -> HPolytope:
 
     Trailing coordinates are eliminated one at a time (Fourier-Motzkin) with
     redundancy removal after each elimination, so the output is the exact
-    shadow ``{x | exists y : (x, y) in p}``.
+    shadow ``{x | exists y : (x, y) in p}``. An elimination can produce
+    hundreds of rows of which a few dozen are facets; :func:`remove_redundancy`
+    tests each row only against the facets found so far (Clarkson's
+    algorithm). FM combines two unit rows with positive weights, and the
+    combined normal is no longer than the sum of the weights, so no
+    normalized offset falls below the smallest input offset. When every
+    offset of ``p`` exceeds ``feas`` (the lift of C-sets), the origin thus
+    serves as the interior point of every elimination with no LP.
+    Otherwise each elimination's rows get a Chebyshev-centre LP, and flat
+    intermediate sets fall back to testing each row against all rows.
     """
     if not 1 <= keep < p.dim:
         raise ValidationError(f"keep must be in [1, {p.dim - 1}]")

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import benchmarks as bm
 from .certificate import compute_certificate
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .metric import set_distance
 from .onestep import check_controllability, iterate
 from .planner import (
@@ -46,7 +46,8 @@ def _table1a():
             rows.append({"n": n, "lambda": lam, "epsilons": list(_EPSILONS), "k": ks})
     # the scalar rows are rate independent; collapse them to a single entry
     scalar = [r for r in rows if r["n"] == 1]
-    assert all(r["k"] == scalar[0]["k"] for r in scalar)
+    if any(r["k"] != scalar[0]["k"] for r in scalar):
+        raise ComputationError("scalar Table 1a rows depend on the rate; they cannot be collapsed")
     rows = [r for r in rows if r["n"] == 2] + [
         {"n": 1, "lambda": "any", "epsilons": list(_EPSILONS), "k": scalar[0]["k"]}
     ]

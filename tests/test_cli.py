@@ -1,11 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from contracta import symmetric_box, validate_cset
+from contracta import reproduce, symmetric_box, validate_cset
 from contracta.cli import main
-from contracta.errors import ScenarioParseError, ValidationError
+from contracta.errors import ComputationError, ScenarioParseError, ValidationError
 from contracta.scenario import (
     parse_scenario_text,
     run_scenario_dict,
@@ -145,6 +146,14 @@ class TestReproduceTargets:
     def test_unknown_target(self):
         with pytest.raises(ValidationError):
             run_scenario_dict({"task": {"reproduce": {"name": "nope"}}})
+
+    def test_table1a_rate_dependent_scalar_rows_raise(self, monkeypatch):
+        # the scalar rows are collapsed to one "any" row only when they agree
+        monkeypatch.setattr(
+            reproduce, "epsilon_plan", lambda sysn, lam, seed, eps: SimpleNamespace(k=int(10 * lam))
+        )
+        with pytest.raises(ComputationError, match="depend on the rate"):
+            reproduce.run("table1a")
 
 
 class TestCliProcess:

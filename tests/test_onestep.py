@@ -124,6 +124,12 @@ class TestIterate:
                     <= base + 1e-8
                 )
 
+    def test_three_dimensional_facet_sequence(self):
+        # five projections of up to ~650 FM rows each; facet counts only
+        sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 5)
+        assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66, 90]
+
     def test_unit_rate_iterates_dominate_scaled(self, rng):
         # the k-fold set at rate one, shrunk by lam^k, sits inside the rate-lam set
         for _ in range(10):

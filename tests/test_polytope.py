@@ -7,6 +7,7 @@ from contracta import (
     HPolytope,
     LinearProgram,
     LpStatus,
+    TOL,
     box,
     inradius_origin,
     intersect,
@@ -31,6 +32,45 @@ from contracta.errors import (
     ValidationError,
 )
 from conftest import random_cset
+
+
+def brute_force_kept_rows(p):
+    """Rows of ``p`` in collapse order and the mask of rows each one-LP test
+    keeps: row i is maximized over every row not yet removed, with its own
+    offset relaxed by one, and removed when the optimum stays within feas.
+
+    Collapse order sorts rows by normal, then offset, and keeps the first
+    row of each normal."""
+    order = np.lexsort(np.vstack([p.b[None, :], p.H.T[::-1]]))
+    H, b = p.H[order], p.b[order]
+    first = [0] + [i for i in range(1, H.shape[0]) if not np.array_equal(H[i], H[i - 1])]
+    H, b = H[first], b[first]
+    keep = np.ones(H.shape[0], dtype=bool)
+    for i in range(H.shape[0]):
+        rows = keep.copy()
+        rows[i] = False
+        trial_H = np.vstack([H[rows], H[i][None, :]])
+        trial_b = np.concatenate([b[rows], [b[i] + 1.0]])
+        out = solve_lp(LinearProgram(H[i], trial_H, trial_b))
+        if out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas:
+            keep[i] = False
+    return H, b, keep
+
+
+def random_rows(rng, dim, kind):
+    """Unreduced random cuts plus a box: a C-set, the same with ~1e-13
+    perturbed copies of some rows, or a translate with the origin outside."""
+    dirs = rng.normal(size=(int(rng.integers(3, 16)), dim))
+    H = np.vstack([dirs / np.linalg.norm(dirs, axis=1)[:, None], np.eye(dim), -np.eye(dim)])
+    b = np.concatenate([rng.uniform(0.5, 2.5, size=dirs.shape[0]), 3.0 * np.ones(2 * dim)])
+    if kind == "near-duplicate":
+        copies = rng.integers(0, H.shape[0], size=3)
+        H = np.vstack([H, H[copies] + 1e-13 * rng.normal(size=(3, dim))])
+        b = np.concatenate([b, b[copies]])
+    elif kind == "origin-outside":
+        b = b - H @ ((b[0] + 0.5) * H[0])  # the translate puts the origin beyond row 0
+        assert b[0] < 0.0
+    return HPolytope(H, b)
 
 
 class TestConstruction:
@@ -167,6 +207,31 @@ class TestRedundancy:
     def test_empty_input_raises(self):
         with pytest.raises(EmptySetError):
             remove_redundancy(HPolytope([[1.0], [-1.0]], [-1.0, -2.0]))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["c-set", "near-duplicate", "origin-outside"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_brute_force_rule(self, seed, dim, kind):
+        p = random_rows(np.random.default_rng(seed), dim, kind)
+        H, b, keep = brute_force_kept_rows(p)
+        r = remove_redundancy(p)
+        assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
+        assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+
+    def test_flat_segment_keeps_all_rows(self):
+        # {1}: zero Chebyshev radius, so every row is tested against all others
+        r = remove_redundancy(intersect(box([0.0], [1.0]), box([1.0], [2.0])))
+        assert r.H.tolist() == [[-1.0], [1.0]]
+        assert r.b.tolist() == [-1.0, 1.0]
+
+    def test_flat_square_edge(self):
+        # the shared edge {1} x [0, 1] of two unit squares
+        r = remove_redundancy(intersect(box([0.0, 0.0], [1.0, 1.0]), box([1.0, 0.0], [2.0, 1.0])))
+        assert r.H.tolist() == [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]]
+        assert r.b.tolist() == [-1.0, 0.0, 1.0, 1.0]
 
 
 class TestProjection:
