@@ -7,10 +7,15 @@ and negative parts internally. Bland's smallest-index rule is used for both
 the entering and the leaving choice, so the pivot sequence -- and therefore
 the reported outcome -- is a pure, deterministic function of the input.
 
-Instances here have a few variables and at most about a hundred rows:
-support and inclusion LPs over one polytope's facets, and redundancy tests
-against the facets found so far. At that size a dense tableau beats
-anything clever.
+Instances have a few variables and mostly tens of rows (support and
+inclusion LPs over one polytope's facets, redundancy tests against the
+facets found so far); the flat-set fallback of ``remove_redundancy`` and
+``membership_certificate`` build a few hundred. At that size a dense tableau
+wins, and the cost is the fixed overhead of each call and each pivot.
+
+Invariant: a kernel change must keep the pivot sequence and every
+floating-point operation, so each ``LpOutcome`` stays bit-identical for
+every input; ``tests/test_lp.py`` checks this against a reference copy.
 """
 
 from __future__ import annotations
@@ -70,92 +75,83 @@ def solve_lp(prob: LinearProgram) -> LpOutcome:
     A = np.atleast_2d(A)
     b = np.asarray(prob.b, dtype=float).ravel()
     if A.shape[1] != n:
-        raise DimensionError(
-            f"constraint matrix has {A.shape[1]} columns, objective has {n}"
-        )
+        raise DimensionError(f"constraint matrix has {A.shape[1]} columns, objective has {n}")
     if A.shape[0] != b.size:
-        raise DimensionError(
-            f"constraint matrix has {A.shape[0]} rows, rhs has {b.size}"
-        )
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        raise DimensionError(f"constraint matrix has {A.shape[0]} rows, rhs has {b.size}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValidationError("nonfinite entries in LP data")
 
-    rows = [A]
-    rhs = [b]
-    for bound, sign in ((prob.lower, -1.0), (prob.upper, 1.0)):
-        if bound is None:
-            continue
-        bound = np.asarray(bound, dtype=float).ravel()
-        if bound.size != n:
-            raise DimensionError("variable bound length does not match objective")
-        for i in np.flatnonzero(np.isfinite(bound)):
-            row = np.zeros(n)
-            row[i] = sign
-            rows.append(row[None, :])
-            rhs.append(np.array([sign * bound[i]]))
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    if prob.lower is not None or prob.upper is not None:
+        rows, rhs = [A], [b]
+        for bound, sign in ((prob.lower, -1.0), (prob.upper, 1.0)):
+            if bound is None:
+                continue
+            bound = np.asarray(bound, dtype=float).ravel()
+            if bound.size != n:
+                raise DimensionError("variable bound length does not match objective")
+            idx = np.flatnonzero(np.isfinite(bound))
+            block = np.zeros((idx.size, n))
+            block[np.arange(idx.size), idx] = sign
+            rows.append(block)
+            rhs.append(sign * bound[idx])
+        A = np.vstack(rows)
+        b = np.concatenate(rhs)
 
     status, x = _two_phase(c, A, b)
-    if status is LpStatus.INFEASIBLE:
-        return LpOutcome(LpStatus.INFEASIBLE, -np.inf, None)
-    if status is LpStatus.UNBOUNDED:
-        return LpOutcome(LpStatus.UNBOUNDED, np.inf, None)
-    residual = float(np.max(A @ x - b, initial=0.0))
-    if residual > TOL.feas * max(1.0, float(np.max(np.abs(b), initial=1.0))):
+    if x is None:
+        return LpOutcome(status, -np.inf if status is LpStatus.INFEASIBLE else np.inf, None)
+    residual = float((A @ x - b).max(initial=0.0))
+    if residual > TOL.feas * float(np.abs(b).max(initial=1.0)):
         raise ComputationError(f"simplex returned an infeasible point (residual {residual:.3e})")
     return LpOutcome(LpStatus.OPTIMAL, float(c @ x), x)
 
 
 def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Two-phase simplex on the split/slack standard form."""
+    """Two-phase simplex on the tableau ``[A, -A, I, artificials, rhs]``; a row
+    with ``b < 0`` is negated outside its artificial column, which is basic."""
     n = c.size
     k = A.shape[0]
     if k == 0:
         # No constraints at all: bounded only for a zero objective.
-        if np.all(c == 0.0):
+        if (c == 0.0).all():
             return LpStatus.OPTIMAL, np.zeros(n)
         return LpStatus.UNBOUNDED, None
 
     ncols = 2 * n + k
-    E = np.hstack([A, -A, np.eye(k)])
-    h = b.astype(float).copy()
-    neg = h < 0.0
-    E[neg] *= -1.0
-    h[neg] *= -1.0
-
-    art_rows = np.flatnonzero(neg)
-    nart = art_rows.size
+    neg = b < 0.0
+    nart = int(np.count_nonzero(neg))
+    tab = np.zeros((k, ncols + nart + 1))
+    tab[:, :n] = A
+    np.negative(A, out=tab[:, n : 2 * n])
+    rows = np.arange(k)
+    basis = 2 * n + rows
+    tab[rows, basis] = 1.0
+    tab[:, -1] = b
     if nart:
-        art_cols = np.zeros((k, nart))
-        art_cols[art_rows, np.arange(nart)] = 1.0
-        tab = np.hstack([E, art_cols, h[:, None]])
-    else:
-        tab = np.hstack([E, h[:, None]])
-
-    basis = np.empty(k, dtype=int)
-    basis[~neg] = 2 * n + np.flatnonzero(~neg)
-    basis[neg] = ncols + np.arange(nart)
-
-    if nart:
+        tab[neg, :ncols] *= -1.0
+        tab[neg, -1] *= -1.0
+        basis[neg] = ncols + np.arange(nart)
+        tab[rows[neg], basis[neg]] = 1.0
         cost1 = np.zeros(ncols + nart)
         cost1[ncols:] = -1.0
         status = _iterate(tab, basis, cost1)
         if status is not LpStatus.OPTIMAL:  # pragma: no cover - phase 1 is bounded
             raise ComputationError("phase-1 simplex did not terminate optimally")
-        phase1 = float(tab[basis >= ncols, -1].sum())
-        if phase1 > TOL.feas:
+        if tab[basis >= ncols, -1].sum() > TOL.feas:
             return LpStatus.INFEASIBLE, None
         _drive_out_artificials(tab, basis, ncols)
         keep = basis < ncols
         tab = np.hstack([tab[keep, :ncols], tab[keep, -1:]])
         basis = basis[keep]
 
-    cost2 = np.concatenate([c, -c, np.zeros(tab.shape[1] - 1 - 2 * n)])
+    m = tab.shape[1] - 1
+    cost2 = np.zeros(m)
+    cost2[:n] = c
+    np.negative(c, out=cost2[n : 2 * n])
     status = _iterate(tab, basis, cost2)
     if status is LpStatus.UNBOUNDED:
         return LpStatus.UNBOUNDED, None
-    z = np.zeros(tab.shape[1] - 1)
+    z = np.zeros(m)
     z[basis] = tab[:, -1]
     return LpStatus.OPTIMAL, z[:n] - z[n : 2 * n]
 
@@ -164,36 +160,38 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> LpStatus:
     """Pivot ``tab`` (canonical w.r.t. ``basis``) to optimality in place."""
     m = tab.shape[1] - 1
     red = cost.copy()
-    for i, bi in enumerate(basis):
-        if red[bi] != 0.0:
-            red -= red[bi] * tab[i, :m]
+    # Basic columns are exact unit vectors (``_pivot`` writes 0/1), so pricing
+    # out the basis needs only the rows whose basic cost is nonzero.
+    basic_cost = cost[basis]
+    for i in basic_cost.nonzero()[0]:
+        red -= basic_cost[i] * tab[i, :m]
+    opt, piv = TOL.opt, TOL.pivot
     for _ in range(_MAX_PIVOTS):
-        candidates = np.flatnonzero(red > TOL.opt)
-        if candidates.size == 0:
+        improving = red > opt
+        enter = int(improving.argmax())  # Bland: smallest improving index
+        if not improving[enter]:
             return LpStatus.OPTIMAL
-        enter = int(candidates[0])  # Bland: smallest improving index
         col = tab[:, enter]
-        usable = np.flatnonzero(col > TOL.pivot)
+        usable = (col > piv).nonzero()[0]
         if usable.size == 0:
             return LpStatus.UNBOUNDED
         ratios = tab[usable, -1] / col[usable]
-        best = float(np.min(ratios))
-        near = usable[ratios <= best + 1e-12]
-        leave = int(near[np.argmin(basis[near])])  # Bland: smallest basic index
+        near = usable[ratios <= ratios.min() + 1e-12]
+        # Bland: smallest basic index among the tied rows
+        leave = int(near[0] if near.size == 1 else near[basis[near].argmin()])
         _pivot(tab, red, leave, enter)
         basis[leave] = enter
     raise ComputationError("simplex exceeded the pivot budget")
 
 
 def _pivot(tab: np.ndarray, red: np.ndarray, row: int, col: int) -> None:
-    m = tab.shape[1] - 1
     tab[row] /= tab[row, col]
     factors = tab[:, col].copy()
     factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
+    tab -= factors[:, None] * tab[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
-    red -= red[col] * tab[row, :m]
+    red -= red[col] * tab[row, :-1]
     red[col] = 0.0
 
 

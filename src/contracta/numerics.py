@@ -2,7 +2,10 @@
 
 Everything here targets matrices of dimension ~10 or less, so the symmetric
 eigenproblem is solved by cyclic Jacobi sweeps (deterministic, dependency
-free) and singular values are read off the Gram matrix of the smaller side.
+free). Singular values come from LAPACK's SVD (``numpy.linalg.svd``), which
+keeps small ones accurate to about machine epsilon times the largest; the
+eigenvalues of the Gram matrix would square the condition number and misread
+a singular value of 1e-10 by orders of magnitude.
 """
 
 from __future__ import annotations
@@ -85,25 +88,15 @@ def symmetric_eigen_min(s) -> float:
     return float(w[0])
 
 
-def _gram_eigenvalues(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ m.T
-    else:
-        gram = m.T @ m
-    w, _ = jacobi_eigh(gram)
-    return np.clip(w, 0.0, None)
-
-
 def singular_extremes(m) -> tuple[float, float]:
-    """Smallest and largest singular values via the Gram-matrix spectrum."""
-    m = _as_matrix(m)
-    w = _gram_eigenvalues(m)
-    return float(np.sqrt(w[0])), float(np.sqrt(w[-1]))
+    """Smallest and largest singular values (of the ``min(rows, cols)``)."""
+    s = np.linalg.svd(_as_matrix(m), compute_uv=False)
+    return float(s[-1]), float(s[0])
 
 
 def spectral_norm(m) -> float:
-    m = _as_matrix(m)
-    return float(np.sqrt(_gram_eigenvalues(m)[-1]))
+    """Largest singular value."""
+    return float(np.linalg.svd(_as_matrix(m), compute_uv=False)[0])
 
 
 def reachability_matrix(a, b, horizon: int) -> np.ndarray:

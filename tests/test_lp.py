@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contracta import LinearProgram, LpStatus, solve_lp, symmetric_box
+from contracta.config import TOL
 from contracta.errors import DimensionError
 
 
@@ -128,3 +131,200 @@ def test_cross_check_against_scipy():
         else:
             assert ref.status == 3
     assert agree >= 20  # the generator must hit plenty of bounded instances
+
+
+# --- bit-identity against the reference kernel ------------------------------
+# A copy of the earlier, unoptimized kernel: np.flatnonzero pricing and ratio
+# tests, a reduced-cost pass over every basic row, and an np.outer rank-1
+# update. solve_lp must reproduce its pivot sequence, so every outcome is
+# bit-identical.
+
+_REF_MAX_PIVOTS = 20000
+
+
+def _ref_solve(prob):
+    c = np.asarray(prob.objective, dtype=float).ravel()
+    n = c.size
+    A = np.atleast_2d(np.asarray(prob.A, dtype=float).reshape(-1, n))
+    b = np.asarray(prob.b, dtype=float).ravel()
+    rows = [A]
+    rhs = [b]
+    for bound, sign in ((prob.lower, -1.0), (prob.upper, 1.0)):
+        if bound is None:
+            continue
+        bound = np.asarray(bound, dtype=float).ravel()
+        for i in np.flatnonzero(np.isfinite(bound)):
+            row = np.zeros(n)
+            row[i] = sign
+            rows.append(row[None, :])
+            rhs.append(np.array([sign * bound[i]]))
+    A = np.vstack(rows)
+    b = np.concatenate(rhs)
+    status, x = _ref_two_phase(c, A, b)
+    if status is LpStatus.INFEASIBLE:
+        return status, -np.inf, None
+    if status is LpStatus.UNBOUNDED:
+        return status, np.inf, None
+    return status, float(c @ x), x
+
+
+def _ref_two_phase(c, A, b):
+    n = c.size
+    k = A.shape[0]
+    if k == 0:
+        if np.all(c == 0.0):
+            return LpStatus.OPTIMAL, np.zeros(n)
+        return LpStatus.UNBOUNDED, None
+
+    ncols = 2 * n + k
+    E = np.hstack([A, -A, np.eye(k)])
+    h = b.astype(float).copy()
+    neg = h < 0.0
+    E[neg] *= -1.0
+    h[neg] *= -1.0
+
+    art_rows = np.flatnonzero(neg)
+    nart = art_rows.size
+    if nart:
+        art_cols = np.zeros((k, nart))
+        art_cols[art_rows, np.arange(nart)] = 1.0
+        tab = np.hstack([E, art_cols, h[:, None]])
+    else:
+        tab = np.hstack([E, h[:, None]])
+
+    basis = np.empty(k, dtype=int)
+    basis[~neg] = 2 * n + np.flatnonzero(~neg)
+    basis[neg] = ncols + np.arange(nart)
+
+    if nart:
+        cost1 = np.zeros(ncols + nart)
+        cost1[ncols:] = -1.0
+        status = _ref_iterate(tab, basis, cost1)
+        assert status is LpStatus.OPTIMAL
+        phase1 = float(tab[basis >= ncols, -1].sum())
+        if phase1 > TOL.feas:
+            return LpStatus.INFEASIBLE, None
+        _ref_drive_out_artificials(tab, basis, ncols)
+        keep = basis < ncols
+        tab = np.hstack([tab[keep, :ncols], tab[keep, -1:]])
+        basis = basis[keep]
+
+    cost2 = np.concatenate([c, -c, np.zeros(tab.shape[1] - 1 - 2 * n)])
+    status = _ref_iterate(tab, basis, cost2)
+    if status is LpStatus.UNBOUNDED:
+        return LpStatus.UNBOUNDED, None
+    z = np.zeros(tab.shape[1] - 1)
+    z[basis] = tab[:, -1]
+    return LpStatus.OPTIMAL, z[:n] - z[n : 2 * n]
+
+
+def _ref_iterate(tab, basis, cost):
+    m = tab.shape[1] - 1
+    red = cost.copy()
+    for i, bi in enumerate(basis):
+        if red[bi] != 0.0:
+            red -= red[bi] * tab[i, :m]
+    for _ in range(_REF_MAX_PIVOTS):
+        candidates = np.flatnonzero(red > TOL.opt)
+        if candidates.size == 0:
+            return LpStatus.OPTIMAL
+        enter = int(candidates[0])
+        col = tab[:, enter]
+        usable = np.flatnonzero(col > TOL.pivot)
+        if usable.size == 0:
+            return LpStatus.UNBOUNDED
+        ratios = tab[usable, -1] / col[usable]
+        best = float(np.min(ratios))
+        near = usable[ratios <= best + 1e-12]
+        leave = int(near[np.argmin(basis[near])])
+        _ref_pivot(tab, red, leave, enter)
+        basis[leave] = enter
+    raise AssertionError("reference simplex exceeded the pivot budget")
+
+
+def _ref_pivot(tab, red, row, col):
+    m = tab.shape[1] - 1
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    red -= red[col] * tab[row, :m]
+    red[col] = 0.0
+
+
+def _ref_drive_out_artificials(tab, basis, ncols):
+    dummy = np.zeros(tab.shape[1] - 1)
+    for i in range(basis.size):
+        if basis[i] < ncols:
+            continue
+        row = tab[i, :ncols]
+        pivots = np.flatnonzero(np.abs(row) > TOL.pivot)
+        if pivots.size == 0:
+            continue
+        col = int(pivots[0])
+        _ref_pivot(tab, dummy, i, col)
+        basis[i] = col
+
+
+def _kernel_case(mode, n, k, seed):
+    """Random LP of one family; returns the problem and, where the family
+    fixes it, the expected status."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n)
+    A = rng.normal(size=(k, n))
+    b = rng.normal(size=k)  # mixed signs: phase 1 and drive-out
+    lower = upper = None
+    expected = None
+    if mode == "degenerate":
+        # about half the rows pass through one point, and some rows are
+        # copies or power-of-two multiples of others: ratio ties
+        p = rng.normal(size=n)
+        b = A @ p + np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 1.0, k))
+        src = rng.integers(0, k, size=k // 3)
+        scale = rng.choice([1.0, 2.0, 0.5], size=src.size)
+        A[k - src.size :] = scale[:, None] * A[src]
+        b[k - src.size :] = scale * b[src]
+    elif mode == "equality":
+        # equalities as row pairs, one of them implied by two others, leave
+        # artificials basic at zero after phase 1
+        E = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        E = np.vstack([E, E[0] + E[-1]])
+        beta = E @ rng.normal(size=n)
+        A = np.vstack([E, -E, A])
+        b = np.concatenate([beta, -beta, np.abs(b)])
+    elif mode == "unbounded":
+        # every row recedes along c and the origin is feasible
+        A -= np.maximum(A @ c, 0.0)[:, None] * c / (c @ c)
+        b = np.abs(b)
+        expected = LpStatus.UNBOUNDED
+    elif mode == "infeasible":
+        a = rng.normal(size=n)
+        A = np.vstack([A, a, -a])
+        b = np.concatenate([b, [-0.5, -0.5]])
+        expected = LpStatus.INFEASIBLE
+    elif mode == "bounds":
+        lower = np.where(rng.random(n) < 0.7, rng.uniform(-3.0, 0.0, n), -np.inf)
+        upper = np.where(rng.random(n) < 0.7, rng.uniform(0.0, 3.0, n), np.inf)
+    return LinearProgram(c, A, b, lower, upper), expected
+
+
+@pytest.mark.parametrize(
+    "mode", ["mixed", "degenerate", "equality", "unbounded", "infeasible", "bounds"]
+)
+@given(n=st.integers(1, 4), k=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kernel_bit_identical_to_reference(mode, n, k, seed):
+    prob, expected = _kernel_case(mode, n, k, seed)
+    ref_status, ref_value, ref_x = _ref_solve(prob)
+    out = solve_lp(prob)
+    assert out.status is ref_status
+    if expected is not None:
+        assert out.status is expected
+    assert out.value == ref_value
+    if ref_x is None:
+        assert out.x is None
+    else:
+        assert np.array_equal(out.x, ref_x)
+        assert np.array_equal(np.signbit(out.x), np.signbit(ref_x))  # signed zeros too

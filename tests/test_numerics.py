@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contracta import (
+    SystemModel,
     jacobi_eigh,
     matrix_power,
     reachability_matrix,
     schur_radius_bound,
     singular_extremes,
     spectral_norm,
+    symmetric_box,
     symmetric_eigen_min,
 )
 from contracta.errors import DimensionError, ValidationError
@@ -90,6 +92,38 @@ class TestSingularExtremes:
         w, _ = jacobi_eigh(m @ m.T)
         assert smin == pytest.approx(np.sqrt(max(w[0], 0.0)), abs=1e-9)
         assert smax == pytest.approx(np.sqrt(w[-1]), abs=1e-9)
+
+
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q
+
+
+class TestSmallSingularValues:
+    """Known spectra U diag(2, 1, s) V^T; a Gram-matrix route squares the
+    condition number and reads s = 1e-10 as zero."""
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relative_accuracy(self, s, seed):
+        rng = np.random.default_rng(seed)
+        m = _orthogonal(rng, 3) @ np.diag([2.0, 1.0, s]) @ _orthogonal(rng, 3).T
+        smin, smax = singular_extremes(m)
+        assert smin == pytest.approx(s, rel=1e-5)
+        assert smax == pytest.approx(2.0, rel=1e-5)
+        assert spectral_norm(m) == pytest.approx(2.0, rel=1e-5)
+
+    @pytest.mark.parametrize("s, expected", [(0.5e-8, False), (2e-8, True)])
+    def test_controllability_threshold(self, s, expected):
+        # Reachability [A B, B] = R diag(1, s) R'^T with A = (A B) B^T / |B|^2.
+        rng = np.random.default_rng(5)
+        phi = _orthogonal(rng, 2) @ np.diag([1.0, s]) @ _orthogonal(rng, 2).T
+        B = phi[:, 1:]
+        A = np.outer(phi[:, 0], B[:, 0]) / float(B[:, 0] @ B[:, 0])
+        box = symmetric_box([1.0, 1.0])
+        sysr = SystemModel(A, B, box, symmetric_box([1.0]))
+        assert singular_extremes(sysr.reachability)[0] == pytest.approx(s, rel=1e-5)
+        assert sysr.controllable is expected
 
 
 class TestSymmetricEigenMin:
