@@ -7,8 +7,14 @@ approximation accuracy of the maximal controlled invariant set.
 
 from .certificate import ContractionCertificate, compute_certificate
 from .config import TOL, Tolerances, set_feasibility_tolerance
-from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp
-from .metric import DistanceResult, check_inclusion_equivalence, inclusion_factor, set_distance
+from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch
+from .metric import (
+    DistanceResult,
+    check_inclusion_equivalence,
+    inclusion_factor,
+    set_distance,
+    step_distances,
+)
 from .numerics import (
     jacobi_eigh,
     matrix_power,
@@ -23,7 +29,6 @@ from .onestep import (
     SeedLabel,
     SetSequence,
     SystemModel,
-    check_controllability,
     is_lambda_contractive,
     iterate,
     membership_certificate,
@@ -53,6 +58,7 @@ from .polytope import (
     remove_redundancy,
     scale,
     support,
+    support_many,
     symmetric_box,
     validate_cset,
     vertices,

@@ -13,9 +13,20 @@ facets found so far); the flat-set fallback of ``remove_redundancy`` and
 ``membership_certificate`` build a few hundred. At that size a dense tableau
 wins, and the cost is the fixed overhead of each call and each pivot.
 
+``solve_lp_batch`` solves many such LPs at once: support LPs of one
+polytope along many directions, or one round of redundancy tests. When no
+offset is negative the slack basis is feasible, so phase 1 is skipped, and
+the LPs share one 3-D tableau (LP x row x column) that is pivoted in
+lockstep, one Bland pivot of every unfinished LP per step, with the array
+operations of ``_iterate`` and ``_pivot`` applied along the new axis. An LP
+leaves the stack when it is optimal or unbounded. This pays the per-pivot
+overhead once per step instead of once per LP.
+
 Invariant: a kernel change must keep the pivot sequence and every
 floating-point operation, so each ``LpOutcome`` stays bit-identical for
-every input; ``tests/test_lp.py`` checks this against a reference copy.
+every input; ``tests/test_lp.py`` checks this against a reference copy. The
+same holds for the batched entry: each of its outcomes is bit-identical to
+``solve_lp`` on that LP alone, signed zeros included (checked there too).
 """
 
 from __future__ import annotations
@@ -29,6 +40,12 @@ from .config import TOL
 from .errors import ComputationError, DimensionError, ValidationError
 
 _MAX_PIVOTS = 20000
+# solve_lp_batch runs at least this many LPs in lockstep: on LPs of 2-40 rows
+# in 1-4 variables, 8 LPs took 0.59-0.75 of the time of solving them one at a
+# time and 4 took 0.72-1.22 (Intel Xeon VM, one core). A lockstep chunk holds
+# about this many bytes of tableau, which bounds the memory a batch adds.
+_LOCKSTEP_MIN = 8
+_BATCH_BYTES = 1 << 20
 
 
 class LpStatus(Enum):
@@ -104,6 +121,135 @@ def solve_lp(prob: LinearProgram) -> LpOutcome:
     if residual > TOL.feas * float(np.abs(b).max(initial=1.0)):
         raise ComputationError(f"simplex returned an infeasible point (residual {residual:.3e})")
     return LpOutcome(LpStatus.OPTIMAL, float(c @ x), x)
+
+
+def solve_lp_batch(objectives, A, b) -> list[LpOutcome]:
+    """Solve ``max c_l . x`` subject to ``A_l x <= b_l`` for every row ``c_l``
+    of ``objectives``; the outcomes are bit-identical to ``solve_lp``'s.
+
+    ``A`` is one ``k x n`` matrix shared by all LPs or an ``L x k x n``
+    stack, and ``b`` likewise ``k`` or ``L x k``. When no offset is
+    negative the slack basis is feasible, and at least ``_LOCKSTEP_MIN``
+    LPs are solved in lockstep, in chunks of about ``_BATCH_BYTES`` of
+    tableau; otherwise they are solved one at a time.
+    """
+    C = np.asarray(objectives, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    L = C.shape[0] if C.ndim == 2 else -1
+    stacked = A.ndim == 3
+    if (
+        L < 0
+        or A.ndim not in (2, 3)
+        or b.ndim != A.ndim - 1
+        or (stacked and not len(A) == len(b) == L)
+    ):
+        raise _misfit(C, A, b)
+    if L < _LOCKSTEP_MIN or A.shape[-2] == 0 or (b < 0.0).any():
+        if stacked:
+            return [solve_lp(LinearProgram(c, a, r)) for c, a, r in zip(C, A, b)]
+        return [solve_lp(LinearProgram(c, A, b)) for c in C]
+    n, k = C.shape[1], A.shape[-2]
+    if n == 0 or A.shape[-1] != n or b.shape[-1] != k:
+        raise _misfit(C, A, b)
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(C).all()):
+        raise ValidationError("nonfinite entries in LP data")
+    if not stacked:
+        A = np.broadcast_to(A, (L, k, n))
+        b = np.broadcast_to(b, (L, k))
+    chunk = max(1, _BATCH_BYTES // (8 * k * (2 * n + k + 1)))
+    outcomes: list[LpOutcome] = []
+    for start in range(0, L, chunk):
+        part = slice(start, start + chunk)
+        outcomes.extend(_lockstep(C[part], A[part], b[part]))
+    return outcomes
+
+
+def _misfit(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> DimensionError:
+    return DimensionError(f"LP data of shapes {C.shape}, {A.shape} and {b.shape} do not fit")
+
+
+def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
+    """Phase 2 of ``_two_phase`` from the slack basis for a stack of LPs, one
+    pivot of every unfinished LP per step, with ``_iterate``'s Bland rule and
+    ``_pivot``'s floating-point operations."""
+    L, k, n = A.shape
+    m = 2 * n + k
+    tab = np.zeros((L, k, m + 1))
+    tab[:, :, :n] = A
+    np.negative(A, out=tab[:, :, n : 2 * n])
+    rows = np.arange(k)
+    tab[:, rows, 2 * n + rows] = 1.0
+    tab[:, :, -1] = b
+    basis = np.tile(2 * n + rows, (L, 1))
+    red = np.zeros((L, m))  # slack costs are zero: nothing to price out
+    red[:, :n] = C
+    np.negative(C, out=red[:, n : 2 * n])
+    outcomes: list[LpOutcome | None] = [None] * L
+    live = np.arange(L)  # position of each unfinished LP in the input
+    lanes = np.arange(L)
+    first_rows = lanes * k  # row of each LP's first constraint in ``flat``
+    flat = tab.reshape(-1, m + 1)  # tableau rows of all LPs, LP-major
+    product = np.empty_like(tab)
+    opt, piv = TOL.opt, TOL.pivot
+    for _ in range(_MAX_PIVOTS):
+        improving = red > opt
+        enter = improving.argmax(axis=1)  # Bland: smallest improving index
+        col = tab[lanes, :, enter]
+        usable = col > piv
+        optimal = ~improving[lanes, enter]
+        finished = optimal | ~usable.any(axis=1)
+        if finished.any():
+            z = np.zeros((np.count_nonzero(finished), m))
+            np.put_along_axis(z, basis[finished], tab[finished, :, -1], axis=1)
+            X = z[:, :n] - z[:, n : 2 * n]
+            _finish(outcomes, live[finished], optimal[finished], X, C, A, b)
+            going = ~finished
+            if not going.any():
+                return outcomes
+            live, tab, basis, red = live[going], tab[going], basis[going], red[going]
+            enter, col, usable = enter[going], col[going], usable[going]
+            lanes = np.arange(live.size)
+            first_rows = lanes * k
+            flat = tab.reshape(-1, m + 1)
+            product = product[: live.size]
+        ratios = np.full(col.shape, np.inf)
+        np.divide(tab[:, :, -1], col, out=ratios, where=usable)
+        near = usable & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        # Bland: smallest basic index among the tied rows
+        leave = np.where(near, basis, m).argmin(axis=1)
+        pivot_rows = first_rows + leave
+        row = flat[pivot_rows]
+        row /= row[lanes, enter][:, None]
+        flat[pivot_rows] = row
+        col[lanes, leave] = 0.0  # the entering column, as _pivot's factors
+        np.multiply(col[:, :, None], row[:, None, :], out=product)
+        tab -= product
+        tab[lanes, :, enter] = 0.0
+        flat[pivot_rows, enter] = 1.0
+        red -= red[lanes, enter][:, None] * flat[pivot_rows, :-1]
+        red[lanes, enter] = 0.0
+        basis[lanes, leave] = enter
+    raise ComputationError("simplex exceeded the pivot budget")
+
+
+def _finish(outcomes, where, optimal, X, C, A, b) -> None:
+    """Store the outcomes of finished lockstep LPs (``X`` their basic
+    solutions), with ``solve_lp``'s residual check on each optimal point."""
+    bw = b[where]
+    residual = np.maximum((A[where] @ X[:, :, None])[:, :, 0] - bw, 0.0).max(axis=1)
+    scale = np.maximum(np.abs(bw).max(axis=1), 1.0)
+    infeasible = np.flatnonzero(optimal & (residual > TOL.feas * scale))
+    if infeasible.size:
+        worst = residual[infeasible[0]]
+        raise ComputationError(f"simplex returned an infeasible point (residual {worst:.3e})")
+    # stacked 1 x n by n x 1 products take the dot-product path of ``c @ x``
+    values = (C[where][:, None, :] @ X[:, :, None])[:, 0, 0].tolist()
+    for l, opt, value, x in zip(where.tolist(), optimal.tolist(), values, X):
+        if opt:
+            outcomes[l] = LpOutcome(LpStatus.OPTIMAL, value, x)
+        else:
+            outcomes[l] = LpOutcome(LpStatus.UNBOUNDED, np.inf, None)
 
 
 def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):

@@ -24,6 +24,7 @@ from .polytope import (
     HPolytope,
     is_subset,
     project,
+    support_many,
     validate_cset,
     vertices,
 )
@@ -81,15 +82,14 @@ class SystemModel:
         return sigma_min > TOL.ctrb
 
 
-def check_controllability(sys: SystemModel) -> bool:
-    return sys.controllable
-
-
 @dataclass
 class SetSequence:
     lam: float
     entries: list[CSetPolytope] = field(default_factory=list)
     seed_label: SeedLabel | None = None
+    # Per step with a seed label: the supports that verified its inclusion,
+    # of the inner entry along the outer entry's facets.
+    inclusion_supports: list[np.ndarray] = field(default_factory=list)
 
 
 def _check_lambda(lam: float) -> float:
@@ -142,11 +142,19 @@ def iterate(
         raise ValidationError("iteration count must be nonnegative")
     seq = SetSequence(lam=lam, entries=[D], seed_label=seed_label)
     for j in range(k):
-        nxt = one_step_set(sys, lam, seq.entries[-1])
-        if seed_label is SeedLabel.FROM_STATE_SET and not is_subset(nxt, seq.entries[-1]):
-            raise ComputationError(f"sequence from the state set failed to nest at step {j + 1}")
-        if seed_label is SeedLabel.CONTRACTIVE and not is_subset(seq.entries[-1], nxt):
-            raise ComputationError(f"sequence from a contractive seed failed to expand at step {j + 1}")
+        prev = seq.entries[-1]
+        nxt = one_step_set(sys, lam, prev)
+        if seed_label is not None:
+            nests = seed_label is SeedLabel.FROM_STATE_SET
+            inner, outer = (nxt, prev) if nests else (prev, nxt)
+            supports = support_many(inner, outer.H)
+            # is_subset's test; both sets are C-sets, so no support LP fails
+            if np.any(supports > outer.b + TOL.feas):
+                what = "from the state set failed to nest" if nests else (
+                    "from a contractive seed failed to expand"
+                )
+                raise ComputationError(f"sequence {what} at step {j + 1}")
+            seq.inclusion_supports.append(supports)
         seq.entries.append(nxt)
     return seq
 

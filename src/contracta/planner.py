@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .certificate import compute_certificate
 from .config import TOL
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .metric import set_distance
 from .onestep import SystemModel, is_lambda_contractive, one_step_set
-from .polytope import CSetPolytope, is_subset, scale, support
+from .polytope import CSetPolytope, is_subset, scale, support_many
 
 _CEIL_NUDGE = 1e-12
 
@@ -205,10 +207,7 @@ def select_lambda(
 def _inclusion_slack(inner: CSetPolytope, outer_scaled: CSetPolytope) -> float:
     """Largest facet violation of ``inner`` against ``outer_scaled``
     (nonpositive when included)."""
-    worst = -math.inf
-    for row, offset in zip(outer_scaled.H, outer_scaled.b):
-        worst = max(worst, support(inner, row) - offset)
-    return worst
+    return float(np.max(support_many(inner, outer_scaled.H) - outer_scaled.b))
 
 
 def approximate_cmax1(

@@ -28,12 +28,12 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpStatus, solve_lp, solve_lp_batch
 
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
-_RAY_BLOCK = 256  # rows per block of the normal-ray table in remove_redundancy
+_RAY_BLOCK = 256  # rays per block in _first_hits
 
 
 def _facet_cap() -> int:
@@ -111,20 +111,31 @@ def symmetric_box(halfwidths) -> HPolytope:
 
 
 def validate_cset(p: HPolytope) -> CSetPolytope:
-    """Certify that ``p`` is compact with the origin in its interior."""
-    probe = solve_lp(LinearProgram(np.zeros(p.dim), p.H, p.b))
-    if probe.status is LpStatus.INFEASIBLE:
-        raise EmptyInteriorError("polytope is empty")
-    for i in range(p.dim):
-        direction = np.zeros(p.dim)
-        for sign in (1.0, -1.0):
-            direction[i] = sign
-            out = solve_lp(LinearProgram(direction, p.H, p.b))
-            if out.status is LpStatus.UNBOUNDED:
-                raise UnboundedSetError(f"unbounded in coordinate direction {i}")
-    if np.any(p.b <= 0.0):
+    """Certify that ``p`` is compact with the origin in its interior.
+
+    When every offset is positive the origin is feasible and no probe LP is
+    needed; the 2n coordinate LPs that test boundedness run as one batch.
+    """
+    interior = bool(np.all(p.b > 0.0))
+    if not interior:
+        probe = solve_lp(LinearProgram(np.zeros(p.dim), p.H, p.b))
+        if probe.status is LpStatus.INFEASIBLE:
+            raise EmptyInteriorError("polytope is empty")
+    axis = _unbounded_axis(p)
+    if axis is not None:
+        raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
+    if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
     return CSetPolytope(p.H, p.b)
+
+
+def _unbounded_axis(p: HPolytope) -> int | None:
+    """First coordinate along which ``p`` is unbounded, in either sign."""
+    eye = np.eye(p.dim)
+    outcomes = solve_lp_batch(np.concatenate((eye, -eye)), p.H, p.b)
+    unbounded = [out.status is LpStatus.UNBOUNDED for out in outcomes]
+    axes = np.flatnonzero(np.logical_or(unbounded[: p.dim], unbounded[p.dim :]))
+    return int(axes[0]) if axes.size else None
 
 
 def support(p: HPolytope, direction) -> float:
@@ -132,7 +143,26 @@ def support(p: HPolytope, direction) -> float:
     a = np.asarray(direction, dtype=float).ravel()
     if a.size != p.dim:
         raise DimensionError("direction dimension mismatch")
-    out = solve_lp(LinearProgram(a, p.H, p.b))
+    return _support_value(solve_lp(LinearProgram(a, p.H, p.b)))
+
+
+def support_many(p: HPolytope, directions) -> np.ndarray:
+    """Support values of ``p`` along each row of ``directions``.
+
+    Equal to :func:`support` per row, and raises its error for the first
+    row whose LP is unbounded or infeasible; the LPs run as one batch.
+    """
+    return np.array([_support_value(out) for out in _support_lps(p, directions)])
+
+
+def _support_lps(p: HPolytope, directions) -> list:
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != p.dim:
+        raise DimensionError("direction dimension mismatch")
+    return solve_lp_batch(directions, p.H, p.b)
+
+
+def _support_value(out) -> float:
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedDirectionError("support is unbounded in this direction")
     if out.status is LpStatus.INFEASIBLE:
@@ -169,11 +199,16 @@ def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
 
 
 def is_subset(inner: HPolytope, outer: HPolytope) -> bool:
-    """Facet-wise inclusion test with feasibility slack on the inner side."""
+    """Facet-wise inclusion test with feasibility slack on the inner side.
+
+    The facets are checked in order, on the supports of one batch: the
+    first facet the inner set exceeds gives False, and an unbounded or
+    infeasible support LP before it raises as :func:`support` does.
+    """
     if inner.dim != outer.dim:
         raise DimensionError("inclusion test across different dimensions")
-    for row, offset in zip(outer.H, outer.b):
-        if support(inner, row) > offset + TOL.feas:
+    for out, offset in zip(_support_lps(inner, outer.H), outer.b):
+        if _support_value(out) > offset + TOL.feas:
             return False
     return True
 
@@ -194,18 +229,24 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     * The interior point is the origin when every offset exceeds ``feas``,
       as for C-sets and their Fourier-Motzkin shadows; such input is
       nonempty, so no LP is needed. Otherwise it is the Chebyshev centre,
-      whose LP also raises ``EmptySetError`` on empty input.
+      whose LP also raises ``EmptySetError`` on empty input. The tests run
+      in coordinates centred on it, so every offset is positive.
     * The ray from the interior point along each row normal marks the first
       row it crosses as a facet, with no LP.
-    * When a row's LP optimum beats its offset, the ray from the interior
-      point to the optimum marks the first row it crosses as a facet, and
-      the row is tested again unless it was that row.
+    * The tests run in rounds. A round tests every undecided row against
+      the facets known at its start, as one batch of LPs. When a row's LP
+      optimum beats its offset, the ray from the interior point to the
+      optimum marks the first row it crosses as a facet; the row is tested
+      again next round unless it was that row. The rays of one round are
+      traced together, in row order, and a row whose ray hits a facet found
+      earlier in the same round is also tested again next round.
 
     A ray hit counts only when the next row lies more than ``10 feas`` of
-    violation behind it. On a tied hit, and for every row of a set whose
-    Chebyshev radius is at most ``feas`` (a flat set), the row is tested
-    against all rows not yet removed instead. The kept rows are thus those
-    of testing every row, in order, against all rows not yet removed.
+    violation behind it. After a tied hit, and for every row of a set whose
+    Chebyshev radius is at most ``feas`` (a flat set), the row is instead
+    tested against all rows except those removed before it, one row at a
+    time in order. The kept rows are thus those of testing every row, in
+    order, against all rows not yet removed.
     """
     H, b = _collapse_parallel(p.H, p.b)
     k = H.shape[0]
@@ -213,35 +254,62 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
         return HPolytope(H, b)
     center, radius = _interior_point(H, b)
     slack = b - H @ center
-    flat = radius <= TOL.feas
-    known = np.zeros(k, dtype=bool) if flat else _normal_ray_facets(H, slack)
     removed = np.zeros(k, dtype=bool)
-    for i in range(k):
-        wide = flat
-        while not known[i]:
-            rows = ~removed if wide else known.copy()
-            rows[i] = False
-            tested = np.append(np.flatnonzero(rows), i)
-            trial_b = b[tested]
-            trial_b[-1] += 1.0
-            out = solve_lp(LinearProgram(H[i], H[tested], trial_b))
-            if out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas:
-                removed[i] = True
-                break
-            if wide:
-                known[i] = True
-                break
-            # the test set holds the interior point and caps row i: the LP is optimal
-            dots = H @ (out.x - center)
-            dots[removed] = 0.0
-            first, clear = _first_hits(dots[None, :], slack)
-            if clear[0] and not known[first[0]]:  # each retest adds a facet
-                known[first[0]] = True
-            else:
-                wide = True
+    if radius > TOL.feas and np.all(slack > 0.0):
+        wide = _clarkson_rounds(H, slack, removed)
+    else:
+        wide = np.ones(k, dtype=bool)
+    for i in np.flatnonzero(wide):
+        rows = ~removed
+        rows[i + 1 :] = True  # rows after i count as not yet removed
+        rows[i] = False
+        tested = np.append(np.flatnonzero(rows), i)
+        trial_b = b[tested]
+        trial_b[-1] += 1.0
+        out = solve_lp(LinearProgram(H[i], H[tested], trial_b))
+        removed[i] = out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas
     if np.all(removed):  # cannot happen for a bounded set; fail safe
         return HPolytope(H, b)
     return HPolytope(H[~removed], b[~removed])
+
+
+def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Clarkson's tests, in rounds, of the rows of ``{y | H y <= slack}``
+    (every slack positive) against the facets found so far.
+
+    Marks redundant rows in ``removed`` and returns the mask of rows whose
+    ray hit was tied, which need the all-rows test.
+    """
+    k, n = H.shape
+    known = np.zeros(k, dtype=bool)
+    first, clear = _first_hits(H, H, slack, removed)  # rays along the row normals
+    known[first[clear]] = True
+    wide = np.zeros(k, dtype=bool)
+    while True:
+        todo = np.flatnonzero(~(known | removed | wide))
+        if todo.size == 0:
+            return wide
+        facets = np.flatnonzero(known)
+        A = np.empty((todo.size, facets.size + 1, n))
+        A[:, :-1] = H[facets]
+        A[:, -1] = H[todo]
+        rhs = np.empty((todo.size, facets.size + 1))
+        rhs[:, :-1] = slack[facets]
+        rhs[:, -1] = slack[todo] + 1.0
+        # the test set holds the interior point and caps the row: every LP is optimal
+        outs = solve_lp_batch(H[todo], A, rhs)
+        redundant = np.array([out.value for out in outs]) <= slack[todo] + TOL.feas
+        removed[todo[redundant]] = True
+        beaten = np.flatnonzero(~redundant)
+        if beaten.size == 0:
+            continue
+        first, clear = _first_hits(np.array([outs[j].x for j in beaten]), H, slack, removed)
+        found = np.zeros(k, dtype=bool)  # facets found in this round
+        for i, hit, ok in zip(todo[beaten], first, clear):
+            if ok and not known[hit]:
+                known[hit] = found[hit] = True
+            elif not (ok and found[hit]):
+                wide[i] = True
 
 
 def _interior_point(H: np.ndarray, b: np.ndarray):
@@ -267,33 +335,31 @@ def _interior_point(H: np.ndarray, b: np.ndarray):
     return out.x[:n], out.value
 
 
-def _normal_ray_facets(H: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Mask of the rows crossed first, clear of ties, by the rays from the
-    interior point along each row normal (``slack`` are its row slacks)."""
-    known = np.zeros(H.shape[0], dtype=bool)
-    for start in range(0, H.shape[0], _RAY_BLOCK):
-        first, clear = _first_hits(H[start : start + _RAY_BLOCK] @ H.T, slack)
-        known[first[clear]] = True
-    return known
+def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
+    """First row crossed by the ray from the interior point along each of
+    ``directions``, and whether that crossing is clear.
 
-
-def _first_hits(dots: np.ndarray, slack: np.ndarray):
-    """First row crossed by each ray, and whether that crossing is clear.
-
-    Ray ``r`` leaves a point with row slacks ``slack`` along a direction
-    ``d`` with ``dots[r, j] = H_j . d``; rows with ``dots <= 0`` are never
-    crossed. The crossing is clear when the ray can violate the first row
-    by more than ``10 feas`` before it reaches the next one, which makes
-    that row a facet even under the ``feas`` redundancy test.
+    ``slack`` are the row slacks of the interior point. Rows in the mask
+    ``ignore``, and rows with ``H_j . d <= 0``, are never crossed. The
+    crossing is clear when the ray can violate the first row by more than
+    ``10 feas`` before it reaches the next one, which makes that row a facet
+    even under the ``feas`` redundancy test. Rays are traced in blocks of
+    ``_RAY_BLOCK``, which bounds the temporary arrays.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(dots > 0.0, slack / dots, np.inf)
-    rays = np.arange(t.shape[0])
-    first = np.argmin(t, axis=1)
-    t_first = t[rays, first]
-    t[rays, first] = np.inf
-    gap = dots[rays, first] * (np.min(t, axis=1) - t_first)
-    return first, gap > 10.0 * TOL.feas
+    first = np.empty(directions.shape[0], dtype=np.intp)
+    clear = np.empty(directions.shape[0], dtype=bool)
+    for start in range(0, directions.shape[0], _RAY_BLOCK):
+        block = slice(start, start + _RAY_BLOCK)
+        dots = directions[block] @ H.T
+        dots[:, ignore] = 0.0
+        t = np.divide(slack, dots, out=np.full_like(dots, np.inf), where=dots > 0.0)
+        rays = np.arange(t.shape[0])
+        hit = np.argmin(t, axis=1)
+        t_first = t[rays, hit]
+        t[rays, hit] = np.inf
+        first[block] = hit
+        clear[block] = dots[rays, hit] * (np.min(t, axis=1) - t_first) > 10.0 * TOL.feas
+    return first, clear
 
 
 def _collapse_parallel(H: np.ndarray, b: np.ndarray):
@@ -361,13 +427,8 @@ def vertices(p: HPolytope) -> list[np.ndarray]:
     n = p.dim
     if n > 4:
         raise UnsupportedDimensionError("vertex enumeration limited to dimension <= 4")
-    if not isinstance(p, CSetPolytope):
-        for i in range(n):
-            direction = np.zeros(n)
-            for sign in (1.0, -1.0):
-                direction[i] = sign
-                if solve_lp(LinearProgram(direction, p.H, p.b)).status is LpStatus.UNBOUNDED:
-                    raise UnboundedSetError("cannot enumerate vertices of an unbounded set")
+    if not isinstance(p, CSetPolytope) and _unbounded_axis(p) is not None:
+        raise UnboundedSetError("cannot enumerate vertices of an unbounded set")
     found: list[np.ndarray] = []
     for idx in itertools.combinations(range(p.nfacets), n):
         sub = p.H[list(idx)]
@@ -398,12 +459,9 @@ def outer_radius(p: CSetPolytope) -> float:
     if p.dim <= 4:
         verts = vertices(p)
         return float(max(np.linalg.norm(v) for v in verts))
+    eye = np.eye(p.dim)
+    extents = support_many(p, np.concatenate((eye, -eye))).tolist()
     total = 0.0
-    for i in range(p.dim):
-        direction = np.zeros(p.dim)
-        direction[i] = 1.0
-        hi = support(p, direction)
-        direction[i] = -1.0
-        lo = support(p, direction)
+    for hi, lo in zip(extents[: p.dim], extents[p.dim :]):
         total += max(hi, lo) ** 2
     return float(np.sqrt(total))

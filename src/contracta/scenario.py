@@ -19,8 +19,8 @@ from . import reproduce as reproduce_mod
 from .certificate import compute_certificate
 from .config import TOL
 from .errors import ScenarioParseError, ValidationError
-from .metric import set_distance
-from .onestep import SeedLabel, SystemModel, check_controllability, iterate
+from .metric import set_distance, step_distances
+from .onestep import SeedLabel, SystemModel, iterate
 from .planner import Strategy, approximate_cmax1, epsilon_plan, select_lambda
 from .polytope import CSetPolytope, HPolytope, validate_cset
 from .seeds import EllipsoidSeed, accept_user_seed, polytopic_inner_seed
@@ -224,7 +224,7 @@ def _task_certify(scenario: Scenario):
     cert = compute_certificate(scenario.system, lam)
     return {
         "certificate": cert.as_dict(),
-        "controllable": check_controllability(scenario.system),
+        "controllable": scenario.system.controllable,
     }, []
 
 
@@ -286,17 +286,11 @@ def _task_iterate(scenario: Scenario):
     else:
         raise ValidationError("iterate seed must be 'X' or 'seed'")
     seq = iterate(scenario.system, lam, D, k, label)
-    records = []
-    for j, entry in enumerate(seq.entries):
-        records.append(
-            {
-                "step": j,
-                "facets": entry.nfacets,
-                "distance_to_previous": (
-                    set_distance(seq.entries[j], seq.entries[j - 1]).distance if j else 0.0
-                ),
-            }
-        )
+    distances = [0.0] + step_distances(seq)
+    records = [
+        {"step": j, "facets": entry.nfacets, "distance_to_previous": distances[j]}
+        for j, entry in enumerate(seq.entries)
+    ]
     final = seq.entries[-1]
     return {
         "lambda": lam,

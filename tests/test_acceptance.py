@@ -13,7 +13,6 @@ import numpy as np
 from contracta import (
     Strategy,
     approximate_cmax1,
-    check_controllability,
     compute_certificate,
     epsilon_plan,
     exact_k_oracle_1d,
@@ -151,7 +150,7 @@ def test_criterion_5_rotation_example():
 
 def test_criterion_6_stabilizable_counterexample():
     sysr = stabilizable_system()
-    assert check_controllability(sysr) is False
+    assert sysr.controllable is False
     C = validate_cset(symmetric_box([1.0]))
     D = validate_cset(symmetric_box([2.0]))
     for lam in (0.5, 0.8):

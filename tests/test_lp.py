@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contracta import LinearProgram, LpStatus, solve_lp, symmetric_box
+from contracta import LinearProgram, LpStatus, solve_lp, solve_lp_batch, symmetric_box
+from contracta import lp as lp_module
 from contracta.config import TOL
 from contracta.errors import DimensionError
 
@@ -328,3 +329,76 @@ def test_kernel_bit_identical_to_reference(mode, n, k, seed):
     else:
         assert np.array_equal(out.x, ref_x)
         assert np.array_equal(np.signbit(out.x), np.signbit(ref_x))  # signed zeros too
+
+
+# --- the batched entry against solve_lp --------------------------------------
+
+
+def _batch_case(mode, n, k, count, seed):
+    """A batch of LPs with nonnegative offsets; ``A``/``b`` are shared by all
+    LPs (``shared``) or stacked per LP."""
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(count, n))
+    A = rng.normal(size=(count, k, n))
+    b = np.abs(rng.normal(size=(count, k)))
+    if mode == "rounded":
+        # small integers: ratio ties, zero offsets, zero costs, repeated rows
+        C = np.round(2.0 * C)
+        A = np.round(2.0 * A)
+        b = np.round(b)
+    elif mode == "unbounded":
+        # about half the LPs recede along their objective
+        recede = rng.random(count) < 0.5
+        Cn = C / np.maximum((C * C).sum(axis=1), 1e-300)[:, None]
+        along = np.einsum("lkn,ln->lk", A, C)
+        A[recede] -= (np.maximum(along, 0.0)[:, :, None] * Cn[:, None, :])[recede]
+    elif mode == "shared":
+        A, b = A[0], b[0]
+    return C, A, b
+
+
+@pytest.mark.parametrize("mode", ["random", "rounded", "unbounded", "shared", "chunked"])
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 40),
+    extra=st.integers(0, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
+    count = lp_module._LOCKSTEP_MIN + extra  # enough LPs to run in lockstep
+    if mode == "chunked":  # tall LPs: more than one lockstep chunk
+        k += 40
+        count = lp_module._BATCH_BYTES // (8 * k * (2 * n + k + 1)) + 1 + extra
+    C, A, b = _batch_case(mode, n, k, count, seed)
+    outs = solve_lp_batch(C, A, b)
+    assert len(outs) == count
+    for l, out in enumerate(outs):
+        ref = solve_lp(LinearProgram(C[l], A if A.ndim == 2 else A[l], b if b.ndim == 1 else b[l]))
+        assert out.status is ref.status
+        assert out.value == ref.value
+        if ref.x is None:
+            assert out.x is None
+        else:
+            assert np.array_equal(out.x, ref.x)
+            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
+
+
+def test_batch_small_or_negative_offsets_match_solve_lp():
+    # too few LPs for lockstep, or offsets that need phase 1: one at a time
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(6, 2))
+    for count, b in ((3, np.abs(rng.normal(size=6))), (12, rng.normal(size=6))):
+        C = rng.normal(size=(count, 2))
+        for out, c in zip(solve_lp_batch(C, A, b), C):
+            ref = solve_lp(LinearProgram(c, A, b))
+            assert out.status is ref.status and out.value == ref.value
+
+
+def test_batch_shape_errors():
+    with pytest.raises(DimensionError):
+        solve_lp_batch(np.ones((9, 2)), np.ones((9, 3, 3)), np.ones((9, 3)))
+    with pytest.raises(DimensionError):
+        solve_lp_batch(np.ones((9, 2)), np.ones((8, 3, 2)), np.ones((8, 3)))
+    with pytest.raises(DimensionError):
+        solve_lp_batch(np.ones((9, 2)), np.ones((3, 2)), np.ones(4))

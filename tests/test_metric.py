@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from contracta import (
+    SeedLabel,
     check_inclusion_equivalence,
     inclusion_factor,
     is_subset,
     radial,
     scale,
+    iterate,
     set_distance,
+    step_distances,
     symmetric_box,
     validate_cset,
     vertices,
 )
 from contracta.errors import DimensionError, ValidationError
-from conftest import nested_cset_pair, random_cset
+from contracta.benchmarks import scalar_seed, scalar_system
+from conftest import nested_cset_pair, random_cset, random_controllable_system
 
 LN5 = float(np.log(5.0))
 
@@ -104,3 +108,23 @@ class TestInclusionEquivalence:
             for delta in (0.5 * d, d + 1e-6, 2.0 * d + 1e-6):
                 expected = d <= delta + 1e-12
                 assert check_inclusion_equivalence(C, D, delta) == expected
+
+
+class TestStepDistances:
+    def test_bit_identical_to_set_distance(self, rng):
+        # iterate keeps the supports of its inclusion checks, and the step
+        # distances built on them are set_distance's, bit for bit
+        sys3 = random_controllable_system(rng, 3, 1)
+        sys2 = scalar_system(2)
+        sequences = [
+            iterate(sys3, 0.9, sys3.X, 3, SeedLabel.FROM_STATE_SET),
+            iterate(sys2, 0.8, scalar_seed(2), 4, SeedLabel.CONTRACTIVE),
+            iterate(sys3, 0.9, sys3.X, 2),
+        ]
+        for seq in sequences:
+            expected = [
+                set_distance(seq.entries[j], seq.entries[j - 1]).distance
+                for j in range(1, len(seq.entries))
+            ]
+            assert step_distances(seq) == expected
+            assert len(seq.inclusion_supports) == (0 if seq.seed_label is None else len(expected))

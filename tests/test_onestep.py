@@ -4,7 +4,6 @@ import pytest
 from contracta import (
     SeedLabel,
     SystemModel,
-    check_controllability,
     is_lambda_contractive,
     is_subset,
     iterate,
@@ -227,9 +226,9 @@ class TestMembership:
 
 class TestSystemModel:
     def test_controllability_examples(self):
-        assert check_controllability(oscillator_system())
-        assert not check_controllability(stabilizable_system())
-        assert check_controllability(scalar_system(2))
+        assert oscillator_system().controllable
+        assert not stabilizable_system().controllable
+        assert scalar_system(2).controllable
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):

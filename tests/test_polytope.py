@@ -19,14 +19,20 @@ from contracta import (
     scale,
     solve_lp,
     support,
+    support_many,
     symmetric_box,
     validate_cset,
     vertices,
 )
+from unittest import mock
+
+import contracta.polytope as polytope_module
 from contracta.errors import (
+    ContractaError,
     DimensionError,
     EmptySetError,
     OriginNotInteriorError,
+    UnboundedDirectionError,
     UnboundedSetError,
     UnsupportedDimensionError,
     ValidationError,
@@ -59,10 +65,17 @@ def brute_force_kept_rows(p):
 
 def random_rows(rng, dim, kind):
     """Unreduced random cuts plus a box: a C-set, the same with ~1e-13
-    perturbed copies of some rows, or a translate with the origin outside."""
-    dirs = rng.normal(size=(int(rng.integers(3, 16)), dim))
+    perturbed copies of some rows, a translate with the origin outside, or
+    30-80 cuts with offsets in [1, 1.3] (``many-cuts``), whose facets the
+    normal rays mostly miss, so Clarkson's tests take several rounds."""
+    if kind == "many-cuts":
+        dirs = rng.normal(size=(int(rng.integers(30, 81)), dim))
+        offsets = rng.uniform(1.0, 1.3, size=dirs.shape[0])
+    else:
+        dirs = rng.normal(size=(int(rng.integers(3, 16)), dim))
+        offsets = rng.uniform(0.5, 2.5, size=dirs.shape[0])
     H = np.vstack([dirs / np.linalg.norm(dirs, axis=1)[:, None], np.eye(dim), -np.eye(dim)])
-    b = np.concatenate([rng.uniform(0.5, 2.5, size=dirs.shape[0]), 3.0 * np.ones(2 * dim)])
+    b = np.concatenate([offsets, 3.0 * np.ones(2 * dim)])
     if kind == "near-duplicate":
         copies = rng.integers(0, H.shape[0], size=3)
         H = np.vstack([H, H[copies] + 1e-13 * rng.normal(size=(3, dim))])
@@ -183,6 +196,80 @@ class TestSubset:
             assert radial(inner, xi) <= radial(outer, xi) + 1e-9
 
 
+def _loop_supports(p, directions):
+    """Reference: one support LP per direction, in order."""
+    return np.array([support(p, d) for d in directions])
+
+
+def _loop_is_subset(inner, outer):
+    """Reference: the row-by-row inclusion loop, stopping at the first
+    exceeded facet."""
+    for row, offset in zip(outer.H, outer.b):
+        if support(inner, row) > offset + TOL.feas:
+            return False
+    return True
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args), None
+    except ContractaError as exc:
+        return None, type(exc)
+
+
+def random_inner(rng, dim, kind):
+    """A C-set, a translate with the origin outside, an unbounded set (cuts
+    from one half-space, offsets positive), or an empty set."""
+    if kind in ("c-set", "origin-outside"):
+        return random_rows(rng, dim, "c-set" if kind == "c-set" else "origin-outside")
+    dirs = rng.normal(size=(int(rng.integers(2, 10)), dim))
+    if kind == "unbounded":
+        dirs[:, 0] = -np.abs(dirs[:, 0]) - 0.1  # never caps +e_0
+        return HPolytope(dirs, rng.uniform(0.2, 2.0, size=dirs.shape[0]))
+    a = dirs[0]
+    offsets = np.concatenate([np.ones(dirs.shape[0]), [-1.0, -1.0]])  # a.x <= -1 and a.x >= 1
+    return HPolytope(np.vstack([dirs, a, -a]), offsets)
+
+
+class TestSupportMany:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from(["c-set", "origin-outside", "unbounded", "empty"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_row_by_row_loop(self, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        inner = random_inner(rng, dim, kind)
+        outer = random_rows(rng, dim, "c-set")  # 7-21 facets: small and batched
+        values, error = _result_or_error(support_many, inner, outer.H)
+        ref_values, ref_error = _result_or_error(_loop_supports, inner, outer.H)
+        assert error is ref_error
+        if ref_error is None:
+            assert np.array_equal(values, ref_values)
+        assert _result_or_error(is_subset, inner, outer) == _result_or_error(
+            _loop_is_subset, inner, outer
+        )
+        if kind == "c-set":
+            assert is_subset(inner, inner)
+
+    def test_exceeded_facet_before_unbounded_one(self):
+        # the inner set exceeds facet 0 and is unbounded along facet 1: the
+        # row-by-row loop answers False before it reaches the unbounded LP
+        inner = HPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]], [1.0, 5.0, 1.0])
+        diagonals = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        outer = HPolytope(np.vstack([np.eye(2), -np.eye(2), diagonals]), 2.0 * np.ones(8))
+        assert is_subset(inner, outer) is False
+        with pytest.raises(UnboundedDirectionError):
+            support_many(inner, outer.H)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            support_many(symmetric_box([1.0, 1.0]), np.ones((3, 3)))
+        with pytest.raises(DimensionError):
+            is_subset(symmetric_box([1.0, 1.0]), symmetric_box([1.0]))
+
+
 class TestRedundancy:
     def test_dominated_row_removed(self):
         p = remove_redundancy(HPolytope([[1.0], [1.0], [-1.0]], [1.0, 2.0, 1.0]))
@@ -211,15 +298,26 @@ class TestRedundancy:
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([2, 3]),
-        st.sampled_from(["c-set", "near-duplicate", "origin-outside"]),
+        st.sampled_from(["c-set", "near-duplicate", "origin-outside", "many-cuts"]),
     )
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None, derandomize=True)
     def test_matches_brute_force_rule(self, seed, dim, kind):
         p = random_rows(np.random.default_rng(seed), dim, kind)
         H, b, keep = brute_force_kept_rows(p)
         r = remove_redundancy(p)
         assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
         assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+
+    def test_many_cuts_take_several_rounds(self):
+        # the many-cuts family above exercises retests in later rounds
+        rounds = []
+        for seed in range(20):
+            p = random_rows(np.random.default_rng(seed), 3, "many-cuts")
+            batch = mock.Mock(wraps=polytope_module.solve_lp_batch)
+            with mock.patch.object(polytope_module, "solve_lp_batch", batch):
+                remove_redundancy(p)
+            rounds.append(batch.call_count)
+        assert sum(r >= 2 for r in rounds) >= 15, rounds
 
     def test_flat_segment_keeps_all_rows(self):
         # {1}: zero Chebyshev radius, so every row is tested against all others
