@@ -16,7 +16,6 @@ from .metric import (
     step_distances,
 )
 from .numerics import (
-    jacobi_eigh,
     matrix_power,
     reachability_matrix,
     schur_radius_bound,
@@ -32,6 +31,7 @@ from .onestep import (
     is_lambda_contractive,
     iterate,
     membership_certificate,
+    noncontractive_point,
     one_step_set,
 )
 from .planner import (

@@ -1,21 +1,18 @@
 """Small dense linear-algebra kernels.
 
-Everything here targets matrices of dimension ~10 or less, so the symmetric
-eigenproblem is solved by cyclic Jacobi sweeps (deterministic, dependency
-free). Singular values come from LAPACK's SVD (``numpy.linalg.svd``), which
-keeps small ones accurate to about machine epsilon times the largest; the
-eigenvalues of the Gram matrix would square the condition number and misread
-a singular value of 1e-10 by orders of magnitude.
+Everything here targets matrices of dimension ~10 or less. Eigenvalues of
+symmetric matrices come from LAPACK (``numpy.linalg.eigvalsh``), and so do
+singular values (``numpy.linalg.svd``), which keeps small ones accurate to
+about machine epsilon times the largest; the eigenvalues of the Gram matrix
+would square the condition number and misread a singular value of 1e-10 by
+orders of magnitude.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ComputationError, DimensionError, ValidationError
-
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
+from .errors import DimensionError, ValidationError
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -40,43 +37,6 @@ def matrix_power(a, j: int) -> np.ndarray:
     return out
 
 
-def jacobi_eigh(s, tol: float = _JACOBI_TOL, max_sweeps: int = _MAX_SWEEPS):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` ascending and eigenvectors in
-    the columns of ``V``. Convergence is declared once the off-diagonal mass
-    drops below ``tol`` relative to the input's Frobenius norm.
-    """
-    a = _as_matrix(s, "symmetric matrix")
-    n = a.shape[0]
-    if n != a.shape[1]:
-        raise DimensionError("eigen-decomposition needs a square matrix")
-    a = 0.5 * (a + a.T)
-    v = np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off <= tol * scale:
-            order = np.argsort(np.diag(a), kind="stable")
-            return np.diag(a)[order].copy(), v[:, order].copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                cos = 1.0 / np.sqrt(t * t + 1.0)
-                sin = t * cos
-                rot = np.array([[cos, sin], [-sin, cos]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[p, q] = a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    raise ComputationError("Jacobi sweeps did not converge")
-
-
 def symmetric_eigen_min(s) -> float:
     """Smallest eigenvalue of a symmetric matrix (symmetry checked to 1e-12)."""
     a = _as_matrix(s, "symmetric matrix")
@@ -84,8 +44,7 @@ def symmetric_eigen_min(s) -> float:
         raise DimensionError("symmetric_eigen_min needs a square matrix")
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, float(np.max(np.abs(a)))):
         raise ValidationError("matrix is not symmetric within 1e-12")
-    w, _ = jacobi_eigh(a)
-    return float(w[0])
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
 
 
 def singular_extremes(m) -> tuple[float, float]:

@@ -5,7 +5,9 @@ from which some admissible input reaches ``lam * D`` in one step. It is
 computed literally, by projecting the lifted state-input polytope back onto
 the state coordinates. Iterating the map from the state constraint set gives
 a nested outer approximation of the maximal contractive set; iterating from
-a contractive seed gives an expanding inner one.
+a contractive seed gives an expanding inner one. A set is tested for
+contractiveness the same way: it is ``lam``-contractive iff it lies in its
+own one-step set.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .numerics import matrix_power, reachability_matrix, singular_extremes
 from .polytope import (
     CSetPolytope,
     HPolytope,
-    is_subset,
+    _first_exceeded,
     project,
     support_many,
     validate_cset,
-    vertices,
 )
 
 
@@ -160,27 +161,21 @@ def iterate(
 
 
 def is_lambda_contractive(sys: SystemModel, lam: float, C: CSetPolytope) -> bool:
-    """Vertex-wise contractiveness test (exact by convexity).
+    """True iff ``C`` lies in its own one-step set (see :func:`noncontractive_point`)."""
+    return noncontractive_point(sys, lam, C) is None
 
-    True iff ``C`` lies in X and every vertex of ``C`` admits an input
-    steering it into ``lam * C``.
+
+def noncontractive_point(sys: SystemModel, lam: float, C: CSetPolytope) -> np.ndarray | None:
+    """A point of ``C`` from which no admissible input reaches ``lam * C``,
+    or None when ``C`` is ``lam``-contractive.
+
+    ``C`` is ``lam``-contractive iff ``C`` lies in ``Q = one_step_set(sys,
+    lam, C)``; Q lies in X, so this also tests ``C`` against X. The point
+    returned maximizes, over ``C``, the first facet of Q that ``C`` exceeds
+    by more than ``feas``. The test has no dimension limit.
     """
-    lam = _check_lambda(lam)
-    if C.dim != sys.n:
-        raise DimensionError("candidate set dimension mismatch")
-    if not is_subset(C, sys.X):
-        return False
-    return _first_noncontractive_vertex(sys, lam, C) is None
-
-
-def _first_noncontractive_vertex(sys: SystemModel, lam: float, C: CSetPolytope):
-    for v in vertices(C):
-        A_u = np.vstack([sys.U.H, C.H @ sys.B])
-        b_u = np.concatenate([sys.U.b, lam * C.b - C.H @ (sys.A @ v)])
-        out = solve_lp(LinearProgram(np.zeros(sys.m), A_u, b_u))
-        if out.status is LpStatus.INFEASIBLE:
-            return v
-    return None
+    out = _first_exceeded(C, one_step_set(sys, lam, C))
+    return None if out is None else out.x
 
 
 @dataclass

@@ -199,18 +199,25 @@ def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
 
 
 def is_subset(inner: HPolytope, outer: HPolytope) -> bool:
-    """Facet-wise inclusion test with feasibility slack on the inner side.
+    """Facet-wise inclusion test with feasibility slack on the inner side."""
+    return _first_exceeded(inner, outer) is None
 
-    The facets are checked in order, on the supports of one batch: the
-    first facet the inner set exceeds gives False, and an unbounded or
-    infeasible support LP before it raises as :func:`support` does.
+
+def _first_exceeded(inner: HPolytope, outer: HPolytope):
+    """Support LP outcome of ``inner`` along the first facet of ``outer``
+    that it exceeds by more than ``feas``, or None when ``inner`` lies in
+    ``outer``.
+
+    The facets are checked in order, on the supports of one batch; an
+    unbounded or infeasible support LP before the first exceeded facet
+    raises as :func:`support` does.
     """
     if inner.dim != outer.dim:
         raise DimensionError("inclusion test across different dimensions")
     for out, offset in zip(_support_lps(inner, outer.H), outer.b):
         if _support_value(out) > offset + TOL.feas:
-            return False
-    return True
+            return out
+    return None
 
 
 def remove_redundancy(p: HPolytope) -> HPolytope:

@@ -8,6 +8,8 @@ surfaced as warnings, never silently corrected.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import benchmarks as bm
@@ -20,6 +22,7 @@ from .planner import (
     approximate_cmax1,
     epsilon_plan,
     exact_k_oracle_1d,
+    iteration_bound,
     select_lambda,
 )
 from .polytope import support, symmetric_box, validate_cset
@@ -42,7 +45,12 @@ def _table1a():
         sysn = bm.scalar_system(n)
         seed = bm.scalar_seed(n)
         for lam in _LAMBDAS:
-            ks = [epsilon_plan(sysn, lam, seed, eps).k for eps in _EPSILONS]
+            # only k depends on eps; it is the bound epsilon_plan computes
+            plan = epsilon_plan(sysn, lam, seed, _EPSILONS[0])
+            ks = [
+                iteration_bound(plan.eta, math.log1p(eps), plan.d_seed_state, n)
+                for eps in _EPSILONS
+            ]
             rows.append({"n": n, "lambda": lam, "epsilons": list(_EPSILONS), "k": ks})
     # the scalar rows are rate independent; collapse them to a single entry
     scalar = [r for r in rows if r["n"] == 1]

@@ -7,7 +7,7 @@ cross-polytope inscribed in it; in whitened coordinates the closed loop
 shrinks 2-norms by ``lam``, and a ball of radius ``r`` fits in a
 cross-polytope of circumradius ``r * sqrt(n)``, which yields the (weaker)
 polytopic rate ``lam * sqrt(n)``. The constructed set is re-verified
-vertex-wise rather than trusted.
+(it must lie in its own one-step set) rather than trusted.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .errors import (
     SeedValidationError,
     ValidationError,
 )
-from .numerics import jacobi_eigh, schur_radius_bound, symmetric_eigen_min
-from .onestep import SystemModel, _first_noncontractive_vertex, is_lambda_contractive
+from .numerics import schur_radius_bound, symmetric_eigen_min
+from .onestep import SystemModel, is_lambda_contractive, noncontractive_point
 from .polytope import CSetPolytope, HPolytope, is_subset, validate_cset
 
 _PSD_SLACK = 1e-10
@@ -75,7 +75,7 @@ def validate_ellipsoid_seed(sys: SystemModel, seed: EllipsoidSeed) -> EllipsoidS
     if schur_radius_bound(closed_loop) >= 1.0 - 1e-12:
         raise SeedValidationError("check (c) failed: closed loop not certified Schur stable")
 
-    w, V = jacobi_eigh(seed.P)
+    w, V = np.linalg.eigh(seed.P)
 
     def inv_quad(a):  # a' P^-1 a
         return float(np.sum((V.T @ a) ** 2 / w))
@@ -100,7 +100,7 @@ def polytopic_inner_seed(sys: SystemModel, seed: EllipsoidSeed) -> tuple[CSetPol
 
     Vertices are ``+-sqrt(beta/n) * P^(-1/2) e_i``; the returned set is
     contractive at the inflated rate ``lam * sqrt(n)`` (required < 1), and
-    that claim is re-verified vertex-wise before returning.
+    that claim is re-verified before returning.
     """
     validate_ellipsoid_seed(sys, seed)
     n = sys.n
@@ -125,7 +125,7 @@ def _inscribed_crosspolytope(P, level: float) -> CSetPolytope:
     """
     P = np.atleast_2d(P)
     n = P.shape[0]
-    w, V = jacobi_eigh(P)
+    w, V = np.linalg.eigh(P)
     sqrt_P = V @ np.diag(np.sqrt(w)) @ V.T
     radius = float(np.sqrt(level))
     rows = []
@@ -137,15 +137,17 @@ def _inscribed_crosspolytope(P, level: float) -> CSetPolytope:
 
 def accept_user_seed(sys: SystemModel, lam: float, C: CSetPolytope) -> CSetPolytope:
     """Gate for externally supplied seed sets: certified compact with the
-    origin interior, and contractive at the requested rate."""
+    origin interior, inside the state constraints, and contractive at the
+    requested rate. A rejection for the rate carries a point of the seed
+    that admits no valid input as ``witness``."""
     if not isinstance(C, CSetPolytope):
         C = validate_cset(C)
     if not is_subset(C, sys.X):
         raise SeedNotContractiveError("seed set is not contained in the state constraints")
-    witness = _first_noncontractive_vertex(sys, float(lam), C)
+    witness = noncontractive_point(sys, lam, C)
     if witness is not None:
         raise SeedNotContractiveError(
-            f"seed vertex {np.array2string(witness, precision=6)} admits no valid input",
+            f"seed point {np.array2string(witness, precision=6)} admits no valid input",
             witness=witness,
         )
     return C

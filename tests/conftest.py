@@ -3,11 +3,14 @@ import pytest
 
 from contracta import (
     HPolytope,
+    LinearProgram,
+    LpStatus,
     SystemModel,
     intersect,
     reachability_matrix,
     remove_redundancy,
     singular_extremes,
+    solve_lp,
     symmetric_box,
     validate_cset,
 )
@@ -42,6 +45,14 @@ def random_controllable_system(rng, n=2, m=1):
     X = validate_cset(symmetric_box(rng.uniform(2.0, 5.0, size=n)))
     U = validate_cset(symmetric_box(rng.uniform(0.5, 1.5, size=m)))
     return SystemModel(A, B, X, U)
+
+
+def admits_input(sys, lam, C, x) -> bool:
+    """Whether some ``u`` in U puts ``A x + B u`` in ``lam * C`` (one LP)."""
+    A_u = np.vstack([sys.U.H, C.H @ sys.B])
+    b_u = np.concatenate([sys.U.b, lam * C.b - C.H @ (sys.A @ x)])
+    out = solve_lp(LinearProgram(np.zeros(sys.m), A_u, b_u))
+    return out.status is not LpStatus.INFEASIBLE
 
 
 @pytest.fixture

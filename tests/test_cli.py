@@ -148,9 +148,12 @@ class TestReproduceTargets:
             run_scenario_dict({"task": {"reproduce": {"name": "nope"}}})
 
     def test_table1a_rate_dependent_scalar_rows_raise(self, monkeypatch):
-        # the scalar rows are collapsed to one "any" row only when they agree
+        # the scalar rows are collapsed to one "any" row only when they agree;
+        # a rate-dependent eta makes the k of every epsilon depend on the rate
         monkeypatch.setattr(
-            reproduce, "epsilon_plan", lambda sysn, lam, seed, eps: SimpleNamespace(k=int(10 * lam))
+            reproduce,
+            "epsilon_plan",
+            lambda sysn, lam, seed, eps: SimpleNamespace(eta=lam / 2, d_seed_state=1.0),
         )
         with pytest.raises(ComputationError, match="depend on the rate"):
             reproduce.run("table1a")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from contracta import (
     SystemModel,
-    jacobi_eigh,
     matrix_power,
     reachability_matrix,
     schur_radius_bound,
@@ -89,7 +88,9 @@ class TestSingularExtremes:
     def test_consistent_with_gram_spectrum(self, seed):
         m = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, 3))
         smin, smax = singular_extremes(m)
-        w, _ = jacobi_eigh(m @ m.T)
+        gram = m @ m.T
+        w = np.linalg.eigvalsh(gram)
+        assert symmetric_eigen_min(gram) == pytest.approx(w[0], abs=1e-12)
         assert smin == pytest.approx(np.sqrt(max(w[0], 0.0)), abs=1e-9)
         assert smax == pytest.approx(np.sqrt(w[-1]), abs=1e-9)
 
@@ -148,9 +149,22 @@ class TestSymmetricEigenMin:
         assert symmetric_eigen_min(gap) >= -1e-10
 
     def test_eigenvectors_reconstruct(self):
+        # the decomposition the ellipsoid seed checks use (numpy.linalg.eigh)
         s = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-        w, v = jacobi_eigh(s)
+        w, v = np.linalg.eigh(s)
         assert np.max(np.abs(v @ np.diag(w) @ v.T - s)) < 1e-10
+        assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-12
+        assert np.all(np.diff(w) >= 0.0)
+        assert symmetric_eigen_min(s) == pytest.approx(w[0], abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_known_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        w = np.sort(rng.uniform(-2.0, 2.0, size=4))
+        q = _orthogonal(rng, 4)
+        s = q @ np.diag(w) @ q.T
+        assert symmetric_eigen_min(s) == pytest.approx(w[0], abs=1e-12)
 
 
 def test_schur_radius_closed_forms():

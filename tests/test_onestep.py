@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contracta import (
     SeedLabel,
@@ -14,6 +16,7 @@ from contracta import (
     support,
     symmetric_box,
     validate_cset,
+    vertices,
 )
 from contracta.benchmarks import (
     oscillator_step_box,
@@ -25,7 +28,7 @@ from contracta.benchmarks import (
     stabilizable_system,
 )
 from contracta.errors import DimensionError, ValidationError
-from conftest import nested_cset_pair, random_cset, random_controllable_system
+from conftest import admits_input, nested_cset_pair, random_cset, random_controllable_system
 
 
 def halfwidths(p):
@@ -163,6 +166,23 @@ class TestContractiveness:
         seq = iterate(sys1, 0.8, scalar_seed(1), 3, SeedLabel.CONTRACTIVE)
         for entry in seq.entries:
             assert is_lambda_contractive(sys1, 0.8, entry)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_matches_vertex_reference(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        sysr = random_controllable_system(rng, *shape)
+        for lam in (0.6, 0.8, 0.95, 1.0):
+            step = one_step_set(sysr, lam, sysr.X)
+            for mu in (0.3, 0.7, 1.0):
+                C = scale(step, mu)
+                assert is_lambda_contractive(sysr, lam, C) == vertexwise_contractive(sysr, lam, C)
+
+
+def vertexwise_contractive(sys, lam, C) -> bool:
+    """Reference test, exact by convexity for n <= 4: C lies in X and every
+    vertex of C admits an input steering it into ``lam * C``."""
+    return is_subset(C, sys.X) and all(admits_input(sys, lam, C, v) for v in vertices(C))
 
 
 class TestMembership:

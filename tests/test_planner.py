@@ -79,6 +79,18 @@ class TestEpsilonPlan:
         with pytest.raises(SeedNotContractiveError):
             epsilon_plan(scalar_system(1), 0.5, scalar_seed(1), 0.1)
 
+    def test_five_dimensional_plan(self):
+        # planning has no dimension limit; eta in closed form as for n <= 3
+        n, lam = 5, 0.8
+        plan = epsilon_plan(scalar_system(n), lam, scalar_seed(n), 0.1)
+        sigma = math.sqrt((1.21**n - 1.0) / 0.21)
+        rho = lam ** (n - 1) / 1.1**n * min(5.0, sigma)
+        assert plan.eta == pytest.approx(1.0 - rho / (10.0 * math.sqrt(n)), rel=1e-9)
+        assert plan.d_seed_state == pytest.approx(LN5, abs=1e-9)
+        assert plan.k == 445
+        with pytest.raises(SeedNotContractiveError):
+            epsilon_plan(scalar_system(n), 0.5, scalar_seed(n), 0.1)
+
 
 class TestExactOracle:
     @pytest.mark.parametrize("lam", list(TABLE_B))

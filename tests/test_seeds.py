@@ -17,12 +17,13 @@ from contracta import (
     validate_ellipsoid_seed,
     vertices,
 )
-from contracta.benchmarks import scalar_seed, scalar_system
+from contracta.benchmarks import oscillator_system, scalar_seed, scalar_system
 from contracta.errors import (
     RateTooWeakError,
     SeedNotContractiveError,
     SeedValidationError,
 )
+from conftest import admits_input
 
 
 def scalar_reference_seed(beta=4.0, lam=0.6):
@@ -123,13 +124,27 @@ class TestUserSeeds:
             accept_user_seed(sys1, 0.9, validate_cset(symmetric_box([11.0])))
 
     def test_rotation_unit_box_rejected_at_09(self):
-        # vertex (1, 1) maps to first coordinate 1 > 0.9, beyond any input's reach
-        from contracta.benchmarks import oscillator_system
+        # points with |x2| = 1 map to first coordinate 1 > 0.9, beyond any input's reach
+        sysr = oscillator_system()
+        C = validate_cset(symmetric_box([1.0, 1.0]))
+        with pytest.raises(SeedNotContractiveError, match="seed point") as err:
+            accept_user_seed(sysr, 0.9, C)
+        witness = err.value.witness
+        assert witness is not None
+        assert C.contains(witness, tol=1e-9)
+        assert not admits_input(sysr, 0.9, C, witness)
 
+    def test_five_dimensional_rejection_witness(self):
+        # at rate 0.5 each coordinate needs 1.1 x + u in [-1, 1], so |x| <= 2 / 1.1 < 2
+        sys5 = scalar_system(5)
+        C = scalar_seed(5)
         with pytest.raises(SeedNotContractiveError) as err:
-            accept_user_seed(oscillator_system(), 0.9, validate_cset(symmetric_box([1.0, 1.0])))
-        assert err.value.witness is not None
-        assert np.allclose(np.abs(err.value.witness), [1.0, 1.0])
+            accept_user_seed(sys5, 0.5, C)
+        witness = err.value.witness
+        assert witness is not None and witness.shape == (5,)
+        assert C.contains(witness, tol=1e-9)
+        assert not admits_input(sys5, 0.5, C, witness)
+        assert accept_user_seed(sys5, 0.6, C) is C
 
     def test_scaling_closure(self, rng):
         sys1 = scalar_system(1)
