@@ -18,7 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .config import TOL
-from .errors import ComputationError, DimensionError, ValidationError
+from .errors import (
+    ComputationError,
+    DimensionError,
+    OriginNotInteriorError,
+    SeedNotContractiveError,
+    ValidationError,
+)
 from .lp import LinearProgram, LpStatus, solve_lp
 from .numerics import matrix_power, reachability_matrix, singular_extremes
 from .polytope import (
@@ -106,23 +112,51 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     Built as the shadow of the lifted polytope
     ``{(x, u) : x in X, u in U, H_D (A x + B u) <= lam * b_D}``
     on the state coordinates, with redundant facets removed.
+
+    No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
+    and its offsets (those of X, U and ``lam * D``) must be positive, which
+    makes the shadow's positive too (see :func:`project`). A target without
+    the origin in its interior raises ``OriginNotInteriorError``.
     """
     lam = _check_lambda(lam)
     if D.dim != sys.n:
         raise DimensionError("target set dimension mismatch")
-    n, m = sys.n, sys.m
-    zeros_xu = np.zeros((sys.X.nfacets, m))
-    zeros_ux = np.zeros((sys.U.nfacets, n))
-    lifted_H = np.vstack(
+    lifted_H = np.block(
         [
-            np.hstack([sys.X.H, zeros_xu]),
-            np.hstack([zeros_ux, sys.U.H]),
-            np.hstack([D.H @ sys.A, D.H @ sys.B]),
+            [sys.X.H, np.zeros((sys.X.nfacets, sys.m))],
+            [np.zeros((sys.U.nfacets, sys.n)), sys.U.H],
+            [D.H @ sys.A, D.H @ sys.B],
         ]
     )
     lifted_b = np.concatenate([sys.X.b, sys.U.b, lam * D.b])
-    shadow = project(HPolytope(lifted_H, lifted_b), n)
-    return validate_cset(shadow)
+    if not np.all(lifted_b > 0.0):
+        raise OriginNotInteriorError("one-step target must have the origin in its interior")
+    shadow = project(HPolytope(lifted_H, lifted_b), sys.n)
+    return CSetPolytope(shadow.H, shadow.b)
+
+
+def _step(
+    sys: SystemModel, lam: float, prev: CSetPolytope, seed_label: SeedLabel, step: int
+) -> tuple[CSetPolytope, np.ndarray]:
+    """Step ``step`` of a labelled sequence: ``one_step_set(sys, lam, prev)``
+    and the supports of the inner of the two sets along the outer one's
+    facets, which verify the inclusion. From a contractive seed, step 1 is
+    the seed's contractiveness test (``SeedNotContractiveError``); any other
+    failure is a numerical fault.
+    """
+    nxt = one_step_set(sys, lam, prev)
+    nests = seed_label is SeedLabel.FROM_STATE_SET
+    inner, outer = (nxt, prev) if nests else (prev, nxt)
+    supports = support_many(inner, outer.H)
+    # is_subset's test; both sets are C-sets, so no support LP fails
+    if np.any(supports > outer.b + TOL.feas):
+        if not nests and step == 1:
+            raise SeedNotContractiveError(f"seed set is not {lam}-contractive")
+        what = "from the state set failed to nest" if nests else (
+            "from a contractive seed failed to expand"
+        )
+        raise ComputationError(f"sequence {what} at step {step}")
+    return nxt, supports
 
 
 def iterate(
@@ -136,7 +170,8 @@ def iterate(
 
     When the seed label is known the per-step inclusion (shrinking from the
     state set, expanding from a contractive seed) is verified; a violation
-    indicates a numerical fault and raises.
+    indicates a numerical fault and raises, except that a seed failing
+    step 1 is not contractive (see :func:`_step`).
     """
     lam = _check_lambda(lam)
     if k < 0:
@@ -144,17 +179,10 @@ def iterate(
     seq = SetSequence(lam=lam, entries=[D], seed_label=seed_label)
     for j in range(k):
         prev = seq.entries[-1]
-        nxt = one_step_set(sys, lam, prev)
-        if seed_label is not None:
-            nests = seed_label is SeedLabel.FROM_STATE_SET
-            inner, outer = (nxt, prev) if nests else (prev, nxt)
-            supports = support_many(inner, outer.H)
-            # is_subset's test; both sets are C-sets, so no support LP fails
-            if np.any(supports > outer.b + TOL.feas):
-                what = "from the state set failed to nest" if nests else (
-                    "from a contractive seed failed to expand"
-                )
-                raise ComputationError(f"sequence {what} at step {j + 1}")
+        if seed_label is None:
+            nxt = one_step_set(sys, lam, prev)
+        else:
+            nxt, supports = _step(sys, lam, prev, seed_label, j + 1)
             seq.inclusion_supports.append(supports)
         seq.entries.append(nxt)
     return seq

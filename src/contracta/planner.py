@@ -13,18 +13,20 @@ Two planning entry points:
 
 ``approximate_cmax1`` then executes a plan either by running the full
 a-priori budget or by stopping at the first iteration where the inclusion
-is observed geometrically.
+is observed geometrically. The seed's first step is its contractiveness
+gate, and each step makes one pass of support LPs for both the inclusion
+slack and the distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .certificate import compute_certificate
+from .certificate import ContractionCertificate, compute_certificate
 from .config import TOL
 from .errors import (
     ComputationError,
@@ -32,9 +34,9 @@ from .errors import (
     SeedNotContractiveError,
     ValidationError,
 )
-from .metric import set_distance
-from .onestep import SystemModel, is_lambda_contractive, one_step_set
-from .polytope import CSetPolytope, is_subset, scale, support_many
+from .metric import _distance, _factor, inclusion_factor, set_distance
+from .onestep import SeedLabel, SystemModel, _step, is_lambda_contractive
+from .polytope import CSetPolytope, support_many
 
 _CEIL_NUDGE = 1e-12
 
@@ -54,12 +56,16 @@ class IterationPlan:
     lam: float
     delta: float
     d_seed_state: float
-    eta: float
+    certificate: ContractionCertificate  # the certificate at ``lam`` that gave eta
     k: int
     purpose: Purpose
     accuracy: float              # eps for epsilon plans, mu for rate selection
     case: str | None = None      # rate selection branch taken: "i" or "ii"
     branch_value: float | None = None  # 2 * lam_star**k at the branch decision
+
+    @property
+    def eta(self) -> float:
+        return self.certificate.eta
 
     @property
     def epsilon(self) -> float:
@@ -131,7 +137,7 @@ def epsilon_plan(
         lam=lam,
         delta=delta,
         d_seed_state=d_seed_state,
-        eta=cert.eta,
+        certificate=cert,
         k=k,
         purpose=Purpose.EPSILON_APPROX,
         accuracy=eps,
@@ -171,18 +177,9 @@ def select_lambda(
     base = epsilon_plan(sys, lam_star, C, eps)
     k = base.k
     branch_value = 2.0 * lam_star**k
+    rate_plan = dict(purpose=Purpose.MU_APPROX, accuracy=mu, branch_value=branch_value)
     if 1.0 + mu <= branch_value * (1.0 + _CEIL_NUDGE):
-        return IterationPlan(
-            lam=lam_star,
-            delta=base.delta,
-            d_seed_state=base.d_seed_state,
-            eta=base.eta,
-            k=k,
-            purpose=Purpose.MU_APPROX,
-            accuracy=mu,
-            case="i",
-            branch_value=branch_value,
-        )
+        return replace(base, case="i", **rate_plan)
     if k == 0:  # pragma: no cover - impossible: 1 + mu < 2
         raise ComputationError("branch condition failed at k = 0")
     lam = math.exp((math.log1p(mu) - math.log(2.0)) / k)
@@ -191,23 +188,7 @@ def select_lambda(
         raise ComputationError(
             "iteration budget no longer admissible after raising the rate"
         )
-    return IterationPlan(
-        lam=lam,
-        delta=base.delta,
-        d_seed_state=base.d_seed_state,
-        eta=cert.eta,
-        k=k,
-        purpose=Purpose.MU_APPROX,
-        accuracy=mu,
-        case="ii",
-        branch_value=branch_value,
-    )
-
-
-def _inclusion_slack(inner: CSetPolytope, outer_scaled: CSetPolytope) -> float:
-    """Largest facet violation of ``inner`` against ``outer_scaled``
-    (nonpositive when included)."""
-    return float(np.max(support_many(inner, outer_scaled.H) - outer_scaled.b))
+    return replace(base, lam=lam, certificate=cert, case="ii", **rate_plan)
 
 
 def approximate_cmax1(
@@ -218,70 +199,61 @@ def approximate_cmax1(
 ) -> ApproximationResult:
     """Execute a plan and return the terminal contractive set.
 
-    Both strategies advance the seed and state-set sequences jointly,
-    recording facet counts, the running distance, and the inclusion slack of
-    the state iterate inside ``(1 + eps)`` times the seed iterate. The
-    a-priori strategy runs exactly ``plan.k`` steps; the adaptive strategy
-    stops at the first step where the inclusion is observed (never later
-    than ``plan.k``). The terminal set's contractiveness is re-verified.
+    Both strategies advance the seed and state-set sequences jointly, each
+    step verified as in :func:`iterate`. The seed's first step is the gate:
+    it raises ``SeedNotContractiveError`` unless C lies in its one-step set,
+    even for ``plan.k == 0``. Each step records facet counts, the distance
+    between the seed and state iterates and the inclusion slack of the state
+    iterate inside ``(1 + eps)`` times the seed iterate; one pass of support
+    LPs gives the slack and the state side of the distance. The a-priori
+    strategy runs exactly ``plan.k`` steps; the adaptive strategy stops at
+    the first step where the inclusion is observed (never later than
+    ``plan.k``). The terminal set's contractiveness is re-verified.
     """
-    if not is_lambda_contractive(sys, plan.lam, C):
-        raise SeedNotContractiveError(f"seed set is not {plan.lam}-contractive")
+    lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
-    seed_seq = [C]
-    state_seq = [sys.X]
+    gate, _ = _step(sys, lam, C, SeedLabel.CONTRACTIVE, 1)
+    seed_j, state_j = C, sys.X
     records: list[dict] = []
-    k_star: int | None = None
     for j in range(plan.k + 1):
         if j > 0:
-            seed_seq.append(one_step_set(sys, plan.lam, seed_seq[-1]))
-            state_seq.append(one_step_set(sys, plan.lam, state_seq[-1]))
-            if not is_subset(seed_seq[-2], seed_seq[-1]):
-                raise ComputationError(f"seed sequence failed to expand at step {j}")
-            if not is_subset(state_seq[-1], state_seq[-2]):
-                raise ComputationError(f"state sequence failed to nest at step {j}")
-        slack = _inclusion_slack(state_seq[j], scale(seed_seq[j], one_plus_eps))
+            seed_j = gate if j == 1 else _step(sys, lam, seed_j, SeedLabel.CONTRACTIVE, j)[0]
+            state_j, _ = _step(sys, lam, state_j, SeedLabel.FROM_STATE_SET, j)
+        supports = support_many(state_j, seed_j.H)  # state_j along seed_j's facets
+        slack = float(np.max(supports - one_plus_eps * seed_j.b))
+        distance = _distance(_factor(supports, seed_j.b), inclusion_factor(state_j, seed_j))
         records.append(
             {
                 "step": j,
-                "seed_facets": seed_seq[j].nfacets,
-                "state_facets": state_seq[j].nfacets,
-                "distance": set_distance(seed_seq[j], state_seq[j]).distance,
+                "seed_facets": seed_j.nfacets,
+                "state_facets": state_j.nfacets,
+                "distance": distance.distance,
                 "inclusion_slack": slack,
             }
         )
-        if slack <= TOL.feas:
-            k_star = j
-            if strategy is Strategy.ADAPTIVE_INCLUSION:
-                break
-    if strategy is Strategy.ADAPTIVE_INCLUSION:
-        if k_star is None:
+        if strategy is Strategy.ADAPTIVE_INCLUSION and slack <= TOL.feas:
+            break
+    stop = len(records) - 1
+    terminal = seed_j
+    if slack > TOL.feas:
+        if strategy is Strategy.ADAPTIVE_INCLUSION:
             raise IterationBudgetError(
                 f"inclusion not observed within the planned {plan.k} iterations"
             )
-        terminal = seed_seq[k_star]
-        stop = k_star
-    else:
-        if k_star is None or k_star < plan.k:
-            # a-priori guarantee must hold at the final step
-            if records[-1]["inclusion_slack"] > TOL.feas:
-                raise IterationBudgetError(
-                    "planned iteration count did not achieve the inclusion"
-                )
-        terminal = seed_seq[plan.k]
-        stop = plan.k
+        # a-priori guarantee must hold at the final step
+        raise IterationBudgetError("planned iteration count did not achieve the inclusion")
     relations = [
         {
             "relation": "state_iterate_within_(1+eps)_seed_iterate",
             "step": stop,
-            "slack": records[stop]["inclusion_slack"],
-            "holds": records[stop]["inclusion_slack"] <= TOL.feas,
+            "slack": slack,
+            "holds": slack <= TOL.feas,
         },
         {
             "relation": "terminal_set_contractive",
             "step": stop,
             "slack": 0.0,
-            "holds": is_lambda_contractive(sys, plan.lam, terminal),
+            "holds": is_lambda_contractive(sys, lam, terminal),
         },
     ]
     if not relations[-1]["holds"]:
@@ -291,8 +263,8 @@ def approximate_cmax1(
             {
                 "relation": "accuracy_condition_1+mu<=2*lam^k",
                 "step": stop,
-                "slack": (1.0 + plan.accuracy) - 2.0 * plan.lam**stop,
-                "holds": 1.0 + plan.accuracy <= 2.0 * plan.lam**stop * (1.0 + _CEIL_NUDGE),
+                "slack": (1.0 + plan.accuracy) - 2.0 * lam**stop,
+                "holds": 1.0 + plan.accuracy <= 2.0 * lam**stop * (1.0 + _CEIL_NUDGE),
             }
         )
     return ApproximationResult(

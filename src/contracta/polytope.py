@@ -3,8 +3,8 @@
 A polytope is the solution set of ``H x <= b``. Facet rows are normalized to
 unit Euclidean norm at construction, which makes radii and redundancy
 thresholds scale-free. ``CSetPolytope`` marks a polytope that passed the
-compact/origin-interior certification of :func:`validate_cset`; every set
-consumed by the contraction machinery goes through that gate.
+compact/origin-interior certification of :func:`validate_cset`, which every
+input set passes; ``one_step_set`` builds its shadows as C-sets by proof.
 
 Values are immutable after construction and safe to share across threads.
 """

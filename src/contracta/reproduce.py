@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from . import benchmarks as bm
-from .certificate import compute_certificate
 from .errors import ComputationError, ValidationError
 from .metric import set_distance
 from .onestep import iterate
@@ -103,7 +102,7 @@ def _lambda_selection():
         "terminal_halfwidth": terminal_halfwidth,
         "mu_times_cmax1_halfwidth": mu * 10.0,
         "accuracy_inclusion_holds": bool(terminal_halfwidth >= mu * 10.0 - 1e-9),
-        "certificate": compute_certificate(sys1, plan.lam).as_dict(),
+        "certificate": plan.certificate.as_dict(),
         "per_iteration": outcome.per_iteration,
         "csv": _kv_csv(
             [

@@ -234,8 +234,7 @@ def _task_plan_epsilon(scenario: Scenario):
     C, lam_eff = resolve_seed(scenario, lam)
     lam = max(lam, lam_eff)
     plan = epsilon_plan(scenario.system, lam, C, eps)
-    cert = compute_certificate(scenario.system, lam)
-    return {"plan": plan.as_dict(), "certificate": cert.as_dict()}, []
+    return {"plan": plan.as_dict(), "certificate": plan.certificate.as_dict()}, []
 
 
 def _task_select_lambda(scenario: Scenario):
@@ -246,7 +245,7 @@ def _task_select_lambda(scenario: Scenario):
     results = {
         "plan": plan.as_dict(),
         "conservatism_ratio": (plan.lam - lam_star) / (1.0 - lam_star),
-        "certificate": compute_certificate(scenario.system, plan.lam).as_dict(),
+        "certificate": plan.certificate.as_dict(),
     }
     strategy = scenario.task.get("strategy")
     if strategy is not None:

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contracta import (
+    CSetPolytope,
+    HPolytope,
     SeedLabel,
     SystemModel,
     is_lambda_contractive,
@@ -18,6 +20,7 @@ from contracta import (
     validate_cset,
     vertices,
 )
+from contracta import onestep
 from contracta.benchmarks import (
     oscillator_step_box,
     oscillator_system,
@@ -27,7 +30,7 @@ from contracta.benchmarks import (
     scalar_system,
     stabilizable_system,
 )
-from contracta.errors import DimensionError, ValidationError
+from contracta.errors import CSetValidationError, DimensionError, ValidationError
 from conftest import admits_input, nested_cset_pair, random_cset, random_controllable_system
 
 
@@ -71,7 +74,51 @@ class TestOneStep:
             sysr = random_controllable_system(rng)
             D = random_cset(rng, 2)
             q = one_step_set(sysr, float(rng.uniform(0.3, 1.0)), D)
-            assert q.dim == 2  # validate_cset ran inside and certified it
+            assert isinstance(q, CSetPolytope) and q.dim == 2
+            validate_cset(q)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(
+            [(2, 1, False), (2, 2, True), (3, 1, False), (3, 1, True), (3, 2, True),
+             (4, 1, False), (4, 2, True)]
+        ),
+    )
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_output_is_certified_without_recertification(self, seed, shape):
+        # the shadow is returned as a C-set with no LP; validate_cset accepts
+        # it, and its bits are those of validate_cset(shadow)
+        rng = np.random.default_rng(seed)
+        n, m, zero_column = shape
+        sysr = random_controllable_system(rng, n, m)
+        if zero_column:
+            B = sysr.B.copy()
+            B[:, m - 1] = 0.0
+            sysr = SystemModel(sysr.A, B, sysr.X, sysr.U)
+        project = onestep.project
+        shadows = []
+
+        def recording_project(p, keep):
+            shadows.append(project(p, keep))
+            return shadows[-1]
+
+        for lam in (0.5, 1.0):
+            step = one_step_set(sysr, lam, sysr.X)
+            for D in (sysr.X, random_cset(rng, n), scale(step, 0.5), scale(step, 1.5)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(onestep, "project", recording_project)
+                    q = one_step_set(sysr, lam, D)
+                reference = validate_cset(shadows[-1])
+                assert isinstance(q, CSetPolytope)
+                assert np.array_equal(q.H, reference.H) and np.array_equal(q.b, reference.b)
+                # accepted; HPolytope renormalizes unit rows, so bits may move by an ulp
+                again = validate_cset(q)
+                np.testing.assert_allclose(again.H, q.H, rtol=0.0, atol=1e-15)
+                np.testing.assert_allclose(again.b, q.b, rtol=1e-15, atol=0.0)
+            for shift in (0.0, 0.5):
+                bad = HPolytope(step.H, step.b - (1.0 + shift) * step.b[0])
+                with pytest.raises(CSetValidationError):
+                    one_step_set(sysr, lam, bad)
 
 
 class TestIterate:

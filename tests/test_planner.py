@@ -1,21 +1,30 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from contracta import (
+    HPolytope,
     Purpose,
+    SeedLabel,
     Strategy,
     approximate_cmax1,
     epsilon_plan,
     exact_k_oracle_1d,
     is_subset,
+    iterate,
     iteration_bound,
     scale,
     select_lambda,
+    set_distance,
+    support_many,
     symmetric_box,
     validate_cset,
 )
+from contracta import onestep, planner
 from contracta.benchmarks import scalar_seed, scalar_system
+from contracta.certificate import compute_certificate
 from contracta.errors import SeedNotContractiveError, ValidationError
 
 ETA_1D = 10.0 / 11.0
@@ -207,3 +216,80 @@ class TestApproximation:
         plan = epsilon_plan(sys1, 0.8, scalar_seed(1), 0.1)
         with pytest.raises(SeedNotContractiveError):
             approximate_cmax1(sys1, plan, bad, Strategy.ADAPTIVE_INCLUSION)
+
+    def test_seed_gate_without_steps(self):
+        # [-9, 9] plans k = 0 at rate 1 and eps = 0.2; the gate still runs
+        sys1 = scalar_system(1)
+        plan = epsilon_plan(sys1, 1.0, validate_cset(symmetric_box([9.0])), 0.2)
+        assert plan.k == 0
+        bad = validate_cset(symmetric_box([20.0]))
+        for strategy in Strategy:
+            with pytest.raises(SeedNotContractiveError, match="not 1.0-contractive"):
+                approximate_cmax1(sys1, plan, bad, strategy)
+            outcome = approximate_cmax1(sys1, plan, validate_cset(symmetric_box([9.0])), strategy)
+            assert outcome.k_star == 0
+
+    def test_one_projection_of_the_seed(self, monkeypatch):
+        # the gate is the seed's first step: 2 k* steps and the terminal re-check
+        sys2, seed = scalar_system(2), scalar_seed(2)
+        plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
+        assert plan.k == 64
+        original = onestep.one_step_set
+        targets = []
+
+        def counted(sys, lam, D):
+            targets.append(D)
+            return original(sys, lam, D)
+
+        monkeypatch.setattr(onestep, "one_step_set", counted)
+        monkeypatch.setattr(planner, "one_step_set", counted, raising=False)
+        for strategy, k_star in ((Strategy.ADAPTIVE_INCLUSION, 23), (Strategy.APRIORI_BOUND, 64)):
+            targets.clear()
+            outcome = approximate_cmax1(sys2, plan, seed, strategy)
+            assert outcome.k_star == k_star
+            assert sum(D is seed for D in targets) == 1
+            assert len(targets) == 2 * k_star + 1
+
+    def test_slack_and_distance_on_oblique_facets(self):
+        sys3, seed = scalar_system(3), oblique_seed()
+        lam, eps = 1.0, 0.5
+        plan = epsilon_plan(sys3, lam, seed, eps)
+        outcome = approximate_cmax1(sys3, plan, seed, Strategy.ADAPTIVE_INCLUSION)
+        steps = outcome.k_star
+        assert 0 < steps < plan.k
+        seeds = iterate(sys3, lam, seed, steps, SeedLabel.CONTRACTIVE).entries
+        states = iterate(sys3, lam, sys3.X, steps, SeedLabel.FROM_STATE_SET).entries
+        assert len(outcome.per_iteration) == steps + 1
+        for record, seed_j, state_j in zip(outcome.per_iteration, seeds, states):
+            S = scale(seed_j, 1.0 + eps)
+            expected = float(np.max(support_many(state_j, S.H) - S.b))
+            assert abs(record["inclusion_slack"] - expected) <= 1e-12
+            assert record["distance"] == set_distance(seed_j, state_j).distance
+
+
+def oblique_seed():
+    """A seed with oblique facets for the 3-D scalar benchmark whose rows
+    ``scale`` renormalizes to other bits.
+
+    It lies in the box of half width 0.9 < 1 / 1.1, where ``u = -1.1 x`` is
+    admissible and steers every point to the origin, so it is contractive
+    at every rate.
+    """
+    for draw in itertools.count():
+        rng = np.random.default_rng(draw)
+        H = np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
+        b = np.concatenate([rng.uniform(0.4, 0.8, size=6), np.full(6, 0.9)])
+        seed = validate_cset(HPolytope(H, b))
+        if not np.array_equal(scale(seed, 1.5).H, seed.H):
+            return seed
+
+
+class TestPlanCertificate:
+    @pytest.mark.parametrize("mu,case", [(1.0 / 9.0, "i"), (5.0 / 6.0, "ii")])
+    def test_plan_carries_its_certificate(self, mu, case):
+        sys1 = scalar_system(1)
+        plan = select_lambda(sys1, 0.98, scalar_seed(1), mu)
+        assert plan.case == case
+        assert plan.certificate.lam == plan.lam
+        assert plan.certificate.as_dict() == compute_certificate(sys1, plan.lam).as_dict()
+        assert plan.as_dict()["eta"] == plan.eta == plan.certificate.eta
