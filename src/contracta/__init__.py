@@ -13,7 +13,6 @@ from .metric import (
     check_inclusion_equivalence,
     inclusion_factor,
     set_distance,
-    step_distances,
 )
 from .numerics import (
     matrix_power,

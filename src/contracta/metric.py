@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .onestep import SeedLabel, SetSequence
 from .polytope import CSetPolytope, is_subset, scale, support_many
 
 
@@ -31,46 +30,15 @@ def inclusion_factor(C: CSetPolytope, D: CSetPolytope) -> float:
         raise DimensionError("inclusion factor across different dimensions")
     if np.min(C.b) <= 0.0 or np.min(D.b) <= 0.0:
         raise ValidationError("inclusion factors need origin-interior sets")
-    return _factor(support_many(D, C.H), C.b)
-
-
-def _factor(supports: np.ndarray, offsets: np.ndarray) -> float:
-    """Inclusion factor from the supports of the inner set along the outer
-    set's facets."""
-    return max(0.0, float(np.max(supports / offsets)))
+    return max(0.0, float(np.max(support_many(D, C.H) / C.b)))
 
 
 def set_distance(C: CSetPolytope, D: CSetPolytope) -> DistanceResult:
     if C.dim != D.dim:
         raise DimensionError("distance across different dimensions")
-    return _distance(inclusion_factor(C, D), inclusion_factor(D, C))
-
-
-def _distance(out: float, inn: float) -> DistanceResult:
+    out, inn = inclusion_factor(C, D), inclusion_factor(D, C)
     distance = float(np.log(max(out, inn)))
     return DistanceResult(distance=distance, mu_out=max(1.0, out), mu_in=max(1.0, inn))
-
-
-def step_distances(seq: SetSequence) -> list[float]:
-    """``set_distance(entries[j], entries[j - 1]).distance`` for each step j
-    of an iterated sequence.
-
-    When ``iterate`` verified the steps' inclusions, one of the two factors
-    comes from the supports it kept in ``seq.inclusion_supports``.
-    """
-    distances = []
-    for j in range(1, len(seq.entries)):
-        nxt, prev = seq.entries[j], seq.entries[j - 1]
-        if seq.seed_label is SeedLabel.FROM_STATE_SET:  # kept: nxt along prev's facets
-            inn = _factor(seq.inclusion_supports[j - 1], prev.b)
-            result = _distance(inclusion_factor(nxt, prev), inn)
-        elif seq.seed_label is SeedLabel.CONTRACTIVE:  # kept: prev along nxt's facets
-            out = _factor(seq.inclusion_supports[j - 1], nxt.b)
-            result = _distance(out, inclusion_factor(prev, nxt))
-        else:
-            result = set_distance(nxt, prev)
-        distances.append(result.distance)
-    return distances
 
 
 def check_inclusion_equivalence(C: CSetPolytope, D: CSetPolytope, delta: float) -> bool:

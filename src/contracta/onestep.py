@@ -31,8 +31,8 @@ from .polytope import (
     CSetPolytope,
     HPolytope,
     _first_exceeded,
+    is_subset,
     project,
-    support_many,
     validate_cset,
 )
 
@@ -94,9 +94,6 @@ class SetSequence:
     lam: float
     entries: list[CSetPolytope] = field(default_factory=list)
     seed_label: SeedLabel | None = None
-    # Per step with a seed label: the supports that verified its inclusion,
-    # of the inner entry along the outer entry's facets.
-    inclusion_supports: list[np.ndarray] = field(default_factory=list)
 
 
 def _check_lambda(lam: float) -> float:
@@ -137,26 +134,23 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
 
 def _step(
     sys: SystemModel, lam: float, prev: CSetPolytope, seed_label: SeedLabel, step: int
-) -> tuple[CSetPolytope, np.ndarray]:
-    """Step ``step`` of a labelled sequence: ``one_step_set(sys, lam, prev)``
-    and the supports of the inner of the two sets along the outer one's
-    facets, which verify the inclusion. From a contractive seed, step 1 is
-    the seed's contractiveness test (``SeedNotContractiveError``); any other
-    failure is a numerical fault.
+) -> CSetPolytope:
+    """Step ``step`` of a labelled sequence: ``one_step_set(sys, lam, prev)``,
+    verified to lie in ``prev`` (from the state set) or to contain it (from a
+    contractive seed); the test's supports stay in the inner set's memo. From
+    a contractive seed, step 1 is the seed's contractiveness test
+    (``SeedNotContractiveError``); any other failure is a numerical fault.
     """
     nxt = one_step_set(sys, lam, prev)
     nests = seed_label is SeedLabel.FROM_STATE_SET
-    inner, outer = (nxt, prev) if nests else (prev, nxt)
-    supports = support_many(inner, outer.H)
-    # is_subset's test; both sets are C-sets, so no support LP fails
-    if np.any(supports > outer.b + TOL.feas):
+    if not (is_subset(nxt, prev) if nests else is_subset(prev, nxt)):
         if not nests and step == 1:
             raise SeedNotContractiveError(f"seed set is not {lam}-contractive")
         what = "from the state set failed to nest" if nests else (
             "from a contractive seed failed to expand"
         )
         raise ComputationError(f"sequence {what} at step {step}")
-    return nxt, supports
+    return nxt
 
 
 def iterate(
@@ -180,11 +174,9 @@ def iterate(
     for j in range(k):
         prev = seq.entries[-1]
         if seed_label is None:
-            nxt = one_step_set(sys, lam, prev)
+            seq.entries.append(one_step_set(sys, lam, prev))
         else:
-            nxt, supports = _step(sys, lam, prev, seed_label, j + 1)
-            seq.inclusion_supports.append(supports)
-        seq.entries.append(nxt)
+            seq.entries.append(_step(sys, lam, prev, seed_label, j + 1))
     return seq
 
 

@@ -14,8 +14,7 @@ Two planning entry points:
 ``approximate_cmax1`` then executes a plan either by running the full
 a-priori budget or by stopping at the first iteration where the inclusion
 is observed geometrically. The seed's first step is its contractiveness
-gate, and each step makes one pass of support LPs for both the inclusion
-slack and the distance.
+gate.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
     SeedNotContractiveError,
     ValidationError,
 )
-from .metric import _distance, _factor, inclusion_factor, set_distance
+from .metric import set_distance
 from .onestep import SeedLabel, SystemModel, _step, is_lambda_contractive
 from .polytope import CSetPolytope, support_many
 
@@ -204,24 +203,24 @@ def approximate_cmax1(
     it raises ``SeedNotContractiveError`` unless C lies in its one-step set,
     even for ``plan.k == 0``. Each step records facet counts, the distance
     between the seed and state iterates and the inclusion slack of the state
-    iterate inside ``(1 + eps)`` times the seed iterate; one pass of support
-    LPs gives the slack and the state side of the distance. The a-priori
-    strategy runs exactly ``plan.k`` steps; the adaptive strategy stops at
-    the first step where the inclusion is observed (never later than
-    ``plan.k``). The terminal set's contractiveness is re-verified.
+    iterate inside ``(1 + eps)`` times the seed iterate; the slack and the
+    distance share ``state_j``'s memoized supports along ``seed_j``'s facets,
+    and the steps' inclusion tests leave others in both iterates' memos. The
+    a-priori strategy runs exactly ``plan.k`` steps; the adaptive strategy
+    stops at the first step where the inclusion is observed (never later
+    than ``plan.k``). The terminal set's contractiveness is re-verified.
     """
     lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
-    gate, _ = _step(sys, lam, C, SeedLabel.CONTRACTIVE, 1)
+    gate = _step(sys, lam, C, SeedLabel.CONTRACTIVE, 1)
     seed_j, state_j = C, sys.X
     records: list[dict] = []
     for j in range(plan.k + 1):
         if j > 0:
-            seed_j = gate if j == 1 else _step(sys, lam, seed_j, SeedLabel.CONTRACTIVE, j)[0]
-            state_j, _ = _step(sys, lam, state_j, SeedLabel.FROM_STATE_SET, j)
-        supports = support_many(state_j, seed_j.H)  # state_j along seed_j's facets
-        slack = float(np.max(supports - one_plus_eps * seed_j.b))
-        distance = _distance(_factor(supports, seed_j.b), inclusion_factor(state_j, seed_j))
+            seed_j = gate if j == 1 else _step(sys, lam, seed_j, SeedLabel.CONTRACTIVE, j)
+            state_j = _step(sys, lam, state_j, SeedLabel.FROM_STATE_SET, j)
+        slack = float(np.max(support_many(state_j, seed_j.H) - one_plus_eps * seed_j.b))
+        distance = set_distance(seed_j, state_j)
         records.append(
             {
                 "step": j,

@@ -6,7 +6,11 @@ thresholds scale-free. ``CSetPolytope`` marks a polytope that passed the
 compact/origin-interior certification of :func:`validate_cset`, which every
 input set passes; ``one_step_set`` builds its shadows as C-sets by proof.
 
-Values are immutable after construction and safe to share across threads.
+Facet data are immutable after construction. Each polytope memoizes its
+support LP outcomes by direction and by the LP tolerances in force; an
+outcome is what any re-solve would give, so memo writes are idempotent and a
+polytope is safe to share across threads. Construction renormalizes rows, so
+no memo passes to another polytope, not even one built from the same rows.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def _facet_cap() -> int:
 class HPolytope:
     """Inequality-form polytope ``{x | H x <= b}`` with unit facet normals."""
 
-    __slots__ = ("H", "b")
+    __slots__ = ("H", "b", "_memo")
 
     def __init__(self, H, b):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -67,6 +71,7 @@ class HPolytope:
         self.b = b / norms
         self.H.setflags(write=False)
         self.b.setflags(write=False)
+        self._memo = {}  # support LP outcomes, see _support_lps
 
     @property
     def dim(self) -> int:
@@ -118,7 +123,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
-        probe = solve_lp(LinearProgram(np.zeros(p.dim), p.H, p.b))
+        probe = _support_lps(p, np.zeros((1, p.dim)))[0]
         if probe.status is LpStatus.INFEASIBLE:
             raise EmptyInteriorError("polytope is empty")
     axis = _unbounded_axis(p)
@@ -132,7 +137,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
 def _unbounded_axis(p: HPolytope) -> int | None:
     """First coordinate along which ``p`` is unbounded, in either sign."""
     eye = np.eye(p.dim)
-    outcomes = solve_lp_batch(np.concatenate((eye, -eye)), p.H, p.b)
+    outcomes = _support_lps(p, np.concatenate((eye, -eye)))
     unbounded = [out.status is LpStatus.UNBOUNDED for out in outcomes]
     axes = np.flatnonzero(np.logical_or(unbounded[: p.dim], unbounded[p.dim :]))
     return int(axes[0]) if axes.size else None
@@ -143,23 +148,35 @@ def support(p: HPolytope, direction) -> float:
     a = np.asarray(direction, dtype=float).ravel()
     if a.size != p.dim:
         raise DimensionError("direction dimension mismatch")
-    return _support_value(solve_lp(LinearProgram(a, p.H, p.b)))
+    return _support_value(_support_lps(p, a[None, :])[0])
 
 
 def support_many(p: HPolytope, directions) -> np.ndarray:
     """Support values of ``p`` along each row of ``directions``.
 
     Equal to :func:`support` per row, and raises its error for the first
-    row whose LP is unbounded or infeasible; the LPs run as one batch.
+    row whose LP is unbounded or infeasible; LPs not in the memo run as one
+    batch.
     """
     return np.array([_support_value(out) for out in _support_lps(p, directions)])
 
 
 def _support_lps(p: HPolytope, directions) -> list:
+    """Support LP outcomes of ``p`` along each row of ``directions``, from
+    ``p``'s memo; the new directions are solved once each, in one batch.
+    Optimal points are read-only, as callers hand them out as witnesses."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != p.dim:
         raise DimensionError("direction dimension mismatch")
-    return solve_lp_batch(directions, p.H, p.b)
+    tol = (TOL.feas, TOL.opt, TOL.pivot)
+    keys = [tol + (d.tobytes(),) for d in directions]
+    memo = p._memo
+    todo = {key: i for i, key in enumerate(keys) if key not in memo}  # a row per new key
+    for key, out in zip(todo, solve_lp_batch(directions[list(todo.values())], p.H, p.b)):
+        if out.x is not None:
+            out.x.setflags(write=False)
+        memo[key] = out
+    return [memo[key] for key in keys]
 
 
 def _support_value(out) -> float:

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import contracta.lp as lp_module
 from contracta import (
     HPolytope,
     LinearProgram,
@@ -53,6 +56,27 @@ def admits_input(sys, lam, C, x) -> bool:
     b_u = np.concatenate([sys.U.b, lam * C.b - C.H @ (sys.A @ x)])
     out = solve_lp(LinearProgram(np.zeros(sys.m), A_u, b_u))
     return out.status is not LpStatus.INFEASIBLE
+
+
+def count_lps(monkeypatch) -> list:
+    """From now on, count one LP per ``solve_lp`` call and per LP of a
+    lockstep batch; the count is the returned list's only item."""
+    counter = [0]
+    solve, lockstep = lp_module.solve_lp, lp_module._lockstep
+
+    def counted_solve(prob):
+        counter[0] += 1
+        return solve(prob)
+
+    def counted_lockstep(C, A, b):
+        counter[0] += len(C)
+        return lockstep(C, A, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("contracta") and getattr(module, "solve_lp", None) is solve:
+            monkeypatch.setattr(module, "solve_lp", counted_solve)
+    monkeypatch.setattr(lp_module, "_lockstep", counted_lockstep)
+    return counter
 
 
 @pytest.fixture

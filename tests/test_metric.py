@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from contracta import (
-    SeedLabel,
     check_inclusion_equivalence,
     inclusion_factor,
     is_subset,
@@ -10,13 +9,13 @@ from contracta import (
     scale,
     iterate,
     set_distance,
-    step_distances,
     symmetric_box,
     validate_cset,
     vertices,
 )
 from contracta.errors import DimensionError, ValidationError
 from contracta.benchmarks import scalar_seed, scalar_system
+from contracta.scenario import resolve_seed, run_scenario_dict, validate_scenario
 from conftest import nested_cset_pair, random_cset, random_controllable_system
 
 LN5 = float(np.log(5.0))
@@ -110,21 +109,39 @@ class TestInclusionEquivalence:
                 assert check_inclusion_equivalence(C, D, delta) == expected
 
 
-class TestStepDistances:
-    def test_bit_identical_to_set_distance(self, rng):
-        # iterate keeps the supports of its inclusion checks, and the step
-        # distances built on them are set_distance's, bit for bit
-        sys3 = random_controllable_system(rng, 3, 1)
-        sys2 = scalar_system(2)
-        sequences = [
-            iterate(sys3, 0.9, sys3.X, 3, SeedLabel.FROM_STATE_SET),
-            iterate(sys2, 0.8, scalar_seed(2), 4, SeedLabel.CONTRACTIVE),
-            iterate(sys3, 0.9, sys3.X, 2),
+def polytope_block(p):
+    return {"H": p.H.tolist(), "b": p.b.tolist()}
+
+
+class TestIterateDistances:
+    @pytest.mark.parametrize("seed_kind", ["X", "seed"])
+    def test_distance_to_previous_is_set_distance(self, rng, seed_kind):
+        # the report's distances meet the memos its inclusion tests warmed;
+        # the entries of an unlabelled iterate are the same sets, solved cold
+        if seed_kind == "X":
+            sys, lam, k = random_controllable_system(rng, 3, 1), 0.9, 3
+        else:
+            sys, lam, k = scalar_system(2), 0.8, 4
+        data = {
+            "system": {
+                "A": sys.A.tolist(),
+                "B": sys.B.tolist(),
+                "X": polytope_block(sys.X),
+                "U": polytope_block(sys.U),
+            },
+            "task": {"iterate": {"lambda": lam, "k": k, "seed": seed_kind}},
+        }
+        if seed_kind == "seed":
+            data["seed"] = {"polytope": polytope_block(scalar_seed(2)), "lambda": lam}
+        results = run_scenario_dict(data).results
+        scenario = validate_scenario(data)
+        D = scenario.system.X if seed_kind == "X" else resolve_seed(scenario, lam)[0]
+        entries = iterate(scenario.system, lam, D, k).entries
+        assert len(results["sets"]) == k + 1
+        for entry, returned in zip(entries, results["sets"]):
+            assert np.array_equal(entry.H, returned["H"])
+            assert np.array_equal(entry.b, returned["b"])
+        expected = [0.0] + [
+            set_distance(nxt, prev).distance for prev, nxt in zip(entries, entries[1:])
         ]
-        for seq in sequences:
-            expected = [
-                set_distance(seq.entries[j], seq.entries[j - 1]).distance
-                for j in range(1, len(seq.entries))
-            ]
-            assert step_distances(seq) == expected
-            assert len(seq.inclusion_supports) == (0 if seq.seed_label is None else len(expected))
+        assert [r["distance_to_previous"] for r in results["per_iteration"]] == expected

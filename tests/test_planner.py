@@ -26,6 +26,7 @@ from contracta import onestep, planner
 from contracta.benchmarks import scalar_seed, scalar_system
 from contracta.certificate import compute_certificate
 from contracta.errors import SeedNotContractiveError, ValidationError
+from conftest import count_lps
 
 ETA_1D = 10.0 / 11.0
 LN5 = math.log(5.0)
@@ -249,6 +250,17 @@ class TestApproximation:
             assert outcome.k_star == k_star
             assert sum(D is seed for D in targets) == 1
             assert len(targets) == 2 * k_star + 1
+
+    def test_support_lps_once_per_polytope(self, monkeypatch):
+        # the slack, the distance and the steps' inclusion tests ask the same
+        # iterates for the same directions; their memos solve each LP once
+        sys2, seed = scalar_system(2), scalar_seed(2)
+        plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
+        lps = count_lps(monkeypatch)
+        for strategy, bound in ((Strategy.ADAPTIVE_INCLUSION, 280), (Strategy.APRIORI_BOUND, 772)):
+            lps[0] = 0
+            approximate_cmax1(sys2, plan, seed, strategy)
+            assert lps[0] <= bound
 
     def test_slack_and_distance_on_oblique_facets(self):
         sys3, seed = scalar_system(3), oblique_seed()

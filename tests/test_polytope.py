@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,13 @@ from contracta import (
     inradius_origin,
     intersect,
     is_subset,
+    noncontractive_point,
     outer_radius,
     project,
     radial,
     remove_redundancy,
     scale,
+    set_feasibility_tolerance,
     solve_lp,
     support,
     support_many,
@@ -37,7 +42,8 @@ from contracta.errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from conftest import random_cset
+from contracta.benchmarks import scalar_system
+from conftest import count_lps, random_cset
 
 
 def brute_force_kept_rows(p):
@@ -196,16 +202,21 @@ class TestSubset:
             assert radial(inner, xi) <= radial(outer, xi) + 1e-9
 
 
+def _direct_support(p, direction):
+    """Reference: :func:`support` by one ``solve_lp`` call, past the memo."""
+    return polytope_module._support_value(solve_lp(LinearProgram(direction, p.H, p.b)))
+
+
 def _loop_supports(p, directions):
     """Reference: one support LP per direction, in order."""
-    return np.array([support(p, d) for d in directions])
+    return np.array([_direct_support(p, d) for d in directions])
 
 
 def _loop_is_subset(inner, outer):
     """Reference: the row-by-row inclusion loop, stopping at the first
     exceeded facet."""
     for row, offset in zip(outer.H, outer.b):
-        if support(inner, row) > offset + TOL.feas:
+        if _direct_support(inner, row) > offset + TOL.feas:
             return False
     return True
 
@@ -268,6 +279,124 @@ class TestSupportMany:
             support_many(symmetric_box([1.0, 1.0]), np.ones((3, 3)))
         with pytest.raises(DimensionError):
             is_subset(symmetric_box([1.0, 1.0]), symmetric_box([1.0]))
+
+
+def memo_case(rng, dim, kind, extra):
+    """An inner set and an outer polytope for the memo tests. The outer rows
+    are a random C-set's, ``extra`` random rows and repeats of some of them;
+    for ``exceeded-then-unbounded`` they start with a facet the inner set
+    exceeds and one along which it is unbounded."""
+    head = np.zeros((0, dim))
+    head_b = np.zeros(0)
+    if kind == "exceeded-then-unbounded":
+        eye = np.eye(dim)
+        inner = HPolytope(np.vstack([-eye[0], eye[0], -eye[1:]]), [1.0, 5.0] + [1.0] * (dim - 1))
+        head, head_b = eye[:2], np.array([2.0, 2.0])
+    else:
+        inner = random_inner(rng, dim, kind)
+    body = random_rows(rng, dim, "c-set")
+    rows = np.vstack([head, body.H, rng.normal(size=(extra, dim))])
+    offsets = np.concatenate([head_b, body.b, rng.uniform(0.5, 3.0, size=extra)])
+    repeats = rng.integers(0, rows.shape[0], size=int(rng.integers(0, 4)))
+    outer = HPolytope(np.vstack([rows, rows[repeats]]), np.concatenate([offsets, offsets[repeats]]))
+    return inner, outer
+
+
+def _bits(out):
+    if out is None:
+        return None
+    return out.status, float(out.value).hex(), None if out.x is None else out.x.tobytes()
+
+
+def _memo_results(fn, p, outer):
+    """``fn``'s answer on ``p`` against ``outer`` with every float as bits,
+    or the error class it raised."""
+    result, error = _result_or_error(fn, p, outer)
+    if error is not None:
+        return error
+    if fn is polytope_module._support_lps:
+        return [_bits(out) for out in result]
+    if fn is polytope_module._first_exceeded:
+        return _bits(result)
+    return result.tobytes() if isinstance(result, np.ndarray) else result
+
+
+class TestSupportMemo:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from(
+            ["c-set", "origin-outside", "unbounded", "empty", "exceeded-then-unbounded"]
+        ),
+        st.integers(0, 16),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_warm_memo_matches_cold_polytope(self, seed, dim, kind, extra, warm_share):
+        rng = np.random.default_rng(seed)
+        inner, outer = memo_case(rng, dim, kind, extra)
+        warmed = outer.H[rng.random(outer.nfacets) < warm_share]
+        calls = (
+            (polytope_module._support_lps, outer.H),
+            (support_many, outer.H),
+            (polytope_module._first_exceeded, outer),
+            (is_subset, outer),
+        )
+        for fn, arg in calls:
+            # a warm memo meets the outer rows as a mix of hits and misses
+            warm = HPolytope(inner.H, inner.b)
+            polytope_module._support_lps(warm, warmed)
+            cold = HPolytope(inner.H, inner.b)
+            assert _memo_results(fn, warm, arg) == _memo_results(fn, cold, arg)
+            assert _memo_results(fn, warm, arg) == _memo_results(fn, cold, arg)  # all hits
+        direct = [_bits(solve_lp(LinearProgram(d, cold.H, cold.b))) for d in outer.H]
+        assert _memo_results(polytope_module._support_lps, warm, outer.H) == direct
+        if kind == "exceeded-then-unbounded":
+            assert is_subset(inner, outer) is False
+
+    def test_tolerance_change_solves_again(self, monkeypatch):
+        p = random_cset(np.random.default_rng(3), 3)
+        directions = np.random.default_rng(4).normal(size=(12, 3))
+        lps = count_lps(monkeypatch)
+        first = support_many(p, directions)
+        assert lps[0] == 12
+        assert np.array_equal(support_many(p, directions), first)
+        assert lps[0] == 12
+        feas, opt = TOL.feas, TOL.opt
+        try:
+            set_feasibility_tolerance(1e-7)
+            support_many(p, directions)
+            assert lps[0] == 24
+        finally:
+            TOL.feas, TOL.opt = feas, opt
+        support_many(p, directions)
+        assert lps[0] == 24
+
+    @pytest.mark.parametrize("count", [1, 12])  # one at a time and in lockstep
+    def test_memoized_points_are_read_only(self, count):
+        p = validate_cset(symmetric_box([1.0, 2.0]))
+        directions = np.random.default_rng(count).normal(size=(count, 2))
+        for out in polytope_module._support_lps(p, directions):
+            assert not out.x.flags.writeable
+        sys1 = scalar_system(1)
+        witness = noncontractive_point(sys1, 1.0, validate_cset(symmetric_box([20.0])))
+        with pytest.raises(ValueError):
+            witness[0] = 0.0
+
+    def test_threads_share_a_polytope(self):
+        rng = np.random.default_rng(11)
+        cases = [(random_cset(rng, 3), rng.normal(size=(20, 3))) for _ in range(6)]
+        expected = [support_many(HPolytope(p.H, p.b), d).tobytes() for p, d in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for (p, directions), want in zip(cases, expected):
+                    shared = HPolytope(p.H, p.b)  # a cold memo for the threads to race on
+                    futures = [pool.submit(support_many, shared, directions) for _ in range(8)]
+                    assert all(f.result(timeout=60).tobytes() == want for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRedundancy:
