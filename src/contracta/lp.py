@@ -16,11 +16,17 @@ wins, and the cost is the fixed overhead of each call and each pivot.
 ``solve_lp_batch`` solves many such LPs at once: support LPs of one
 polytope along many directions, or one round of redundancy tests. When no
 offset is negative the slack basis is feasible, so phase 1 is skipped, and
-the LPs share one 3-D tableau (LP x row x column) that is pivoted in
-lockstep, one Bland pivot of every unfinished LP per step, with the array
-operations of ``_iterate`` and ``_pivot`` applied along the new axis. An LP
-leaves the stack when it is optimal or unbounded. This pays the per-pivot
-overhead once per step instead of once per LP.
+the LPs are pivoted in lockstep, one Bland pivot of every unfinished LP per
+step, with the array operations of ``_iterate`` and ``_pivot`` applied along
+a leading LP axis. An LP leaves the stack when it is optimal or unbounded.
+This pays the per-pivot overhead once per step instead of once per LP. The
+stack is the condensed tableau (LP x row x slot): ``k`` constraint rows and
+a reduced-cost row over the ``2n`` nonbasic columns and the rhs, with the
+variable id of each slot kept beside it. The ``k`` basic columns of the
+full tableau ``[A, -A, I, rhs]`` are exact unit vectors, so dropping them
+loses nothing: a pivot swaps the leaving variable's unit column into the
+entering variable's slot and pivots on it, and Bland's entering choice is
+the improving slot of smallest variable id.
 
 Invariant: a kernel change must keep the pivot sequence and every
 floating-point operation, so each ``LpOutcome`` stays bit-identical for
@@ -41,8 +47,8 @@ from .errors import ComputationError, DimensionError, ValidationError
 
 _MAX_PIVOTS = 20000
 # solve_lp_batch runs at least this many LPs in lockstep: on LPs of 2-40 rows
-# in 1-4 variables, 8 LPs took 0.59-0.75 of the time of solving them one at a
-# time and 4 took 0.72-1.22 (Intel Xeon VM, one core). A lockstep chunk holds
+# in 1-4 variables, 8 LPs took 0.35-0.73 of the time of solving them one at a
+# time and 4 took 0.68-1.26 (Intel Xeon VM, one core). A lockstep chunk holds
 # about this many bytes of tableau, which bounds the memory a batch adds.
 _LOCKSTEP_MIN = 8
 _BATCH_BYTES = 1 << 20
@@ -157,7 +163,7 @@ def solve_lp_batch(objectives, A, b) -> list[LpOutcome]:
     if not stacked:
         A = np.broadcast_to(A, (L, k, n))
         b = np.broadcast_to(b, (L, k))
-    chunk = max(1, _BATCH_BYTES // (8 * k * (2 * n + k + 1)))
+    chunk = max(1, _BATCH_BYTES // (8 * (k + 1) * (2 * n + 1)))
     outcomes: list[LpOutcome] = []
     for start in range(0, L, chunk):
         part = slice(start, start + chunk)
@@ -172,63 +178,76 @@ def _misfit(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> DimensionError:
 def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
     """Phase 2 of ``_two_phase`` from the slack basis for a stack of LPs, one
     pivot of every unfinished LP per step, with ``_iterate``'s Bland rule and
-    ``_pivot``'s floating-point operations."""
+    ``_pivot``'s floating-point operations.
+
+    Each LP keeps only its ``2n`` nonbasic columns and the rhs; row ``k``
+    holds the reduced costs. A basic column of the full tableau is a unit
+    vector, so a pivot puts the leaving variable's unit column in the
+    entering variable's slot and pivots on it as ``_pivot`` would: ``1/p``
+    in the pivot row, ``0 - col_i * (1/p)`` in row ``i``. The reduced costs
+    are pivoted with the other rows, before ``_pivot`` turns ``-0`` entries
+    of the pivot row into ``+0``; they are only compared with ``opt``, so the
+    sign of a zero among them changes nothing.
+    """
     L, k, n = A.shape
     m = 2 * n + k
-    tab = np.zeros((L, k, m + 1))
-    tab[:, :, :n] = A
-    np.negative(A, out=tab[:, :, n : 2 * n])
-    rows = np.arange(k)
-    tab[:, rows, 2 * n + rows] = 1.0
-    tab[:, :, -1] = b
-    basis = np.tile(2 * n + rows, (L, 1))
-    red = np.zeros((L, m))  # slack costs are zero: nothing to price out
-    red[:, :n] = C
-    np.negative(C, out=red[:, n : 2 * n])
+    tab = np.empty((L, k + 1, 2 * n + 1))  # nonbasic columns, then the rhs
+    tab[:, :k, :n] = A
+    np.negative(A, out=tab[:, :k, n : 2 * n])
+    tab[:, :k, -1] = b
+    tab[:, k, :n] = C  # slack costs are zero: nothing to price out
+    np.negative(C, out=tab[:, k, n : 2 * n])
+    tab[:, k, -1] = 0.0
+    nonbasic = np.tile(np.arange(2 * n), (L, 1))  # variable id of each slot
+    basis = np.tile(np.arange(2 * n, m), (L, 1))
     outcomes: list[LpOutcome | None] = [None] * L
     live = np.arange(L)  # position of each unfinished LP in the input
     lanes = np.arange(L)
-    first_rows = lanes * k  # row of each LP's first constraint in ``flat``
-    flat = tab.reshape(-1, m + 1)  # tableau rows of all LPs, LP-major
+    first_rows = lanes * (k + 1)  # row of each LP's first constraint in ``flat``
+    flat = tab.reshape(-1, 2 * n + 1)  # tableau rows of all LPs, LP-major
     product = np.empty_like(tab)
+    red, rhs = tab[:, k, :-1], tab[:, :k, -1]
     opt, piv = TOL.opt, TOL.pivot
     for _ in range(_MAX_PIVOTS):
-        improving = red > opt
-        enter = improving.argmax(axis=1)  # Bland: smallest improving index
-        col = tab[lanes, :, enter]
-        usable = col > piv
-        optimal = ~improving[lanes, enter]
+        # Bland: the improving slot of smallest variable id
+        ids = np.where(red > opt, nonbasic, m)
+        slot = ids.argmin(axis=1)
+        enter = ids[lanes, slot]
+        col = tab[lanes, :, slot]
+        usable = col[:, :k] > piv
+        optimal = enter == m
         finished = optimal | ~usable.any(axis=1)
         if finished.any():
             z = np.zeros((np.count_nonzero(finished), m))
-            np.put_along_axis(z, basis[finished], tab[finished, :, -1], axis=1)
+            np.put_along_axis(z, basis[finished], rhs[finished], axis=1)
             X = z[:, :n] - z[:, n : 2 * n]
             _finish(outcomes, live[finished], optimal[finished], X, C, A, b)
             going = ~finished
             if not going.any():
                 return outcomes
-            live, tab, basis, red = live[going], tab[going], basis[going], red[going]
-            enter, col, usable = enter[going], col[going], usable[going]
+            live, tab, basis, nonbasic = live[going], tab[going], basis[going], nonbasic[going]
+            slot, enter, col, usable = slot[going], enter[going], col[going], usable[going]
             lanes = np.arange(live.size)
-            first_rows = lanes * k
-            flat = tab.reshape(-1, m + 1)
+            first_rows = lanes * (k + 1)
+            flat = tab.reshape(-1, 2 * n + 1)
+            red, rhs = tab[:, k, :-1], tab[:, :k, -1]
             product = product[: live.size]
-        ratios = np.full(col.shape, np.inf)
-        np.divide(tab[:, :, -1], col, out=ratios, where=usable)
+        ratios = np.full(usable.shape, np.inf)
+        np.divide(rhs, col[:, :k], out=ratios, where=usable)
         near = usable & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
         # Bland: smallest basic index among the tied rows
         leave = np.where(near, basis, m).argmin(axis=1)
         pivot_rows = first_rows + leave
+        p = col[lanes, leave]
+        tab[lanes, :, slot] = 0.0  # the leaving variable's unit column
+        flat[pivot_rows, slot] = 1.0
         row = flat[pivot_rows]
-        row /= row[lanes, enter][:, None]
+        row /= p[:, None]
         flat[pivot_rows] = row
         col[lanes, leave] = 0.0  # the entering column, as _pivot's factors
         np.multiply(col[:, :, None], row[:, None, :], out=product)
         tab -= product
-        tab[lanes, :, enter] = 0.0
-        flat[pivot_rows, enter] = 1.0
-        red -= red[lanes, enter][:, None] * flat[pivot_rows, :-1]
-        red[lanes, enter] = 0.0
+        nonbasic[lanes, slot] = basis[lanes, leave]
         basis[lanes, leave] = enter
     raise ComputationError("simplex exceeded the pivot budget")
 

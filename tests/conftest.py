@@ -60,16 +60,19 @@ def admits_input(sys, lam, C, x) -> bool:
 
 def count_lps(monkeypatch) -> list:
     """From now on, count one LP per ``solve_lp`` call and per LP of a
-    lockstep batch; the count is the returned list's only item."""
-    counter = [0]
+    lockstep batch. The returned list holds the total, then the ``solve_lp``
+    calls and the lockstep LPs apart."""
+    counter = [0, 0, 0]
     solve, lockstep = lp_module.solve_lp, lp_module._lockstep
 
     def counted_solve(prob):
         counter[0] += 1
+        counter[1] += 1
         return solve(prob)
 
     def counted_lockstep(C, A, b):
         counter[0] += len(C)
+        counter[2] += len(C)
         return lockstep(C, A, b)
 
     for name, module in list(sys.modules.items()):

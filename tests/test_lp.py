@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from contracta import LinearProgram, LpStatus, solve_lp, solve_lp_batch, symmetric_box
 from contracta import lp as lp_module
 from contracta.config import TOL
-from contracta.errors import DimensionError
+from contracta.errors import ComputationError, DimensionError
 
 
 def test_single_box_optimum():
@@ -357,6 +357,33 @@ def _batch_case(mode, n, k, count, seed):
     return C, A, b
 
 
+def _lockstep_calls(C, A, b):
+    """``solve_lp_batch(C, A, b)`` and the size of each ``_lockstep`` call it made."""
+    sizes = []
+    lockstep = lp_module._lockstep
+
+    def counted(C, A, b):
+        sizes.append(len(C))
+        return lockstep(C, A, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_lockstep", counted)
+        return solve_lp_batch(C, A, b), sizes
+
+
+def _assert_batch_matches_solve_lp(outs, C, A, b):
+    assert len(outs) == len(C)
+    for l, out in enumerate(outs):
+        ref = solve_lp(LinearProgram(C[l], A if A.ndim == 2 else A[l], b if b.ndim == 1 else b[l]))
+        assert out.status is ref.status
+        assert out.value == ref.value
+        if ref.x is None:
+            assert out.x is None
+        else:
+            assert np.array_equal(out.x, ref.x)
+            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
+
+
 @pytest.mark.parametrize("mode", ["random", "rounded", "unbounded", "shared", "chunked"])
 @given(
     n=st.integers(1, 4),
@@ -369,19 +396,75 @@ def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
     count = lp_module._LOCKSTEP_MIN + extra  # enough LPs to run in lockstep
     if mode == "chunked":  # tall LPs: more than one lockstep chunk
         k += 40
-        count = lp_module._BATCH_BYTES // (8 * k * (2 * n + k + 1)) + 1 + extra
+        count = lp_module._BATCH_BYTES // (8 * (k + 1) * (2 * n + 1)) + 1 + extra
     C, A, b = _batch_case(mode, n, k, count, seed)
-    outs = solve_lp_batch(C, A, b)
-    assert len(outs) == count
-    for l, out in enumerate(outs):
-        ref = solve_lp(LinearProgram(C[l], A if A.ndim == 2 else A[l], b if b.ndim == 1 else b[l]))
-        assert out.status is ref.status
-        assert out.value == ref.value
-        if ref.x is None:
-            assert out.x is None
-        else:
-            assert np.array_equal(out.x, ref.x)
-            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
+    outs, sizes = _lockstep_calls(C, A, b)
+    assert sum(sizes) == count
+    assert len(sizes) >= 2 if mode == "chunked" else len(sizes) == 1
+    _assert_batch_matches_solve_lp(outs, C, A, b)
+
+
+def _clarkson_case(n, k, count, seed):
+    """Redundancy tests shaped like ``polytope._clarkson_rounds``: LP ``l``
+    maximizes row ``h_l`` over ``k - 1`` shared unit facet rows and ``h_l``
+    itself, capped at its slack + 1. Some facets are near-parallel copies or
+    power-of-two multiples of others, and some tested rows repeat a facet,
+    so ratio tests tie."""
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=(k - 1 + count, n))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    slack = rng.uniform(0.5, 2.0, size=H.shape[0])
+    facets = k - 1
+    near = rng.integers(0, facets, size=facets // 5)  # near-parallel copies
+    gap = rng.choice([1e-9, 1e-6, 1e-3], size=(near.size, 1))
+    H[facets - near.size : facets] = H[near] + gap * rng.normal(size=(near.size, n))
+    slack[facets - near.size : facets] = slack[near]
+    doubled = rng.integers(0, facets // 2, size=facets // 6)  # 2x, 1/2x, 4x rows
+    factor = rng.choice([2.0, 0.5, 4.0], size=doubled.size)
+    H[facets // 2 : facets // 2 + doubled.size] = factor[:, None] * H[doubled]
+    slack[facets // 2 : facets // 2 + doubled.size] = factor * slack[doubled]
+    repeat = rng.random(count) < 0.3  # tested rows that repeat a facet
+    source = rng.integers(0, facets, size=count)
+    H[facets:][repeat] = H[source[repeat]]
+    slack[facets:][repeat] = slack[source[repeat]]
+    tested = H[facets:]
+    A = np.empty((count, k, n))
+    A[:, :-1] = H[:facets]
+    A[:, -1] = tested
+    rhs = np.empty((count, k))
+    rhs[:, :-1] = slack[:facets]
+    rhs[:, -1] = slack[facets:] + 1.0
+    return tested, A, rhs
+
+
+@given(
+    n=st.sampled_from([3, 4]),
+    k=st.integers(40, 160),
+    extra=st.integers(0, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batch_clarkson_shaped_bit_identical_to_solve_lp(n, k, extra, seed):
+    C, A, b = _clarkson_case(n, k, lp_module._LOCKSTEP_MIN + 1 + extra, seed)
+    # A 1e-9 near-parallel pair can make the simplex return a point that
+    # misses a row by more than the feasibility tolerance; solve_lp raises
+    # then, and so must a lockstep chunk holding that LP.
+    fails = np.zeros(len(C), dtype=bool)
+    for l in range(len(C)):
+        try:
+            solve_lp(LinearProgram(C[l], A[l], b[l]))
+        except ComputationError:
+            fails[l] = True
+    if fails.any():
+        with pytest.raises(ComputationError):
+            solve_lp_batch(C, A, b)
+        C, A, b = C[~fails], A[~fails], b[~fails]
+    if len(C) < lp_module._LOCKSTEP_MIN:
+        return
+    outs, sizes = _lockstep_calls(C, A, b)
+    assert sum(sizes) == len(C)
+    assert all(out.status is LpStatus.OPTIMAL for out in outs)  # the cap bounds every LP
+    _assert_batch_matches_solve_lp(outs, C, A, b)
 
 
 def test_batch_small_or_negative_offsets_match_solve_lp():

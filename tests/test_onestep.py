@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,13 @@ from contracta.benchmarks import (
     stabilizable_system,
 )
 from contracta.errors import CSetValidationError, DimensionError, ValidationError
-from conftest import admits_input, nested_cset_pair, random_cset, random_controllable_system
+from conftest import (
+    admits_input,
+    count_lps,
+    nested_cset_pair,
+    random_cset,
+    random_controllable_system,
+)
 
 
 def halfwidths(p):
@@ -178,6 +186,20 @@ class TestIterate:
         sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
         seq = iterate(sysr, 0.9, sysr.X, 5)
         assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66, 90]
+
+    def test_ladder_iterate_lp_counts_and_bits(self, monkeypatch):
+        # the ladder benchmark's (3, 1, 4) seed-7 case: a change to the LP
+        # kernel may change its speed, never which LPs run or what they return
+        lps = count_lps(monkeypatch)
+        sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
+        assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
+        # solve_lp calls and lockstep LPs, validating the boxes X and U included
+        assert lps[1:] == [22, 1365]
+        digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
+        assert digest.hexdigest() == (
+            "a9a26a62b801f0dd7fc1930843a4c43e479f27e465c755e78fea803044543798"
+        )
 
     def test_unit_rate_iterates_dominate_scaled(self, rng):
         # the k-fold set at rate one, shrunk by lam^k, sits inside the rate-lam set
