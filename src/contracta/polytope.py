@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import (
+    ComputationError,
     DimensionError,
     EmptyInteriorError,
     EmptySetError,
@@ -271,6 +272,11 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     tested against all rows except those removed before it, one row at a
     time in order. The kept rows are thus those of testing every row, in
     order, against all rows not yet removed.
+
+    A row whose test LP faults (``solve_lp`` raises ``ComputationError``, as
+    on near-parallel rows 1e-9 apart) is kept, which never changes the set;
+    it does not count as a known facet. The outcomes of the other LPs are
+    those they have without the fault.
     """
     H, b = _collapse_parallel(p.H, p.b)
     k = H.shape[0]
@@ -290,8 +296,10 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
         tested = np.append(np.flatnonzero(rows), i)
         trial_b = b[tested]
         trial_b[-1] += 1.0
-        out = solve_lp(LinearProgram(H[i], H[tested], trial_b))
-        removed[i] = out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas
+        out = _solve_or_none(H[i], H[tested], trial_b)
+        removed[i] = (
+            out is not None and out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas
+        )
     if np.all(removed):  # cannot happen for a bounded set; fail safe
         return HPolytope(H, b)
     return HPolytope(H[~removed], b[~removed])
@@ -302,15 +310,17 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     (every slack positive) against the facets found so far.
 
     Marks redundant rows in ``removed`` and returns the mask of rows whose
-    ray hit was tied, which need the all-rows test.
+    ray hit was tied, which need the all-rows test. A row whose test LP
+    faults is kept, but not as a known facet.
     """
     k, n = H.shape
     known = np.zeros(k, dtype=bool)
     first, clear = _first_hits(H, H, slack, removed)  # rays along the row normals
     known[first[clear]] = True
     wide = np.zeros(k, dtype=bool)
+    faulted = np.zeros(k, dtype=bool)
     while True:
-        todo = np.flatnonzero(~(known | removed | wide))
+        todo = np.flatnonzero(~(known | removed | wide | faulted))
         if todo.size == 0:
             return wide
         facets = np.flatnonzero(known)
@@ -321,10 +331,13 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
         rhs[:, :-1] = slack[facets]
         rhs[:, -1] = slack[todo] + 1.0
         # the test set holds the interior point and caps the row: every LP is optimal
-        outs = solve_lp_batch(H[todo], A, rhs)
-        redundant = np.array([out.value for out in outs]) <= slack[todo] + TOL.feas
+        outs = _test_lps(H[todo], A, rhs)
+        lost = np.array([out is None for out in outs])
+        faulted[todo[lost]] = True
+        values = np.array([np.inf if out is None else out.value for out in outs])
+        redundant = values <= slack[todo] + TOL.feas
         removed[todo[redundant]] = True
-        beaten = np.flatnonzero(~redundant)
+        beaten = np.flatnonzero(~(redundant | lost))
         if beaten.size == 0:
             continue
         first, clear = _first_hits(np.array([outs[j].x for j in beaten]), H, slack, removed)
@@ -334,6 +347,24 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
                 known[hit] = found[hit] = True
             elif not (ok and found[hit]):
                 wide[i] = True
+
+
+def _test_lps(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
+    """``solve_lp_batch(C, A, b)``, with None for each LP that faults
+    (raises ``ComputationError``). A fault aborts the whole batch, so the LPs
+    are then solved one at a time; the others keep their bits."""
+    try:
+        return solve_lp_batch(C, A, b)
+    except ComputationError:
+        return [_solve_or_none(c, a, r) for c, a, r in zip(C, A, b)]
+
+
+def _solve_or_none(c: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """``solve_lp`` outcome of ``max c.x`` over ``A x <= b``, or None when it faults."""
+    try:
+        return solve_lp(LinearProgram(c, A, b))
+    except ComputationError:
+        return None
 
 
 def _interior_point(H: np.ndarray, b: np.ndarray):
@@ -399,18 +430,24 @@ def _collapse_parallel(H: np.ndarray, b: np.ndarray):
 def project(p: HPolytope, keep: int) -> HPolytope:
     """Orthogonal projection onto the first ``keep`` coordinates.
 
-    Trailing coordinates are eliminated one at a time (Fourier-Motzkin) with
-    redundancy removal after each elimination, so the output is the exact
-    shadow ``{x | exists y : (x, y) in p}``. An elimination can produce
-    hundreds of rows of which a few dozen are facets; :func:`remove_redundancy`
-    tests each row only against the facets found so far (Clarkson's
-    algorithm). FM combines two unit rows with positive weights, and the
+    Trailing coordinates are eliminated one at a time (Fourier-Motzkin), so
+    the output is the exact shadow ``{x | exists y : (x, y) in p}`` whatever
+    redundant rows each elimination carries. Redundancy removal runs after
+    the last elimination, and after every other elimination whose rows would
+    grow in number at the next one (with ``pos`` rows of positive and ``neg``
+    of negative coefficient on the next coordinate, ``pos * neg > pos +
+    neg``); otherwise the rows carry on with only parallel copies collapsed
+    (Imbert, "Fourier's elimination: which to choose?", 1993). A skipped
+    removal thus never lets the row count grow, and the facet cap keeps its
+    meaning. An elimination can produce hundreds of rows of which a few
+    dozen are facets; :func:`remove_redundancy` tests each row only against
+    the facets found so far (Clarkson's algorithm). FM combines two unit rows with positive weights, and the
     combined normal is no longer than the sum of the weights, so no
     normalized offset falls below the smallest input offset. When every
     offset of ``p`` exceeds ``feas`` (the lift of C-sets), the origin thus
-    serves as the interior point of every elimination with no LP.
-    Otherwise each elimination's rows get a Chebyshev-centre LP, and flat
-    intermediate sets fall back to testing each row against all rows.
+    serves as the interior point of every reduction with no LP. Otherwise
+    each reduction's rows get a Chebyshev-centre LP, and flat intermediate
+    sets fall back to testing each row against all rows.
     """
     if not 1 <= keep < p.dim:
         raise ValidationError(f"keep must be in [1, {p.dim - 1}]")
@@ -441,8 +478,16 @@ def project(p: HPolytope, keep: int) -> HPolytope:
         H, b = H[~trivial], b[~trivial]
         if H.shape[0] == 0:
             raise UnboundedSetError("projection shadow is unconstrained")
-        reduced = remove_redundancy(HPolytope(H, b))
-        H, b = reduced.H, reduced.b
+        shadow = HPolytope(H, b)
+        if col > keep:
+            nxt = shadow.H[:, col - 1]
+            pos = np.count_nonzero(nxt > _ZERO_ROW)
+            neg = np.count_nonzero(nxt < -_ZERO_ROW)
+            if pos * neg <= pos + neg:  # the next elimination cannot add rows
+                H, b = _collapse_parallel(shadow.H, shadow.b)
+                continue
+        shadow = remove_redundancy(shadow)
+        H, b = shadow.H, shadow.b
     return HPolytope(H, b)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from contracta import (
     CSetPolytope,
     HPolytope,
+    LinearProgram,
+    LpStatus,
     SeedLabel,
     SystemModel,
     is_lambda_contractive,
@@ -15,14 +18,18 @@ from contracta import (
     iterate,
     membership_certificate,
     one_step_set,
+    project,
+    radial,
     scale,
     set_distance,
+    solve_lp,
     support,
     symmetric_box,
     validate_cset,
     vertices,
 )
 from contracta import onestep
+from contracta import polytope as polytope_module
 from contracta.benchmarks import (
     oscillator_step_box,
     oscillator_system,
@@ -44,6 +51,43 @@ from conftest import (
 
 def halfwidths(p):
     return tuple(support(p, e) for e in np.eye(p.dim))
+
+
+def sparse_input_system(rng, dense_first=None):
+    """n in 2-4 states and m in 2-3 inputs, each input acting on one state;
+    input 0 acts on every state when ``dense_first`` (drawn when None)."""
+    n, m = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    A = rng.uniform(-1.2, 1.2, size=(n, n))
+    B = np.zeros((n, m))
+    for j in range(m):
+        B[rng.integers(n), j] = rng.uniform(0.5, 1.0)
+    if dense_first is None:
+        dense_first = bool(rng.random() < 0.5)
+    if dense_first:
+        B[:, 0] = rng.uniform(-1.0, 1.0, size=n)
+    X = validate_cset(symmetric_box(rng.uniform(2.0, 5.0, size=n)))
+    U = validate_cset(symmetric_box(rng.uniform(0.5, 1.5, size=m)))
+    return SystemModel(A, B, X, U)
+
+
+def lifted_step(sysr, lam, D):
+    """The (x, u) polytope whose shadow on x is ``one_step_set(sysr, lam, D)``."""
+    H = np.block(
+        [
+            [sysr.X.H, np.zeros((sysr.X.nfacets, sysr.m))],
+            [np.zeros((sysr.U.nfacets, sysr.n)), sysr.U.H],
+            [D.H @ sysr.A, D.H @ sysr.B],
+        ]
+    )
+    return HPolytope(H, np.concatenate([sysr.X.b, sysr.U.b, lam * D.b]))
+
+
+def always_reduced_shadow(p, keep):
+    """Fourier-Motzkin with redundancy removal after every elimination: a
+    projection that eliminates one coordinate always reduces its rows."""
+    while p.dim > keep:
+        p = project(p, p.dim - 1)
+    return p
 
 
 class TestOneStep:
@@ -127,6 +171,56 @@ class TestOneStep:
                 bad = HPolytope(step.H, step.b - (1.0 + shift) * step.b[0])
                 with pytest.raises(CSetValidationError):
                     one_step_set(sysr, lam, bad)
+
+
+class TestDeferredReduction:
+    def test_scalar_step_reduces_once_with_no_lp(self, monkeypatch):
+        # B = I: each input row pair meets one target row pair, so the three
+        # eliminations keep the row count and only the last one reduces
+        reduce = mock.Mock(wraps=polytope_module.remove_redundancy)
+        monkeypatch.setattr(polytope_module, "remove_redundancy", reduce)
+        sysr, seed = scalar_system(3), scalar_seed(3)
+        lps = count_lps(monkeypatch)
+        q = one_step_set(sysr, 0.9, seed)
+        assert reduce.call_count == 1
+        assert lps == [0, 0, 0]
+        assert halfwidths(q) == pytest.approx([(0.9 * 2.0 + 1.0) / 1.1] * 3, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_matches_always_reduced_shadows(self, seed):
+        # skipping redundancy removal between eliminations that cannot add
+        # rows leaves the shadow and its facet count as they were
+        sysr = sparse_input_system(np.random.default_rng(seed))
+        D = sysr.X
+        for _ in range(2):
+            q = one_step_set(sysr, 0.9, D)
+            ref = always_reduced_shadow(lifted_step(sysr, 0.9, D), sysr.n)
+            assert q.nfacets == ref.nfacets
+            assert is_subset(q, ref) and is_subset(ref, q)
+            D = q
+
+    def test_faulting_redundancy_lp_keeps_its_row(self):
+        # the third step from X of this system reduces rows with 1e-9 near-
+        # parallel pairs, where a Clarkson test LP misses a row by 1.9e-7 and
+        # solve_lp raises; that row is kept instead of aborting the projection
+        sysr = sparse_input_system(np.random.default_rng(7), dense_first=True)
+        assert (sysr.n, sysr.m) == (4, 3)
+        lifted = lifted_step(sysr, 0.9, iterate(sysr, 0.9, sysr.X, 2).entries[-1])
+        keep = sysr.n + sysr.m - 2  # states and input 0
+        shadow = project(lifted, keep)
+        assert shadow.nfacets == 264
+        # points just inside the shadow have inputs 1 and 2 that complete
+        # them in the lifted polytope; points just outside have none
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            d = rng.normal(size=keep)
+            d /= np.linalg.norm(d)
+            r = radial(shadow, d)
+            for mu, inside in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+                rhs = lifted.b - lifted.H[:, :keep] @ (mu * r * d)
+                out = solve_lp(LinearProgram(np.zeros(2), lifted.H[:, keep:], rhs))
+                assert (out.status is LpStatus.OPTIMAL) == inside
 
 
 class TestIterate:

@@ -33,9 +33,11 @@ from unittest import mock
 
 import contracta.polytope as polytope_module
 from contracta.errors import (
+    ComputationError,
     ContractaError,
     DimensionError,
     EmptySetError,
+    FacetBudgetError,
     OriginNotInteriorError,
     UnboundedDirectionError,
     UnboundedSetError,
@@ -454,11 +456,61 @@ class TestRedundancy:
         assert r.H.tolist() == [[-1.0], [1.0]]
         assert r.b.tolist() == [-1.0, 1.0]
 
+    def test_faulting_clarkson_tests_keep_their_rows(self, monkeypatch):
+        # a test LP that trips solve_lp's checks keeps its row, which never
+        # changes the set; the other rows are decided as without the fault
+        p = random_rows(np.random.default_rng(3), 3, "many-cuts")
+        H, b, keep = brute_force_kept_rows(p)
+        victims = np.flatnonzero((np.count_nonzero(H, axis=1) == 1) & ~keep)  # box rows
+        assert victims.size >= 2
+        _inject_faults(monkeypatch, H[victims])
+        r = remove_redundancy(p)
+        keep[victims] = True
+        assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
+        assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+
+    def test_faulting_all_rows_test_keeps_its_row(self, monkeypatch):
+        # the edge of test_flat_square_edge with the redundant cut x + y <= 3:
+        # the all-rows test removes the cut, unless its LP faults
+        p = intersect(
+            intersect(box([0.0, 0.0], [1.0, 1.0]), box([1.0, 0.0], [2.0, 1.0])),
+            HPolytope([[1.0, 1.0]], [3.0]),
+        )
+        assert remove_redundancy(p).nfacets == 4
+        _inject_faults(monkeypatch, p.H[-1:])
+        r = remove_redundancy(p)
+        assert r.nfacets == 5 and (r.H == p.H[-1]).all(axis=1).any()
+
     def test_flat_square_edge(self):
         # the shared edge {1} x [0, 1] of two unit squares
         r = remove_redundancy(intersect(box([0.0, 0.0], [1.0, 1.0]), box([1.0, 0.0], [2.0, 1.0])))
         assert r.H.tolist() == [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]]
         assert r.b.tolist() == [-1.0, 0.0, 1.0, 1.0]
+
+
+def _inject_faults(monkeypatch, rows):
+    """Make every redundancy-test LP that maximizes one of ``rows`` raise
+    ``ComputationError`` in ``polytope``, in a batch as alone."""
+    solve, batch = polytope_module.solve_lp, polytope_module.solve_lp_batch
+
+    def faults(objectives):
+        objectives = np.asarray(objectives)
+        if objectives.shape[1] != rows.shape[1]:  # not a redundancy test
+            return False
+        return (objectives[:, None, :] == rows[None]).all(axis=2).any()
+
+    def faulty_solve(prob):
+        if faults(np.atleast_2d(prob.objective)):
+            raise ComputationError("injected fault")
+        return solve(prob)
+
+    def faulty_batch(C, A, b):
+        if faults(C):
+            raise ComputationError("injected fault")
+        return batch(C, A, b)
+
+    monkeypatch.setattr(polytope_module, "solve_lp", faulty_solve)
+    monkeypatch.setattr(polytope_module, "solve_lp_batch", faulty_batch)
 
 
 class TestProjection:
@@ -518,6 +570,19 @@ class TestProjection:
 
         with pytest.raises(FacetBudgetError):
             project(p, 2)
+
+    def test_facet_cap_after_a_reduced_elimination(self, monkeypatch):
+        # 4-D to 2-D: the first elimination makes 31 rows, which would grow at
+        # the next one, so they are reduced (to 22); the second makes 77
+        p = random_cset(np.random.default_rng(0), 4, extra_facets=10)
+        reduce = mock.Mock(wraps=polytope_module.remove_redundancy)
+        monkeypatch.setattr(polytope_module, "remove_redundancy", reduce)
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "76")
+        with pytest.raises(FacetBudgetError, match="create 77 facets"):
+            project(p, 2)
+        assert reduce.call_count == 1
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "77")
+        project(p, 2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None, derandomize=True)
