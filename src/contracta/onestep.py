@@ -118,18 +118,18 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     lam = _check_lambda(lam)
     if D.dim != sys.n:
         raise DimensionError("target set dimension mismatch")
-    lifted_H = np.block(
-        [
-            [sys.X.H, np.zeros((sys.X.nfacets, sys.m))],
-            [np.zeros((sys.U.nfacets, sys.n)), sys.U.H],
-            [D.H @ sys.A, D.H @ sys.B],
-        ]
-    )
-    lifted_b = np.concatenate([sys.X.b, sys.U.b, lam * D.b])
+    X, U = sys.X, sys.U
+    top = X.nfacets + U.nfacets
+    lifted_H = np.zeros((top + D.nfacets, sys.n + sys.m))
+    lifted_H[: X.nfacets, : sys.n] = X.H
+    lifted_H[X.nfacets : top, sys.n :] = U.H
+    lifted_H[top:, : sys.n] = D.H @ sys.A
+    lifted_H[top:, sys.n :] = D.H @ sys.B
+    lifted_b = np.concatenate((X.b, U.b, lam * D.b))
     if not np.all(lifted_b > 0.0):
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
     shadow = project(HPolytope(lifted_H, lifted_b), sys.n)
-    return CSetPolytope(shadow.H, shadow.b)
+    return CSetPolytope._computed(shadow.H, shadow.b)
 
 
 def _step(

@@ -6,6 +6,19 @@ thresholds scale-free. ``CSetPolytope`` marks a polytope that passed the
 compact/origin-interior certification of :func:`validate_cset`, which every
 input set passes; ``one_step_set`` builds its shadows as C-sets by proof.
 
+The constructor checks its input: a nonempty 2-D facet matrix with one
+offset per row (``DimensionError``), finite entries and no zero row
+(``ValidationError``). Everything built from outside data goes through it:
+user and scenario polytopes, :func:`box`, :func:`intersect`, :func:`scale`
+(which also checks its factor) and the lifted polytope of ``one_step_set``.
+Rows the library computes from checked rows -- Fourier-Motzkin shadows, the
+output of :func:`remove_redundancy` and :func:`project`, and the C-set of
+``one_step_set`` -- skip the checks (``HPolytope._computed``) but not the
+normalization, which is the constructor's own routine. Each of these
+constructions divides by the row norms again, even where the rows are unit
+rows already: the recomputed norm is 1 only up to an ulp, so the division
+is not idempotent, and one division fewer would move the bits of results.
+
 Facet data are immutable after construction. Each polytope memoizes its
 support LP outcomes by direction and by the LP tolerances in force; an
 outcome is what any re-solve would give, so memo writes are idempotent and a
@@ -63,11 +76,24 @@ class HPolytope:
             raise DimensionError("facet matrix must be a nonempty 2-D array")
         if H.shape[0] != b.size:
             raise DimensionError(f"{H.shape[0]} facets but {b.size} offsets")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(H).all() and np.isfinite(b).all()):
             raise ValidationError("nonfinite facet data")
-        norms = np.sqrt(np.sum(H * H, axis=1))
-        if np.any(norms <= _ZERO_ROW):
+        norms = _row_norms(H)
+        if (norms <= _ZERO_ROW).any():
             raise ValidationError("all-zero facet row")
+        self._set_rows(H, b, norms)
+
+    @classmethod
+    def _computed(cls, H: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None):
+        """A polytope on rows the library computed from checked ones: a
+        nonempty float matrix, matching offsets, finite, with no zero row.
+        The constructor's checks are skipped, its normalization is not.
+        ``norms`` are ``_row_norms(H)`` when the caller has them."""
+        p = cls.__new__(cls)
+        p._set_rows(H, b, _row_norms(H) if norms is None else norms)
+        return p
+
+    def _set_rows(self, H: np.ndarray, b: np.ndarray, norms: np.ndarray) -> None:
         self.H = H / norms[:, None]
         self.b = b / norms
         self.H.setflags(write=False)
@@ -96,6 +122,11 @@ class HPolytope:
 
 class CSetPolytope(HPolytope):
     """A polytope certified bounded with the origin strictly inside."""
+
+
+def _row_norms(H: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``H``."""
+    return np.sqrt(np.add.reduce(H * H, axis=1))
 
 
 def box(lower, upper) -> HPolytope:
@@ -281,11 +312,10 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     H, b = _collapse_parallel(p.H, p.b)
     k = H.shape[0]
     if k <= 1:
-        return HPolytope(H, b)
-    center, radius = _interior_point(H, b)
-    slack = b - H @ center
+        return HPolytope._computed(H, b)
+    slack, radius = _interior_slack(H, b)
     removed = np.zeros(k, dtype=bool)
-    if radius > TOL.feas and np.all(slack > 0.0):
+    if radius > TOL.feas and (slack > 0.0).all():
         wide = _clarkson_rounds(H, slack, removed)
     else:
         wide = np.ones(k, dtype=bool)
@@ -300,9 +330,9 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
         removed[i] = (
             out is not None and out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas
         )
-    if np.all(removed):  # cannot happen for a bounded set; fail safe
-        return HPolytope(H, b)
-    return HPolytope(H[~removed], b[~removed])
+    if removed.all():  # cannot happen for a bounded set; fail safe
+        return HPolytope._computed(H, b)
+    return HPolytope._computed(H[~removed], b[~removed])
 
 
 def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -318,6 +348,8 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     first, clear = _first_hits(H, H, slack, removed)  # rays along the row normals
     known[first[clear]] = True
     wide = np.zeros(k, dtype=bool)
+    if known.all():  # every row is a facet, as on most C-set shadows: no LP
+        return wide
     faulted = np.zeros(k, dtype=bool)
     while True:
         todo = np.flatnonzero(~(known | removed | wide | faulted))
@@ -367,15 +399,17 @@ def _solve_or_none(c: np.ndarray, A: np.ndarray, b: np.ndarray):
         return None
 
 
-def _interior_point(H: np.ndarray, b: np.ndarray):
-    """A point inside ``{x | H x <= b}`` and a lower bound on its clearance.
+def _interior_slack(H: np.ndarray, b: np.ndarray):
+    """Row slacks ``b - H c`` at a point ``c`` inside ``{x | H x <= b}``, and
+    a lower bound on the clearance of ``c``.
 
-    The origin when every offset exceeds ``feas``; otherwise the Chebyshev
-    centre, with the radius capped at 1 so unbounded sets stay bounded LPs.
+    ``c`` is the origin, whose slacks are ``b`` itself, when every offset
+    exceeds ``feas``; otherwise the Chebyshev centre, with the radius capped
+    at 1 so unbounded sets stay bounded LPs.
     """
     n = H.shape[1]
-    if np.all(b > TOL.feas):
-        return np.zeros(n), float(np.min(b))
+    if (b > TOL.feas).all():
+        return b, float(b.min())
     objective = np.zeros(n + 1)
     objective[n] = 1.0
     lower = np.full(n + 1, -np.inf)
@@ -387,7 +421,7 @@ def _interior_point(H: np.ndarray, b: np.ndarray):
     )
     if out.status is LpStatus.INFEASIBLE:
         raise EmptySetError("cannot reduce an empty polytope")
-    return out.x[:n], out.value
+    return b - H @ out.x[:n], out.value
 
 
 def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
@@ -401,29 +435,31 @@ def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore
     even under the ``feas`` redundancy test. Rays are traced in blocks of
     ``_RAY_BLOCK``, which bounds the temporary arrays.
     """
-    first = np.empty(directions.shape[0], dtype=np.intp)
-    clear = np.empty(directions.shape[0], dtype=bool)
-    for start in range(0, directions.shape[0], _RAY_BLOCK):
-        block = slice(start, start + _RAY_BLOCK)
-        dots = directions[block] @ H.T
-        dots[:, ignore] = 0.0
-        t = np.divide(slack, dots, out=np.full_like(dots, np.inf), where=dots > 0.0)
-        rays = np.arange(t.shape[0])
-        hit = np.argmin(t, axis=1)
-        t_first = t[rays, hit]
-        t[rays, hit] = np.inf
-        first[block] = hit
-        clear[block] = dots[rays, hit] * (np.min(t, axis=1) - t_first) > 10.0 * TOL.feas
-    return first, clear
+    if directions.shape[0] > _RAY_BLOCK:
+        blocks = [
+            _first_hits(directions[start : start + _RAY_BLOCK], H, slack, ignore)
+            for start in range(0, directions.shape[0], _RAY_BLOCK)
+        ]
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    dots = directions @ H.T
+    dots[:, ignore] = 0.0
+    t = np.divide(slack, dots, out=np.full(dots.shape, np.inf), where=dots > 0.0)
+    rays = np.arange(t.shape[0])
+    hit = t.argmin(axis=1)
+    t_first = t[rays, hit]
+    t[rays, hit] = np.inf
+    return hit, dots[rays, hit] * (t.min(axis=1) - t_first) > 10.0 * TOL.feas
 
 
 def _collapse_parallel(H: np.ndarray, b: np.ndarray):
     """Keep only the tightest offset among facets sharing an identical normal."""
-    keys = np.vstack([b[None, :], H.T[::-1]])  # lexsort: H columns first, offset last
+    keys = np.concatenate((b[None, :], H.T[::-1]))  # lexsort: H columns first, offset last
     order = np.lexsort(keys)
     H, b = H[order], b[order]
     # equal normals are adjacent, and the first row of a run has the smallest offset
-    keep = np.concatenate([[True], np.any(H[1:] != H[:-1], axis=1)])
+    keep = np.empty(b.size, dtype=bool)
+    keep[0] = True
+    (H[1:] != H[:-1]).any(axis=1, out=keep[1:])
     return H[keep], b[keep]
 
 
@@ -441,9 +477,19 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     removal thus never lets the row count grow, and the facet cap keeps its
     meaning. An elimination can produce hundreds of rows of which a few
     dozen are facets; :func:`remove_redundancy` tests each row only against
-    the facets found so far (Clarkson's algorithm). FM combines two unit rows with positive weights, and the
-    combined normal is no longer than the sum of the weights, so no
-    normalized offset falls below the smallest input offset. When every
+    the facets found so far (Clarkson's algorithm).
+
+    An elimination lists first the rows with a zero coefficient on the
+    eliminated coordinate, in order, then, for each row ``i`` with a
+    positive coefficient ``c_i``, in order, its combination ``-c_j * row_i +
+    c_i * row_j`` with each row ``j`` of negative coefficient ``c_j``, in
+    order; all combinations are formed as one array. Rows whose normal
+    vanishes are dropped: one with an offset below ``-feas`` raises
+    ``EmptySetError``, and no row left raises ``UnboundedSetError``.
+
+    FM combines two unit rows with positive weights, and the combined
+    normal is no longer than the sum of the weights, so no normalized
+    offset falls below the smallest input offset. When every
     offset of ``p`` exceeds ``feas`` (the lift of C-sets), the origin thus
     serves as the interior point of every reduction with no LP. Otherwise
     each reduction's rows get a Chebyshev-centre LP, and flat intermediate
@@ -455,40 +501,44 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     H, b = p.H, p.b
     for col in range(p.dim - 1, keep - 1, -1):
         coeff = H[:, col]
-        pos = np.flatnonzero(coeff > _ZERO_ROW)
-        neg = np.flatnonzero(coeff < -_ZERO_ROW)
-        zero = np.flatnonzero(np.abs(coeff) <= _ZERO_ROW)
-        n_new = zero.size + pos.size * neg.size
+        pos = coeff > _ZERO_ROW
+        neg = coeff < -_ZERO_ROW
+        zero = ~(pos | neg)
+        c_pos = coeff[pos]
+        c_neg = -coeff[neg]
+        n_zero = np.count_nonzero(zero)
+        n_new = n_zero + c_pos.size * c_neg.size
         if n_new > cap:
             raise FacetBudgetError(
                 f"projection would create {n_new} facets (cap {cap}; set {_FACET_CAP_ENV})"
             )
-        rows = [np.hstack([H[zero][:, :col], b[zero][:, None]])]
-        for ip in pos:
-            cp = coeff[ip]
-            combo_H = (-coeff[neg])[:, None] * H[ip, :col][None, :] + cp * H[neg][:, :col]
-            combo_b = (-coeff[neg]) * b[ip] + cp * b[neg]
-            rows.append(np.hstack([combo_H, combo_b[:, None]]))
-        stacked = np.vstack(rows) if rows else np.zeros((0, col + 1))
-        H, b = stacked[:, :col], stacked[:, col]
-        norms = np.sqrt(np.sum(H * H, axis=1))
+        rows = np.concatenate((b[:, None], H[:, :col]), axis=1)  # offset, then kept coordinates
+        new = np.empty((n_new, col + 1))
+        new[:n_zero] = rows[zero]
+        # row i * c_neg.size + j: c_neg[j] * (positive row i) + c_pos[i] * (negative row j)
+        new[n_zero:] = (
+            c_neg[None, :, None] * rows[pos, None] + c_pos[:, None, None] * rows[None, neg]
+        ).reshape(-1, col + 1)
+        norms = _row_norms(new[:, 1:])
         trivial = norms <= _ZERO_ROW
-        if np.any(b[trivial] < -TOL.feas):
-            raise EmptySetError("projection input is empty")
-        H, b = H[~trivial], b[~trivial]
-        if H.shape[0] == 0:
+        if trivial.any():
+            if (new[trivial, 0] < -TOL.feas).any():
+                raise EmptySetError("projection input is empty")
+            new, norms = new[~trivial], norms[~trivial]
+        if norms.size == 0:
             raise UnboundedSetError("projection shadow is unconstrained")
-        shadow = HPolytope(H, b)
+        shadow = HPolytope._computed(new[:, 1:], new[:, 0], norms)
+        H, b = shadow.H, shadow.b
         if col > keep:
-            nxt = shadow.H[:, col - 1]
-            pos = np.count_nonzero(nxt > _ZERO_ROW)
-            neg = np.count_nonzero(nxt < -_ZERO_ROW)
-            if pos * neg <= pos + neg:  # the next elimination cannot add rows
-                H, b = _collapse_parallel(shadow.H, shadow.b)
+            nxt = H[:, col - 1]
+            n_pos = np.count_nonzero(nxt > _ZERO_ROW)
+            n_neg = np.count_nonzero(nxt < -_ZERO_ROW)
+            if n_pos * n_neg <= n_pos + n_neg:  # the next elimination cannot add rows
+                H, b = _collapse_parallel(H, b)
                 continue
         shadow = remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
-    return HPolytope(H, b)
+    return HPolytope._computed(H, b)
 
 
 def vertices(p: HPolytope) -> list[np.ndarray]:

@@ -599,6 +599,142 @@ class TestProjection:
             oracle = max(float(a @ v[:2]) for v in lifted_verts)
             assert support(shadow, a) == pytest.approx(oracle, abs=1e-7)
 
+    def test_unconstrained_shadow_raises(self):
+        # -2 <= y <= -1 leaves x free: the only combination is the trivial 0 <= 1
+        with pytest.raises(UnboundedSetError, match="projection shadow is unconstrained"):
+            project(HPolytope([[0.0, 1.0], [0.0, -1.0]], [-1.0, 2.0]), 1)
+
+    def test_empty_input_raises(self):
+        # y >= 2 and y <= 1 combine to the trivial row 0 <= -1
+        with pytest.raises(EmptySetError, match="projection input is empty"):
+            project(HPolytope([[1.0, 1.0], [0.0, -1.0], [0.0, 1.0]], [1.0, -2.0, 1.0]), 1)
+
+    def test_trivial_row_at_second_elimination(self):
+        # eliminating z combines z <= 1 and x - z <= 1 into x <= 2, no
+        # trivial row; eliminating y then combines y <= c and -y <= c into
+        # 0 <= 2c, dropped when c = 1 and empty when c = -1
+        H = [
+            [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 0.0, 0.0]
+        ]
+        shadow = project(HPolytope(H, [1.0, 1.0, 1.0, 1.0, 1.0]), 1)
+        assert shadow.H.tolist() == [[-1.0], [1.0]]
+        assert shadow.b.tolist() == pytest.approx([1.0, 2.0], abs=1e-15)
+        with pytest.raises(EmptySetError, match="projection input is empty"):
+            project(HPolytope(H, [-1.0, -1.0, 1.0, 1.0, 1.0]), 1)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(["dense", "sparse"]),
+        st.sampled_from(["c-set", "shifted"]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bit_identical_to_reference_loop(self, seed, n, m, inputs, offsets):
+        # the rows handed to each reduction, in order, and the shadow's bits
+        # (or the error) equal those of the per-row elimination loop
+        p = lifted_case(np.random.default_rng(seed), n, m, inputs, offsets)
+        assert _traced_projection(project, p, n) == _traced_projection(_reference_project, p, n)
+
+
+def lifted_case(rng, n, m, inputs, offsets):
+    """A lifted (x, u) polytope like ``one_step_set``'s: box X and U, a
+    target D with random cuts, dense or sparse B (one state per input, with
+    zero coefficients), some rows duplicated, some with a looser offset.
+    The box rows of U always combine into trivial rows. "shifted" offsets
+    may leave the set empty or unbounded."""
+    A = rng.uniform(-1.2, 1.2, size=(n, n))
+    if inputs == "dense":
+        B = rng.uniform(-1.0, 1.0, size=(n, m))
+    else:
+        B = np.zeros((n, m))
+        B[rng.integers(n, size=m), np.arange(m)] = rng.uniform(0.5, 1.0, size=m)
+    X = symmetric_box(rng.uniform(2.0, 5.0, size=n))
+    U = symmetric_box(rng.uniform(0.5, 1.5, size=m))
+    D = random_cset(rng, n, extra_facets=int(rng.integers(0, 4)))
+    H = np.zeros((X.nfacets + U.nfacets + D.nfacets, n + m))
+    H[: X.nfacets, :n] = X.H
+    H[X.nfacets : X.nfacets + U.nfacets, n:] = U.H
+    H[X.nfacets + U.nfacets :] = np.hstack([D.H @ A, D.H @ B])
+    b = np.concatenate([X.b, U.b, rng.uniform(0.3, 1.0) * D.b])
+    copies = rng.integers(H.shape[0], size=int(rng.integers(0, 4)))
+    H = np.vstack([H, H[copies]])
+    b = np.concatenate([b, b[copies] + rng.choice([0.0, 0.5], size=copies.size)])
+    if offsets == "shifted":
+        keep = rng.random(H.shape[0]) > 0.2
+        H, b = H[keep], b[keep] - rng.uniform(0.0, 1.5, size=np.count_nonzero(keep))
+    return HPolytope(H, b)
+
+
+def _traced_projection(fn, p, keep):
+    """``fn(p, keep)``'s shadow bits, or its error class and message, and
+    the rows handed to each parallel-row collapse and reduction, in order."""
+    seen = []
+    collapse, reduce = polytope_module._collapse_parallel, polytope_module.remove_redundancy
+
+    def traced_collapse(H, b):
+        seen.append((H.tobytes(), b.tobytes()))
+        return collapse(H, b)
+
+    def traced_reduce(q):
+        seen.append((q.H.tobytes(), q.b.tobytes()))
+        return reduce(q)
+
+    with mock.patch.object(polytope_module, "_collapse_parallel", traced_collapse), \
+            mock.patch.object(polytope_module, "remove_redundancy", traced_reduce):
+        try:
+            shadow = fn(p, keep)
+        except ContractaError as exc:
+            return type(exc), str(exc), seen
+    return shadow.H.tobytes(), shadow.b.tobytes(), seen
+
+
+def _reference_project(p, keep):
+    """The per-row Fourier-Motzkin loop that whole-array eliminations
+    replaced, kept verbatim as the bit-identity reference (module names
+    qualified, so that tracing patches reach it)."""
+    pm = polytope_module
+    if not 1 <= keep < p.dim:
+        raise ValidationError(f"keep must be in [1, {p.dim - 1}]")
+    cap = pm._facet_cap()
+    H, b = p.H, p.b
+    for col in range(p.dim - 1, keep - 1, -1):
+        coeff = H[:, col]
+        pos = np.flatnonzero(coeff > pm._ZERO_ROW)
+        neg = np.flatnonzero(coeff < -pm._ZERO_ROW)
+        zero = np.flatnonzero(np.abs(coeff) <= pm._ZERO_ROW)
+        n_new = zero.size + pos.size * neg.size
+        if n_new > cap:
+            raise FacetBudgetError(
+                f"projection would create {n_new} facets (cap {cap}; set {pm._FACET_CAP_ENV})"
+            )
+        rows = [np.hstack([H[zero][:, :col], b[zero][:, None]])]
+        for ip in pos:
+            cp = coeff[ip]
+            combo_H = (-coeff[neg])[:, None] * H[ip, :col][None, :] + cp * H[neg][:, :col]
+            combo_b = (-coeff[neg]) * b[ip] + cp * b[neg]
+            rows.append(np.hstack([combo_H, combo_b[:, None]]))
+        stacked = np.vstack(rows) if rows else np.zeros((0, col + 1))
+        H, b = stacked[:, :col], stacked[:, col]
+        norms = np.sqrt(np.sum(H * H, axis=1))
+        trivial = norms <= pm._ZERO_ROW
+        if np.any(b[trivial] < -TOL.feas):
+            raise EmptySetError("projection input is empty")
+        H, b = H[~trivial], b[~trivial]
+        if H.shape[0] == 0:
+            raise UnboundedSetError("projection shadow is unconstrained")
+        shadow = HPolytope(H, b)
+        if col > keep:
+            nxt = shadow.H[:, col - 1]
+            pos = np.count_nonzero(nxt > pm._ZERO_ROW)
+            neg = np.count_nonzero(nxt < -pm._ZERO_ROW)
+            if pos * neg <= pos + neg:  # the next elimination cannot add rows
+                H, b = pm._collapse_parallel(shadow.H, shadow.b)
+                continue
+        shadow = pm.remove_redundancy(shadow)
+        H, b = shadow.H, shadow.b
+    return HPolytope(H, b)
+
 
 class TestVertices:
     def test_square(self):
