@@ -13,8 +13,8 @@ facets found so far); the flat-set fallback of ``remove_redundancy`` and
 ``membership_certificate`` build a few hundred. At that size a dense tableau
 wins, and the cost is the fixed overhead of each call and each pivot.
 
-``solve_lp_batch`` solves many such LPs at once: support LPs of one
-polytope along many directions, or one round of redundancy tests. When no
+``solve_lp_batch`` solves many such LPs at once: support LPs of one or more
+polytopes along many directions, or one round of redundancy tests. When no
 offset is negative the slack basis is feasible, so phase 1 is skipped, and
 the LPs are pivoted in lockstep, one Bland pivot of every unfinished LP per
 step, with the array operations of ``_iterate`` and ``_pivot`` applied along
@@ -32,7 +32,9 @@ Invariant: a kernel change must keep the pivot sequence and every
 floating-point operation, so each ``LpOutcome`` stays bit-identical for
 every input; ``tests/test_lp.py`` checks this against a reference copy. The
 same holds for the batched entry: each of its outcomes is bit-identical to
-``solve_lp`` on that LP alone, signed zeros included (checked there too).
+``solve_lp`` on that LP alone, signed zeros included, and an LP faults in a
+batch exactly when ``solve_lp`` raises on it (checked there too). A fault
+is kept per LP: the other LPs of the batch keep their outcomes.
 """
 
 from __future__ import annotations
@@ -137,8 +139,21 @@ def solve_lp_batch(objectives, A, b) -> list[LpOutcome]:
     stack, and ``b`` likewise ``k`` or ``L x k``. When no offset is
     negative the slack basis is feasible, and at least ``_LOCKSTEP_MIN``
     LPs are solved in lockstep, in chunks of about ``_BATCH_BYTES`` of
-    tableau; otherwise they are solved one at a time.
+    tableau; otherwise they are solved one at a time. An LP that faults
+    (``solve_lp`` raises ``ComputationError`` on it) raises here too: the
+    first such LP in input order.
     """
+    outcomes = _solve_batch(objectives, A, b)
+    for out in outcomes:
+        if isinstance(out, ComputationError):
+            raise out
+    return outcomes
+
+
+def _solve_batch(objectives, A, b) -> list:
+    """``solve_lp_batch``'s outcomes, with the ``ComputationError`` of each
+    LP that faults in its place instead of raising; the other LPs keep their
+    outcomes."""
     C = np.asarray(objectives, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -153,8 +168,8 @@ def solve_lp_batch(objectives, A, b) -> list[LpOutcome]:
         raise _misfit(C, A, b)
     if L < _LOCKSTEP_MIN or A.shape[-2] == 0 or (b < 0.0).any():
         if stacked:
-            return [solve_lp(LinearProgram(c, a, r)) for c, a, r in zip(C, A, b)]
-        return [solve_lp(LinearProgram(c, A, b)) for c in C]
+            return [_solve_or_fault(c, a, r) for c, a, r in zip(C, A, b)]
+        return [_solve_or_fault(c, A, b) for c in C]
     n, k = C.shape[1], A.shape[-2]
     if n == 0 or A.shape[-1] != n or b.shape[-1] != k:
         raise _misfit(C, A, b)
@@ -164,18 +179,27 @@ def solve_lp_batch(objectives, A, b) -> list[LpOutcome]:
         A = np.broadcast_to(A, (L, k, n))
         b = np.broadcast_to(b, (L, k))
     chunk = max(1, _BATCH_BYTES // (8 * (k + 1) * (2 * n + 1)))
-    outcomes: list[LpOutcome] = []
+    outcomes: list = []
     for start in range(0, L, chunk):
         part = slice(start, start + chunk)
         outcomes.extend(_lockstep(C[part], A[part], b[part]))
     return outcomes
 
 
+def _solve_or_fault(c: np.ndarray, A: np.ndarray, b: np.ndarray):
+    """``solve_lp`` outcome of ``max c.x`` over ``A x <= b``, or the
+    ``ComputationError`` it raises."""
+    try:
+        return solve_lp(LinearProgram(c, A, b))
+    except ComputationError as exc:
+        return exc
+
+
 def _misfit(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> DimensionError:
     return DimensionError(f"LP data of shapes {C.shape}, {A.shape} and {b.shape} do not fit")
 
 
-def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
+def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
     """Phase 2 of ``_two_phase`` from the slack basis for a stack of LPs, one
     pivot of every unfinished LP per step, with ``_iterate``'s Bland rule and
     ``_pivot``'s floating-point operations.
@@ -188,6 +212,9 @@ def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
     are pivoted with the other rows, before ``_pivot`` turns ``-0`` entries
     of the pivot row into ``+0``; they are only compared with ``opt``, so the
     sign of a zero among them changes nothing.
+
+    An LP that faults gets the ``ComputationError`` that ``solve_lp`` would
+    raise on it in its place; the other LPs go on.
     """
     L, k, n = A.shape
     m = 2 * n + k
@@ -200,7 +227,7 @@ def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
     tab[:, k, -1] = 0.0
     nonbasic = np.tile(np.arange(2 * n), (L, 1))  # variable id of each slot
     basis = np.tile(np.arange(2 * n, m), (L, 1))
-    outcomes: list[LpOutcome | None] = [None] * L
+    outcomes: list[LpOutcome | ComputationError | None] = [None] * L
     live = np.arange(L)  # position of each unfinished LP in the input
     lanes = np.arange(L)
     first_rows = lanes * (k + 1)  # row of each LP's first constraint in ``flat``
@@ -249,19 +276,18 @@ def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list[LpOutcome]:
         tab -= product
         nonbasic[lanes, slot] = basis[lanes, leave]
         basis[lanes, leave] = enter
-    raise ComputationError("simplex exceeded the pivot budget")
+    for l in live.tolist():
+        outcomes[l] = ComputationError("simplex exceeded the pivot budget")
+    return outcomes
 
 
 def _finish(outcomes, where, optimal, X, C, A, b) -> None:
     """Store the outcomes of finished lockstep LPs (``X`` their basic
-    solutions), with ``solve_lp``'s residual check on each optimal point."""
+    solutions), with ``solve_lp``'s residual check on each optimal point; an
+    LP that fails it gets ``solve_lp``'s error instead."""
     bw = b[where]
     residual = np.maximum((A[where] @ X[:, :, None])[:, :, 0] - bw, 0.0).max(axis=1)
     scale = np.maximum(np.abs(bw).max(axis=1), 1.0)
-    infeasible = np.flatnonzero(optimal & (residual > TOL.feas * scale))
-    if infeasible.size:
-        worst = residual[infeasible[0]]
-        raise ComputationError(f"simplex returned an infeasible point (residual {worst:.3e})")
     # stacked 1 x n by n x 1 products take the dot-product path of ``c @ x``
     values = (C[where][:, None, :] @ X[:, :, None])[:, 0, 0].tolist()
     for l, opt, value, x in zip(where.tolist(), optimal.tolist(), values, X):
@@ -269,6 +295,10 @@ def _finish(outcomes, where, optimal, X, C, A, b) -> None:
             outcomes[l] = LpOutcome(LpStatus.OPTIMAL, value, x)
         else:
             outcomes[l] = LpOutcome(LpStatus.UNBOUNDED, np.inf, None)
+    for i in np.flatnonzero(optimal & (residual > TOL.feas * scale)).tolist():
+        outcomes[where[i]] = ComputationError(
+            f"simplex returned an infeasible point (residual {residual[i]:.3e})"
+        )
 
 
 def _two_phase(c: np.ndarray, A: np.ndarray, b: np.ndarray):

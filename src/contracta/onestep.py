@@ -114,6 +114,11 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     and its offsets (those of X, U and ``lam * D``) must be positive, which
     makes the shadow's positive too (see :func:`project`). A target without
     the origin in its interior raises ``OriginNotInteriorError``.
+
+    A C-set target whose shadow has its ``H`` and ``b`` bits is returned
+    itself, memo included. The shadow is a function of those bits alone, so
+    from such a target every later step is the target again (see
+    :func:`_project`).
     """
     lam = _check_lambda(lam)
     if D.dim != sys.n:
@@ -129,19 +134,33 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     if not np.all(lifted_b > 0.0):
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
     shadow = project(HPolytope(lifted_H, lifted_b), sys.n)
-    return CSetPolytope._computed(shadow.H, shadow.b)
+    q = CSetPolytope._computed(shadow.H, shadow.b)
+    if (
+        isinstance(D, CSetPolytope)
+        and q.b.tobytes() == D.b.tobytes()
+        and q.H.tobytes() == D.H.tobytes()
+    ):
+        return D
+    return q
 
 
-def _step(
-    sys: SystemModel, lam: float, prev: CSetPolytope, seed_label: SeedLabel, step: int
+def _project(
+    sys: SystemModel, lam: float, before: CSetPolytope | None, prev: CSetPolytope
 ) -> CSetPolytope:
-    """Step ``step`` of a labelled sequence: ``one_step_set(sys, lam, prev)``,
-    verified to lie in ``prev`` (from the state set) or to contain it (from a
-    contractive seed); the test's supports stay in the inner set's memo. From
-    a contractive seed, step 1 is the seed's contractiveness test
+    """The entry after ``prev`` of a one-step sequence whose entry before
+    ``prev`` is ``before`` (None at the start): ``prev`` itself, with no
+    projection, once the sequence is stationary (``prev is before``, see
+    :func:`one_step_set`), else ``one_step_set(sys, lam, prev)``."""
+    return prev if prev is before else one_step_set(sys, lam, prev)
+
+
+def _verify(lam: float, prev: CSetPolytope, nxt: CSetPolytope, seed_label: SeedLabel, step: int):
+    """Check step ``step`` of a labelled sequence, ``prev`` to ``nxt``: ``nxt``
+    lies in ``prev`` (from the state set) or contains it (from a contractive
+    seed); the test's supports stay in the inner set's memo. From a
+    contractive seed, step 1 is the seed's contractiveness test
     (``SeedNotContractiveError``); any other failure is a numerical fault.
     """
-    nxt = one_step_set(sys, lam, prev)
     nests = seed_label is SeedLabel.FROM_STATE_SET
     if not (is_subset(nxt, prev) if nests else is_subset(prev, nxt)):
         if not nests and step == 1:
@@ -150,7 +169,6 @@ def _step(
             "from a contractive seed failed to expand"
         )
         raise ComputationError(f"sequence {what} at step {step}")
-    return nxt
 
 
 def iterate(
@@ -162,21 +180,26 @@ def iterate(
 ) -> SetSequence:
     """Entries ``0..k`` of the iterated one-step sequence started at ``D``.
 
-    When the seed label is known the per-step inclusion (shrinking from the
-    state set, expanding from a contractive seed) is verified; a violation
-    indicates a numerical fault and raises, except that a seed failing
-    step 1 is not contractive (see :func:`_step`).
+    Each entry is projected from the one before (:func:`_project`), and when
+    the seed label is known the step is verified (:func:`_verify`): shrinking
+    from the state set, expanding from a contractive seed. A violation
+    indicates a numerical fault and raises, except that a seed failing step
+    1 is not contractive. Once a step returns its target, the sequence is
+    stationary: the later entries are that object, neither projected nor
+    verified again.
     """
     lam = _check_lambda(lam)
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")
     seq = SetSequence(lam=lam, entries=[D], seed_label=seed_label)
-    for j in range(k):
+    before = None
+    for j in range(1, k + 1):
         prev = seq.entries[-1]
-        if seed_label is None:
-            seq.entries.append(one_step_set(sys, lam, prev))
-        else:
-            seq.entries.append(_step(sys, lam, prev, seed_label, j + 1))
+        nxt = _project(sys, lam, before, prev)
+        if seed_label is not None and prev is not before:
+            _verify(lam, prev, nxt, seed_label, j)
+        seq.entries.append(nxt)
+        before = prev
     return seq
 
 

@@ -29,13 +29,21 @@ from .certificate import ContractionCertificate, compute_certificate
 from .config import TOL
 from .errors import (
     ComputationError,
+    ContractaError,
     IterationBudgetError,
     SeedNotContractiveError,
     ValidationError,
 )
 from .metric import set_distance
-from .onestep import SeedLabel, SystemModel, _step, is_lambda_contractive
-from .polytope import CSetPolytope, support_many
+from .onestep import (
+    SeedLabel,
+    SystemModel,
+    _project,
+    _verify,
+    is_lambda_contractive,
+    one_step_set,
+)
+from .polytope import CSetPolytope, _support_lps, support_many
 
 _CEIL_NUDGE = 1e-12
 
@@ -190,6 +198,17 @@ def select_lambda(
     return replace(base, lam=lam, certificate=cert, case="ii", **rate_plan)
 
 
+def _pool(*pairs) -> None:
+    """Memoize the support LPs of every ``(polytope, directions)`` pair, the
+    misses solved as one batch. An LP that faults stays out of the memo: the
+    check that reads it solves it again and raises in the order of a step
+    taken one LP at a time."""
+    try:
+        _support_lps(pairs)
+    except ComputationError:
+        pass
+
+
 def approximate_cmax1(
     sys: SystemModel,
     plan: IterationPlan,
@@ -199,26 +218,55 @@ def approximate_cmax1(
     """Execute a plan and return the terminal contractive set.
 
     Both strategies advance the seed and state-set sequences jointly, each
-    step verified as in :func:`iterate`. The seed's first step is the gate:
-    it raises ``SeedNotContractiveError`` unless C lies in its one-step set,
+    step projected and verified as in :func:`iterate`, a stationary sequence
+    carried forward unprojected. The seed's first step is the gate: it
+    raises ``SeedNotContractiveError`` unless C lies in its one-step set,
     even for ``plan.k == 0``. Each step records facet counts, the distance
     between the seed and state iterates and the inclusion slack of the state
-    iterate inside ``(1 + eps)`` times the seed iterate; the slack and the
-    distance share ``state_j``'s memoized supports along ``seed_j``'s facets,
-    and the steps' inclusion tests leave others in both iterates' memos. The
-    a-priori strategy runs exactly ``plan.k`` steps; the adaptive strategy
-    stops at the first step where the inclusion is observed (never later
-    than ``plan.k``). The terminal set's contractiveness is re-verified.
+    iterate inside ``(1 + eps)`` times the seed iterate.
+
+    A step first projects both iterates, then solves every support LP it
+    needs that is not memoized yet as one batch (:func:`_pool`): the two
+    verifications, the slack (``state_j`` along ``seed_j``'s facets, which
+    is also one side of the distance) and the other side of the distance.
+    The checks then run in the order of a step taken one LP at a time, on
+    the memos, so a step raises what that order raises: the seed's errors
+    before the state's. The a-priori strategy runs exactly ``plan.k``
+    steps; the adaptive strategy stops at the first step where the inclusion
+    is observed (never later than ``plan.k``). The terminal set's
+    contractiveness is re-verified.
     """
     lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
-    gate = _step(sys, lam, C, SeedLabel.CONTRACTIVE, 1)
+    gate = one_step_set(sys, lam, C)
+    _pool((C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H))
+    _verify(lam, C, gate, SeedLabel.CONTRACTIVE, 1)
+    seed_before = state_before = None
     seed_j, state_j = C, sys.X
     records: list[dict] = []
     for j in range(plan.k + 1):
         if j > 0:
-            seed_j = gate if j == 1 else _step(sys, lam, seed_j, SeedLabel.CONTRACTIVE, j)
-            state_j = _step(sys, lam, state_j, SeedLabel.FROM_STATE_SET, j)
+            # the gate is step 1 of the seed; a step projects unless stationary
+            seed_new = j > 1 and seed_j is not seed_before
+            state_new = state_j is not state_before
+            seed_before, seed_j = seed_j, (
+                gate if j == 1 else _project(sys, lam, seed_before, seed_j)
+            )
+            try:
+                state_before, state_j = state_j, _project(sys, lam, state_before, state_j)
+            except ContractaError:
+                if seed_new:
+                    _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
+                raise
+            _pool(
+                (seed_before, seed_j.H),
+                (state_j, np.concatenate((state_before.H, seed_j.H))),
+                (seed_j, state_j.H),
+            )
+            if seed_new:
+                _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
+            if state_new:
+                _verify(lam, state_before, state_j, SeedLabel.FROM_STATE_SET, j)
         slack = float(np.max(support_many(state_j, seed_j.H) - one_plus_eps * seed_j.b))
         distance = set_distance(seed_j, state_j)
         records.append(
@@ -252,7 +300,8 @@ def approximate_cmax1(
             "relation": "terminal_set_contractive",
             "step": stop,
             "slack": 0.0,
-            "holds": is_lambda_contractive(sys, lam, terminal),
+            # a stationary seed passed this test when its step returned it
+            "holds": seed_j is seed_before or is_lambda_contractive(sys, lam, terminal),
         },
     ]
     if not relations[-1]["holds"]:

@@ -20,10 +20,13 @@ rows already: the recomputed norm is 1 only up to an ulp, so the division
 is not idempotent, and one division fewer would move the bits of results.
 
 Facet data are immutable after construction. Each polytope memoizes its
-support LP outcomes by direction and by the LP tolerances in force; an
+support LP outcomes by the LP tolerances in force and then by direction; an
 outcome is what any re-solve would give, so memo writes are idempotent and a
-polytope is safe to share across threads. Construction renormalizes rows, so
-no memo passes to another polytope, not even one built from the same rows.
+polytope is safe to share across threads. A memo is filled by whichever
+batch solved the LP: the polytope's own, or one pooled over several
+polytopes (the planner's steps). Construction renormalizes rows, so no memo
+passes to another polytope, not even one built from the same rows; a
+one-step set equal to its target is the target object, memo included.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .lp import LinearProgram, LpStatus, solve_lp, solve_lp_batch
+from .lp import _LOCKSTEP_MIN, LinearProgram, LpStatus, _solve_batch, _solve_or_fault, solve_lp
 
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
@@ -155,7 +158,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
-        probe = _support_lps(p, np.zeros((1, p.dim)))[0]
+        probe = _support_lps([(p, np.zeros((1, p.dim)))])[0][0]
         if probe.status is LpStatus.INFEASIBLE:
             raise EmptyInteriorError("polytope is empty")
     axis = _unbounded_axis(p)
@@ -169,7 +172,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
 def _unbounded_axis(p: HPolytope) -> int | None:
     """First coordinate along which ``p`` is unbounded, in either sign."""
     eye = np.eye(p.dim)
-    outcomes = _support_lps(p, np.concatenate((eye, -eye)))
+    (outcomes,) = _support_lps([(p, np.concatenate((eye, -eye)))])
     unbounded = [out.status is LpStatus.UNBOUNDED for out in outcomes]
     axes = np.flatnonzero(np.logical_or(unbounded[: p.dim], unbounded[p.dim :]))
     return int(axes[0]) if axes.size else None
@@ -180,7 +183,7 @@ def support(p: HPolytope, direction) -> float:
     a = np.asarray(direction, dtype=float).ravel()
     if a.size != p.dim:
         raise DimensionError("direction dimension mismatch")
-    return _support_value(_support_lps(p, a[None, :])[0])
+    return _support_value(_support_lps([(p, a[None, :])])[0][0])
 
 
 def support_many(p: HPolytope, directions) -> np.ndarray:
@@ -190,25 +193,74 @@ def support_many(p: HPolytope, directions) -> np.ndarray:
     row whose LP is unbounded or infeasible; LPs not in the memo run as one
     batch.
     """
-    return np.array([_support_value(out) for out in _support_lps(p, directions)])
+    (outcomes,) = _support_lps([(p, directions)])
+    return np.array([_support_value(out) for out in outcomes])
 
 
-def _support_lps(p: HPolytope, directions) -> list:
-    """Support LP outcomes of ``p`` along each row of ``directions``, from
-    ``p``'s memo; the new directions are solved once each, in one batch.
-    Optimal points are read-only, as callers hand them out as witnesses."""
-    directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape[1] != p.dim:
-        raise DimensionError("direction dimension mismatch")
+def _support_lps(pairs) -> list:
+    """Support LP outcomes of each polytope ``p`` along each row of its
+    ``directions``, for every ``(p, directions)`` of ``pairs``, as one list
+    per pair, from the polytopes' memos.
+
+    A memo is keyed by the LP tolerances in force, then by the direction's
+    bytes, sliced once from the directions' buffer. The misses of all pairs
+    are solved in one batch (:func:`_solve_misses`); an LP that faults stays
+    out of the memo, and once the others are stored the first such LP, in
+    pair and row order, raises its ``ComputationError``. Pairs should hold
+    distinct polytopes: a direction two pairs of one polytope miss is solved
+    twice. Optimal points are read-only, as callers hand them out as
+    witnesses.
+    """
     tol = (TOL.feas, TOL.opt, TOL.pivot)
-    keys = [tol + (d.tobytes(),) for d in directions]
-    memo = p._memo
-    todo = {key: i for i, key in enumerate(keys) if key not in memo}  # a row per new key
-    for key, out in zip(todo, solve_lp_batch(directions[list(todo.values())], p.H, p.b)):
-        if out.x is not None:
-            out.x.setflags(write=False)
-        memo[key] = out
-    return [memo[key] for key in keys]
+    keyed, todos, misses = [], [], []
+    for p, directions in pairs:
+        directions = np.asarray(directions, dtype=float)
+        if directions.ndim != 2 or directions.shape[1] != p.dim:
+            raise DimensionError("direction dimension mismatch")
+        raw, width = directions.tobytes(), 8 * p.dim
+        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+        memo = p._memo.setdefault(tol, {})
+        keyed.append((memo, keys))
+        todo = {key: i for i, key in enumerate(keys) if key not in memo}  # a row per new key
+        if todo:
+            todos.append((memo, todo))
+            misses.append((p, directions[list(todo.values())]))
+    fault = None
+    for (memo, todo), outs in zip(todos, _solve_misses(misses)):
+        for key, out in zip(todo, outs):
+            if isinstance(out, ComputationError):
+                fault = fault or out
+                continue
+            if out.x is not None:
+                out.x.setflags(write=False)
+            memo[key] = out
+    if fault is not None:
+        raise fault
+    return [[memo[key] for key in keys] for memo, keys in keyed]
+
+
+def _solve_misses(misses) -> list:
+    """``lp._solve_batch``'s outcomes of the support LPs of each ``(p,
+    directions)`` of ``misses``, one list per pair.
+
+    With a single polytope, or too few LPs for lockstep, each polytope's LPs
+    run on its own rows. Otherwise all run as one stack, each polytope's
+    rows padded to the longest with zero rows of offset 0: a zero row never
+    passes the ratio test, so its slack stays basic at 0, and the padding
+    changes no outcome's bits.
+    """
+    counts = [len(d) for _, d in misses]
+    if len(misses) < 2 or sum(counts) < _LOCKSTEP_MIN:
+        return [_solve_batch(d, p.H, p.b) for p, d in misses]
+    ends = list(itertools.accumulate(counts))
+    k = max(p.nfacets for p, _ in misses)
+    A = np.zeros((ends[-1], k, misses[0][0].dim))
+    b = np.zeros((ends[-1], k))
+    for (p, _), end, count in zip(misses, ends, counts):
+        A[end - count : end, : p.nfacets] = p.H
+        b[end - count : end, : p.nfacets] = p.b
+    outs = _solve_batch(np.concatenate([d for _, d in misses]), A, b)
+    return [outs[end - count : end] for end, count in zip(ends, counts)]
 
 
 def _support_value(out) -> float:
@@ -263,7 +315,8 @@ def _first_exceeded(inner: HPolytope, outer: HPolytope):
     """
     if inner.dim != outer.dim:
         raise DimensionError("inclusion test across different dimensions")
-    for out, offset in zip(_support_lps(inner, outer.H), outer.b):
+    (outcomes,) = _support_lps([(inner, outer.H)])
+    for out, offset in zip(outcomes, outer.b):
         if _support_value(out) > offset + TOL.feas:
             return out
     return None
@@ -326,9 +379,11 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
         tested = np.append(np.flatnonzero(rows), i)
         trial_b = b[tested]
         trial_b[-1] += 1.0
-        out = _solve_or_none(H[i], H[tested], trial_b)
+        out = _solve_or_fault(H[i], H[tested], trial_b)
         removed[i] = (
-            out is not None and out.status is LpStatus.OPTIMAL and out.value <= b[i] + TOL.feas
+            not isinstance(out, ComputationError)
+            and out.status is LpStatus.OPTIMAL
+            and out.value <= b[i] + TOL.feas
         )
     if removed.all():  # cannot happen for a bounded set; fail safe
         return HPolytope._computed(H, b)
@@ -363,10 +418,10 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
         rhs[:, :-1] = slack[facets]
         rhs[:, -1] = slack[todo] + 1.0
         # the test set holds the interior point and caps the row: every LP is optimal
-        outs = _test_lps(H[todo], A, rhs)
-        lost = np.array([out is None for out in outs])
+        outs = _solve_batch(H[todo], A, rhs)
+        lost = np.array([isinstance(out, ComputationError) for out in outs])
         faulted[todo[lost]] = True
-        values = np.array([np.inf if out is None else out.value for out in outs])
+        values = np.array([np.inf if fault else out.value for out, fault in zip(outs, lost)])
         redundant = values <= slack[todo] + TOL.feas
         removed[todo[redundant]] = True
         beaten = np.flatnonzero(~(redundant | lost))
@@ -379,24 +434,6 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
                 known[hit] = found[hit] = True
             elif not (ok and found[hit]):
                 wide[i] = True
-
-
-def _test_lps(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
-    """``solve_lp_batch(C, A, b)``, with None for each LP that faults
-    (raises ``ComputationError``). A fault aborts the whole batch, so the LPs
-    are then solved one at a time; the others keep their bits."""
-    try:
-        return solve_lp_batch(C, A, b)
-    except ComputationError:
-        return [_solve_or_none(c, a, r) for c, a, r in zip(C, A, b)]
-
-
-def _solve_or_none(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """``solve_lp`` outcome of ``max c.x`` over ``A x <= b``, or None when it faults."""
-    try:
-        return solve_lp(LinearProgram(c, A, b))
-    except ComputationError:
-        return None
 
 
 def _interior_slack(H: np.ndarray, b: np.ndarray):

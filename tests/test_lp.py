@@ -404,6 +404,41 @@ def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
     _assert_batch_matches_solve_lp(outs, C, A, b)
 
 
+@pytest.mark.parametrize("mode", ["random", "rounded", "unbounded", "signed"])
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 40),
+    extra=st.integers(0, 32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_padded_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
+    # LP l has its first rows[l] rows, then zero rows of offset 0 up to k, as
+    # polytope._support_lps stacks the LPs of polytopes with fewer facets;
+    # some offsets are negative in "signed", which solves them one at a time
+    count = lp_module._LOCKSTEP_MIN + extra
+    C, A, b = _batch_case("random" if mode == "signed" else mode, n, k, count, seed)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(1, k + 1, size=count)
+    rows[0] = k
+    if mode == "signed":
+        b[0, rng.integers(0, k)] *= -1.0
+    padding = np.arange(k)[None, :] >= rows[:, None]
+    A[padding] = 0.0
+    b[padding] = 0.0
+    outs, sizes = _lockstep_calls(C, A, b)
+    assert sizes == ([] if mode == "signed" else [count])
+    unpadded = [solve_lp(LinearProgram(c, a[:r], o[:r])) for c, a, o, r in zip(C, A, b, rows)]
+    for out, ref in zip(outs, unpadded):
+        assert out.status is ref.status
+        assert out.value == ref.value
+        if ref.x is None:
+            assert out.x is None
+        else:
+            assert np.array_equal(out.x, ref.x)
+            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
+
+
 def _clarkson_case(n, k, count, seed):
     """Redundancy tests shaped like ``polytope._clarkson_rounds``: LP ``l``
     maximizes row ``h_l`` over ``k - 1`` shared unit facet rows and ``h_l``
@@ -465,6 +500,42 @@ def test_batch_clarkson_shaped_bit_identical_to_solve_lp(n, k, extra, seed):
     assert sum(sizes) == len(C)
     assert all(out.status is LpStatus.OPTIMAL for out in outs)  # the cap bounds every LP
     _assert_batch_matches_solve_lp(outs, C, A, b)
+
+
+@pytest.mark.parametrize("seed", [16, 38])  # batches with three faulting LPs each
+def test_lockstep_faults_are_per_lp(seed):
+    # a faulting LP gets solve_lp's error in its place, the others keep their
+    # lockstep outcomes, and solve_lp_batch raises the first fault in order
+    C, A, b = _clarkson_case(3, 60, 24, seed)
+    refs = []
+    for c, a, r in zip(C, A, b):
+        try:
+            refs.append(solve_lp(LinearProgram(c, a, r)))
+        except ComputationError as exc:
+            refs.append(str(exc))
+    faults = [l for l, ref in enumerate(refs) if isinstance(ref, str)]
+    assert len(faults) == 3
+    sizes = []
+    lockstep = lp_module._lockstep
+
+    def counted(C, A, b):
+        sizes.append(len(C))
+        return lockstep(C, A, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_lockstep", counted)
+        outs = lp_module._solve_batch(C, A, b)
+        with pytest.raises(ComputationError) as raised:
+            solve_lp_batch(C, A, b)
+    assert sizes == [len(C), len(C)]  # no LP solved again one at a time
+    assert str(raised.value) == refs[faults[0]]
+    for out, ref in zip(outs, refs):
+        if isinstance(ref, str):
+            assert isinstance(out, ComputationError) and str(out) == ref
+        else:
+            assert out.status is ref.status and out.value == ref.value
+            assert np.array_equal(out.x, ref.x)
+            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))
 
 
 def test_batch_small_or_negative_offsets_match_solve_lp():

@@ -243,6 +243,41 @@ class TestIterate:
                 scalar_state_halfwidth(k, lam), abs=1e-9
             )
 
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # (system, rate, start, label, step whose one-step set is its target)
+            (oscillator_system, 0.9, "X", SeedLabel.FROM_STATE_SET, 2),
+            (stabilizable_system, 0.8, [1.0], SeedLabel.CONTRACTIVE, 2),
+        ],
+    )
+    def test_stationary_sequence_is_carried(self, monkeypatch, case, labelled):
+        # from the step that returns its target on, every entry is that
+        # object, projected no more, with the bits a fresh projection gives
+        make, lam, start, label, fixed = case
+        sysr = make()
+        D = sysr.X if start == "X" else validate_cset(symmetric_box(start))
+        original = onestep.one_step_set
+        targets = []
+
+        def counted(sys, lam, D):
+            targets.append(D)
+            return original(sys, lam, D)
+
+        monkeypatch.setattr(onestep, "one_step_set", counted)
+        seq = iterate(sysr, lam, D, 6, label if labelled else None)
+        assert len(targets) == fixed
+        entries = seq.entries
+        assert all(e is not f for e, f in zip(entries[:fixed], entries[1:fixed]))
+        assert all(e is entries[fixed - 1] for e in entries[fixed:])
+        stationary = entries[fixed - 1]
+        shadow = project(lifted_step(sysr, lam, stationary), sysr.n)
+        fresh = CSetPolytope._computed(shadow.H, shadow.b)
+        assert fresh is not stationary
+        assert fresh.H.tobytes() == stationary.H.tobytes()
+        assert fresh.b.tobytes() == stationary.b.tobytes()
+
     def test_nesting_from_state_set(self, rng):
         for _ in range(5):
             sysr = random_controllable_system(rng)

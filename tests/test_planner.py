@@ -23,9 +23,15 @@ from contracta import (
     validate_cset,
 )
 from contracta import onestep, planner
+from contracta import polytope as polytope_module
 from contracta.benchmarks import scalar_seed, scalar_system
 from contracta.certificate import compute_certificate
-from contracta.errors import SeedNotContractiveError, ValidationError
+from contracta.errors import (
+    ComputationError,
+    FacetBudgetError,
+    SeedNotContractiveError,
+    ValidationError,
+)
 from conftest import count_lps
 
 ETA_1D = 10.0 / 11.0
@@ -261,6 +267,73 @@ class TestApproximation:
             lps[0] = 0
             approximate_cmax1(sys2, plan, seed, strategy)
             assert lps[0] <= bound
+
+    @pytest.mark.parametrize("shrink", [True, False])
+    def test_seed_failure_before_state_projection_error(self, monkeypatch, shrink):
+        # step 2 projects both iterates before it verifies either: a seed that
+        # fails to expand still raises before the state's projection error
+        sys2, seed = scalar_system(2), scalar_seed(2)
+        plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
+        original = onestep.one_step_set
+        seeds, states = [seed], []
+
+        def faulty(sys, lam, D):
+            if D is seeds[-1]:
+                seeds.append(original(sys, lam, D))
+                if shrink and len(seeds) == 3:  # the seed's step 2 shrinks
+                    seeds[-1] = scale(seeds[-1], 0.5)
+                return seeds[-1]
+            states.append(D)
+            if len(states) == 2:
+                raise FacetBudgetError("state projection at step 2")
+            return original(sys, lam, D)
+
+        monkeypatch.setattr(onestep, "one_step_set", faulty)
+        monkeypatch.setattr(planner, "one_step_set", faulty)
+        expected = (ComputationError, "failed to expand at step 2") if shrink else (
+            FacetBudgetError, "state projection at step 2"
+        )
+        with pytest.raises(expected[0], match=expected[1]):
+            approximate_cmax1(sys2, plan, seed, Strategy.APRIORI_BOUND)
+        assert len(seeds) == 3 and len(states) == 2  # both step-2 projections ran
+
+    @pytest.mark.parametrize("faulty", [("seed", "state"), ("state",)])
+    def test_pooled_lp_faults_raise_in_step_order(self, monkeypatch, faulty):
+        # at step 2 the seed's and the state's verification LPs run in one
+        # pooled batch; when both fault, the seed's fault is raised
+        sys3, seed = scalar_system(3), oblique_seed()
+        plan = epsilon_plan(sys3, 0.9, seed, 0.5)  # below rate 1 the state set shrinks
+        assert approximate_cmax1(sys3, plan, seed, Strategy.ADAPTIVE_INCLUSION).k_star >= 2
+        made = []  # one-step sets in projection order: seed_1, state_1, seed_2, state_2, ...
+        original, solve = onestep.one_step_set, polytope_module._solve_batch
+
+        def recorded(sys, lam, D):
+            made.append(original(sys, lam, D))
+            return made[-1]
+
+        def over(p, rows):
+            k = p.nfacets
+            return rows.shape[0] >= k and np.array_equal(rows[:k], p.H) and not rows[k:].any()
+
+        def injected(C, A, b):
+            outs = solve(C, A, b)
+            if len(made) < 4:
+                return outs
+            seed_1, seed_2, state_2 = made[0], made[2], made[3]
+            for l, c in enumerate(np.asarray(C)):
+                rows = A if A.ndim == 2 else A[l]
+                if "seed" in faulty and over(seed_1, rows) and (seed_2.H == c).all(axis=1).any():
+                    outs[l] = ComputationError("seed fault")
+                elif "state" in faulty and over(state_2, rows):
+                    outs[l] = ComputationError("state fault")
+            return outs
+
+        monkeypatch.setattr(onestep, "one_step_set", recorded)
+        monkeypatch.setattr(planner, "one_step_set", recorded)
+        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
+            approximate_cmax1(sys3, plan, seed, Strategy.ADAPTIVE_INCLUSION)
+        assert len(made) == 4 and made[3] is not made[1]  # raised at step 2
 
     def test_slack_and_distance_on_oblique_facets(self):
         sys3, seed = scalar_system(3), oblique_seed()

@@ -31,6 +31,7 @@ from contracta import (
 )
 from unittest import mock
 
+import contracta.lp as lp_module
 import contracta.polytope as polytope_module
 from contracta.errors import (
     ComputationError,
@@ -310,13 +311,18 @@ def _bits(out):
     return out.status, float(out.value).hex(), None if out.x is None else out.x.tobytes()
 
 
+def support_lps(p, directions):
+    """``polytope._support_lps`` for the one pair ``(p, directions)``."""
+    return polytope_module._support_lps([(p, directions)])[0]
+
+
 def _memo_results(fn, p, outer):
     """``fn``'s answer on ``p`` against ``outer`` with every float as bits,
     or the error class it raised."""
     result, error = _result_or_error(fn, p, outer)
     if error is not None:
         return error
-    if fn is polytope_module._support_lps:
+    if fn is support_lps:
         return [_bits(out) for out in result]
     if fn is polytope_module._first_exceeded:
         return _bits(result)
@@ -339,7 +345,7 @@ class TestSupportMemo:
         inner, outer = memo_case(rng, dim, kind, extra)
         warmed = outer.H[rng.random(outer.nfacets) < warm_share]
         calls = (
-            (polytope_module._support_lps, outer.H),
+            (support_lps, outer.H),
             (support_many, outer.H),
             (polytope_module._first_exceeded, outer),
             (is_subset, outer),
@@ -347,14 +353,43 @@ class TestSupportMemo:
         for fn, arg in calls:
             # a warm memo meets the outer rows as a mix of hits and misses
             warm = HPolytope(inner.H, inner.b)
-            polytope_module._support_lps(warm, warmed)
+            support_lps(warm, warmed)
             cold = HPolytope(inner.H, inner.b)
             assert _memo_results(fn, warm, arg) == _memo_results(fn, cold, arg)
             assert _memo_results(fn, warm, arg) == _memo_results(fn, cold, arg)  # all hits
         direct = [_bits(solve_lp(LinearProgram(d, cold.H, cold.b))) for d in outer.H]
-        assert _memo_results(polytope_module._support_lps, warm, outer.H) == direct
+        assert _memo_results(support_lps, warm, outer.H) == direct
         if kind == "exceeded-then-unbounded":
             assert is_subset(inner, outer) is False
+
+    def test_pooled_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch):
+        # the inner set is unbounded along facet 0 of the outer one and
+        # exceeds facet 1; its memo is filled by one stacked lockstep batch
+        # with a polytope of more facets, so its LPs carry padding rows
+        inner = HPolytope([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], [1.0, 1.0, 5.0])
+        diagonals = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        outer = HPolytope(np.vstack([np.eye(2), -np.eye(2), diagonals]), 2.0 * np.ones(8))
+        other = random_cset(np.random.default_rng(5), 2)
+        assert other.nfacets > inner.nfacets
+        sizes = []
+        lockstep = lp_module._lockstep
+
+        def counted(C, A, b):
+            sizes.append(A.shape)
+            return lockstep(C, A, b)
+
+        monkeypatch.setattr(lp_module, "_lockstep", counted)
+        pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[:3])])
+        assert sizes == [(11, other.nfacets, 2)]
+        assert pooled[0][0].status is LpStatus.UNBOUNDED
+        with pytest.raises(UnboundedDirectionError):
+            polytope_module._first_exceeded(inner, outer)
+        with pytest.raises(UnboundedDirectionError):
+            is_subset(inner, outer)
+        assert sizes == [(11, other.nfacets, 2)]  # both read the memo
+        cold = HPolytope(inner.H, inner.b)
+        direct = [_bits(out) for out in support_lps(cold, outer.H)]
+        assert [_bits(out) for out in pooled[0]] == direct
 
     def test_tolerance_change_solves_again(self, monkeypatch):
         p = random_cset(np.random.default_rng(3), 3)
@@ -378,7 +413,7 @@ class TestSupportMemo:
     def test_memoized_points_are_read_only(self, count):
         p = validate_cset(symmetric_box([1.0, 2.0]))
         directions = np.random.default_rng(count).normal(size=(count, 2))
-        for out in polytope_module._support_lps(p, directions):
+        for out in support_lps(p, directions):
             assert not out.x.flags.writeable
         sys1 = scalar_system(1)
         witness = noncontractive_point(sys1, 1.0, validate_cset(symmetric_box([20.0])))
@@ -444,8 +479,8 @@ class TestRedundancy:
         rounds = []
         for seed in range(20):
             p = random_rows(np.random.default_rng(seed), 3, "many-cuts")
-            batch = mock.Mock(wraps=polytope_module.solve_lp_batch)
-            with mock.patch.object(polytope_module, "solve_lp_batch", batch):
+            batch = mock.Mock(wraps=polytope_module._solve_batch)
+            with mock.patch.object(polytope_module, "_solve_batch", batch):
                 remove_redundancy(p)
             rounds.append(batch.call_count)
         assert sum(r >= 2 for r in rounds) >= 15, rounds
@@ -489,9 +524,10 @@ class TestRedundancy:
 
 
 def _inject_faults(monkeypatch, rows):
-    """Make every redundancy-test LP that maximizes one of ``rows`` raise
-    ``ComputationError`` in ``polytope``, in a batch as alone."""
-    solve, batch = polytope_module.solve_lp, polytope_module.solve_lp_batch
+    """Make every redundancy-test LP that maximizes one of ``rows`` fault in
+    ``polytope``: alone or in a batch, it gives ``ComputationError`` in
+    place of its outcome."""
+    solve, batch = polytope_module._solve_or_fault, polytope_module._solve_batch
 
     def faults(objectives):
         objectives = np.asarray(objectives)
@@ -499,18 +535,17 @@ def _inject_faults(monkeypatch, rows):
             return False
         return (objectives[:, None, :] == rows[None]).all(axis=2).any()
 
-    def faulty_solve(prob):
-        if faults(np.atleast_2d(prob.objective)):
-            raise ComputationError("injected fault")
-        return solve(prob)
+    def faulty_solve(c, A, b):
+        return ComputationError("injected fault") if faults(np.atleast_2d(c)) else solve(c, A, b)
 
     def faulty_batch(C, A, b):
-        if faults(C):
-            raise ComputationError("injected fault")
-        return batch(C, A, b)
+        return [
+            ComputationError("injected fault") if faults(c[None]) else out
+            for c, out in zip(np.asarray(C), batch(C, A, b))
+        ]
 
-    monkeypatch.setattr(polytope_module, "solve_lp", faulty_solve)
-    monkeypatch.setattr(polytope_module, "solve_lp_batch", faulty_batch)
+    monkeypatch.setattr(polytope_module, "_solve_or_fault", faulty_solve)
+    monkeypatch.setattr(polytope_module, "_solve_batch", faulty_batch)
 
 
 class TestProjection:
