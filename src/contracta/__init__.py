@@ -13,6 +13,7 @@ from .metric import (
     check_inclusion_equivalence,
     inclusion_factor,
     set_distance,
+    set_distances,
 )
 from .numerics import (
     matrix_power,

@@ -43,7 +43,7 @@ from .onestep import (
     is_lambda_contractive,
     one_step_set,
 )
-from .polytope import CSetPolytope, _support_lps, support_many
+from .polytope import CSetPolytope, _pool, support_many
 
 _CEIL_NUDGE = 1e-12
 
@@ -198,17 +198,6 @@ def select_lambda(
     return replace(base, lam=lam, certificate=cert, case="ii", **rate_plan)
 
 
-def _pool(*pairs) -> None:
-    """Memoize the support LPs of every ``(polytope, directions)`` pair, the
-    misses solved as one batch. An LP that faults stays out of the memo: the
-    check that reads it solves it again and raises in the order of a step
-    taken one LP at a time."""
-    try:
-        _support_lps(pairs)
-    except ComputationError:
-        pass
-
-
 def approximate_cmax1(
     sys: SystemModel,
     plan: IterationPlan,
@@ -226,12 +215,12 @@ def approximate_cmax1(
     iterate inside ``(1 + eps)`` times the seed iterate.
 
     A step first projects both iterates, then solves every support LP it
-    needs that is not memoized yet as one batch (:func:`_pool`): the two
-    verifications, the slack (``state_j`` along ``seed_j``'s facets, which
-    is also one side of the distance) and the other side of the distance.
-    The checks then run in the order of a step taken one LP at a time, on
-    the memos, so a step raises what that order raises: the seed's errors
-    before the state's. The a-priori strategy runs exactly ``plan.k``
+    needs that is not memoized yet as one batch (``polytope._pool``): the
+    two verifications, the slack (``state_j`` along ``seed_j``'s facets,
+    which is also one side of the distance) and the other side of the
+    distance. The checks then run in the order of a step taken one LP at a
+    time, on the memos, so a step raises what that order raises: the seed's
+    errors before the state's. The a-priori strategy runs exactly ``plan.k``
     steps; the adaptive strategy stops at the first step where the inclusion
     is observed (never later than ``plan.k``). The terminal set's
     contractiveness is re-verified.
@@ -239,7 +228,7 @@ def approximate_cmax1(
     lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
     gate = one_step_set(sys, lam, C)
-    _pool((C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H))
+    _pool([(C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H)])
     _verify(lam, C, gate, SeedLabel.CONTRACTIVE, 1)
     seed_before = state_before = None
     seed_j, state_j = C, sys.X
@@ -259,9 +248,11 @@ def approximate_cmax1(
                     _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
                 raise
             _pool(
-                (seed_before, seed_j.H),
-                (state_j, np.concatenate((state_before.H, seed_j.H))),
-                (seed_j, state_j.H),
+                [
+                    (seed_before, seed_j.H),
+                    (state_j, np.concatenate((state_before.H, seed_j.H))),
+                    (seed_j, state_j.H),
+                ]
             )
             if seed_new:
                 _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)

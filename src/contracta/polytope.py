@@ -24,9 +24,10 @@ support LP outcomes by the LP tolerances in force and then by direction; an
 outcome is what any re-solve would give, so memo writes are idempotent and a
 polytope is safe to share across threads. A memo is filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
-polytopes (the planner's steps). Construction renormalizes rows, so no memo
-passes to another polytope, not even one built from the same rows; a
-one-step set equal to its target is the target object, memo included.
+polytopes (:func:`_pool`: the planner's steps and the distance tables).
+Construction renormalizes rows, so no memo passes to another polytope, not
+even one built from the same rows; a one-step set equal to its target is
+the target object, memo included.
 """
 
 from __future__ import annotations
@@ -193,8 +194,7 @@ def support_many(p: HPolytope, directions) -> np.ndarray:
     row whose LP is unbounded or infeasible; LPs not in the memo run as one
     batch.
     """
-    (outcomes,) = _support_lps([(p, directions)])
-    return np.array([_support_value(out) for out in outcomes])
+    return _support_values(_support_lps([(p, directions)])[0])
 
 
 def _support_lps(pairs) -> list:
@@ -204,15 +204,15 @@ def _support_lps(pairs) -> list:
 
     A memo is keyed by the LP tolerances in force, then by the direction's
     bytes, sliced once from the directions' buffer. The misses of all pairs
-    are solved in one batch (:func:`_solve_misses`); an LP that faults stays
-    out of the memo, and once the others are stored the first such LP, in
-    pair and row order, raises its ``ComputationError``. Pairs should hold
-    distinct polytopes: a direction two pairs of one polytope miss is solved
-    twice. Optimal points are read-only, as callers hand them out as
-    witnesses.
+    are solved in one batch (:func:`_solve_misses`), each direction once per
+    polytope however many pairs ask for it, as part of the first pair that
+    asks; an LP that faults stays out of the memo, and once the others are
+    stored the first such LP, in pair and row order, raises its
+    ``ComputationError``. Optimal points are read-only, as callers hand them
+    out as witnesses.
     """
     tol = (TOL.feas, TOL.opt, TOL.pivot)
-    keyed, todos, misses = [], [], []
+    keyed, todos, misses, queued = [], [], [], {}
     for p, directions in pairs:
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != p.dim:
@@ -221,8 +221,10 @@ def _support_lps(pairs) -> list:
         keys = [raw[i : i + width] for i in range(0, len(raw), width)]
         memo = p._memo.setdefault(tol, {})
         keyed.append((memo, keys))
-        todo = {key: i for i, key in enumerate(keys) if key not in memo}  # a row per new key
-        if todo:
+        pending = queued.setdefault(id(p), set())  # keys an earlier pair of p sends
+        todo = {key: i for i, key in enumerate(keys) if key not in memo and key not in pending}
+        if todo:  # a row per new key
+            pending.update(todo)
             todos.append((memo, todo))
             misses.append((p, directions[list(todo.values())]))
     fault = None
@@ -239,18 +241,37 @@ def _support_lps(pairs) -> list:
     return [[memo[key] for key in keys] for memo, keys in keyed]
 
 
+def _pool(pairs) -> list | None:
+    """Memoize the support LPs of every ``(polytope, directions)`` of
+    ``pairs``, the misses solved as one batch, and return
+    :func:`_support_lps`'s outcome lists, or None when an LP faulted.
+
+    Pool, then read in order: the caller then computes as it would without
+    the pool, one support read at a time, and every read hits the memos. An
+    LP that faults stays out of its memo, so the read that meets it solves
+    it again and raises. The first fault in the unpooled order thus raises,
+    with the error it raises unpooled, and so do the errors that reads raise
+    themselves (an unbounded or infeasible support). Without a fault, the
+    caller may read the returned lists instead, in the same order.
+    """
+    try:
+        return _support_lps(pairs)
+    except ComputationError:
+        return None
+
+
 def _solve_misses(misses) -> list:
     """``lp._solve_batch``'s outcomes of the support LPs of each ``(p,
     directions)`` of ``misses``, one list per pair.
 
-    With a single polytope, or too few LPs for lockstep, each polytope's LPs
-    run on its own rows. Otherwise all run as one stack, each polytope's
-    rows padded to the longest with zero rows of offset 0: a zero row never
-    passes the ratio test, so its slack stays basic at 0, and the padding
-    changes no outcome's bits.
+    With a single pair, too few LPs for lockstep or polytopes of different
+    dimensions, each pair's LPs run on its polytope's own rows. Otherwise
+    all run as one stack, each polytope's rows padded to the longest with
+    zero rows of offset 0: a zero row never passes the ratio test, so its
+    slack stays basic at 0, and the padding changes no outcome's bits.
     """
     counts = [len(d) for _, d in misses]
-    if len(misses) < 2 or sum(counts) < _LOCKSTEP_MIN:
+    if len(misses) < 2 or sum(counts) < _LOCKSTEP_MIN or len({p.dim for p, _ in misses}) > 1:
         return [_solve_batch(d, p.H, p.b) for p, d in misses]
     ends = list(itertools.accumulate(counts))
     k = max(p.nfacets for p, _ in misses)
@@ -261,6 +282,10 @@ def _solve_misses(misses) -> list:
         b[end - count : end, : p.nfacets] = p.b
     outs = _solve_batch(np.concatenate([d for _, d in misses]), A, b)
     return [outs[end - count : end] for end, count in zip(ends, counts)]
+
+
+def _support_values(outcomes) -> np.ndarray:
+    return np.array([_support_value(out) for out in outcomes])
 
 
 def _support_value(out) -> float:

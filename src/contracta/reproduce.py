@@ -14,7 +14,7 @@ import numpy as np
 
 from . import benchmarks as bm
 from .errors import ComputationError, ValidationError
-from .metric import set_distance
+from .metric import set_distances
 from .onestep import iterate
 from .planner import (
     Strategy,
@@ -134,8 +134,8 @@ def _rotation_distances():
     for lam in (0.5, 0.9, 1.0):
         seq_c = iterate(sysr, lam, C, 7)
         seq_d = iterate(sysr, lam, D, 7)
-        for step in range(8):
-            computed = set_distance(seq_c.entries[step], seq_d.entries[step]).distance
+        for step, result in enumerate(set_distances(zip(seq_c.entries, seq_d.entries))):
+            computed = result.distance
             reference = bm.oscillator_distance(lam, step // 2)
             rows.append(
                 {
@@ -167,13 +167,12 @@ def _stabilizable():
     for lam in (0.5, 0.8):
         seq_c = iterate(sysr, lam, C, 4)
         seq_d = iterate(sysr, lam, D, 4)
-        for step in range(5):
-            computed = set_distance(seq_c.entries[step], seq_d.entries[step]).distance
+        for step, result in enumerate(set_distances(zip(seq_c.entries, seq_d.entries))):
             rows.append(
                 {
                     "lambda": lam,
                     "step": step,
-                    "distance": computed,
+                    "distance": result.distance,
                     "expected": float(np.log(2.0)),
                 }
             )

@@ -19,7 +19,7 @@ from . import reproduce as reproduce_mod
 from .certificate import compute_certificate
 from .config import TOL
 from .errors import ScenarioParseError, ValidationError
-from .metric import set_distance
+from .metric import set_distance, set_distances
 from .onestep import SeedLabel, SystemModel, iterate
 from .planner import Strategy, approximate_cmax1, epsilon_plan, select_lambda
 from .polytope import CSetPolytope, HPolytope, validate_cset
@@ -286,7 +286,7 @@ def _task_iterate(scenario: Scenario):
         raise ValidationError("iterate seed must be 'X' or 'seed'")
     seq = iterate(scenario.system, lam, D, k, label)
     distances = [0.0] + [
-        set_distance(nxt, prev).distance for prev, nxt in zip(seq.entries, seq.entries[1:])
+        result.distance for result in set_distances(zip(seq.entries[1:], seq.entries))
     ]
     records = [
         {"step": j, "facets": entry.nfacets, "distance_to_previous": distances[j]}

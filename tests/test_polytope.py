@@ -15,12 +15,14 @@ from contracta import (
     inradius_origin,
     intersect,
     is_subset,
+    iterate,
     noncontractive_point,
     outer_radius,
     project,
     radial,
     remove_redundancy,
     scale,
+    set_distances,
     set_feasibility_tolerance,
     solve_lp,
     support,
@@ -45,7 +47,7 @@ from contracta.errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from contracta.benchmarks import scalar_system
+from contracta.benchmarks import scalar_system, stabilizable_system
 from conftest import count_lps, random_cset
 
 
@@ -390,6 +392,78 @@ class TestSupportMemo:
         cold = HPolytope(inner.H, inner.b)
         direct = [_bits(out) for out in support_lps(cold, outer.H)]
         assert [_bits(out) for out in pooled[0]] == direct
+
+    def test_pairs_of_one_polytope_solve_each_direction_once(self, monkeypatch):
+        # two pairs ask one polytope for overlapping directions, as a distance
+        # table asks an iterate that two consecutive pairs share
+        rng = np.random.default_rng(7)
+        p, q = random_cset(rng, 3), random_cset(rng, 3)
+        directions = rng.normal(size=(9, 3))
+        lps = count_lps(monkeypatch)
+        first, other, second = polytope_module._support_lps(
+            [(p, directions[:6]), (q, directions[:4]), (p, directions[3:])]
+        )
+        assert lps == [13, 0, 13]  # one lockstep stack
+        assert all(a is b for a, b in zip(first[3:], second[:3]))
+        direct = [_bits(solve_lp(LinearProgram(d, p.H, p.b))) for d in directions]
+        assert [_bits(out) for out in first + second[3:]] == direct
+        assert [_bits(out) for out in other] == [
+            _bits(solve_lp(LinearProgram(d, q.H, q.b))) for d in directions[:4]
+        ]
+
+    def test_pooled_faults_raise_in_pair_order(self, monkeypatch):
+        # both faults are in one pooled batch, and q's pair asks before the
+        # pair of p whose row faults
+        rng = np.random.default_rng(9)
+        p, q = random_cset(rng, 2), random_cset(rng, 2)
+        directions = rng.normal(size=(8, 2))
+        faulty = {
+            (id(q), directions[1].tobytes()): "q fault",
+            (id(p), directions[6].tobytes()): "p fault",
+        }
+        solve = polytope_module._solve_batch
+
+        def injected(C, A, b):
+            outs = solve(C, A, b)
+            for l, c in enumerate(np.asarray(C)):
+                rows = A if A.ndim == 2 else A[l]
+                for r in (p, q):
+                    key = (id(r), c.tobytes())
+                    k = r.nfacets
+                    if key in faulty and np.array_equal(rows[:k], r.H) and not rows[k:].any():
+                        outs[l] = ComputationError(faulty[key])
+            return outs
+
+        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        pairs = [(p, directions[:4]), (q, directions[:4]), (p, directions[4:])]
+        with pytest.raises(ComputationError, match="^q fault$"):
+            polytope_module._support_lps(pairs)
+        assert len(p._memo[(TOL.feas, TOL.opt, TOL.pivot)]) == 7  # all but the fault
+
+    def test_stationary_table_solves_no_direction_twice(self, monkeypatch):
+        # the stabilizable target's sequences are stationary, so its distance
+        # table repeats one pair of objects; per rate the pooled table makes
+        # no more LPs than the sides of its pairs taken one at a time
+        def sequences():
+            sysr = stabilizable_system()
+            C, D = validate_cset(symmetric_box([1.0])), validate_cset(symmetric_box([2.0]))
+            return [
+                list(zip(iterate(sysr, lam, C, 4).entries, iterate(sysr, lam, D, 4).entries))
+                for lam in (0.5, 0.8)
+            ]
+
+        pooled, single = sequences(), sequences()
+        assert pooled[1][-1][0] is pooled[1][1][0]  # stationary at rate 0.8
+        lps = count_lps(monkeypatch)
+        for table in single:
+            for C, D in table:
+                support_many(D, C.H)
+                support_many(C, D.H)
+        one_at_a_time, lps[0] = lps[0], 0
+        for table in pooled:
+            set_distances(table)
+        # 24 LPs a task, 480 in a reproduce pass of 20 stabilizable tasks
+        assert lps[0] <= one_at_a_time == 24
 
     def test_tolerance_change_solves_again(self, monkeypatch):
         p = random_cset(np.random.default_rng(3), 3)
