@@ -17,12 +17,10 @@ singular values of the n-step reachability matrix. Any conservative radii
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ComputationError, NotControllableError, ValidationError
-from .numerics import matrix_power, singular_extremes, spectral_norm
-from .polytope import inradius_origin, outer_radius
-from .onestep import SystemModel
+from .onestep import SystemModel, _check_lambda
 
 
 @dataclass
@@ -38,17 +36,8 @@ class ContractionCertificate:
     eta: float
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "r_x_lo": self.r_x_lo,
-            "r_x_hi": self.r_x_hi,
-            "r_u_lo": self.r_u_lo,
-            "alpha": self.alpha,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "rho_hat": self.rho_hat,
-            "eta": self.eta,
-        }
+        fields = asdict(self)
+        return {"lambda": fields.pop("lam"), **fields}
 
 
 def compute_certificate(
@@ -61,17 +50,15 @@ def compute_certificate(
     """Assemble the contraction certificate for ``sys`` at rate ``lam``.
 
     Radii are computed exactly from the constraint sets unless conservative
-    overrides (smaller inner radii, larger outer radius) are supplied.
+    overrides (smaller inner radii, larger outer radius) are supplied. The
+    exact radii, ``alpha`` and the singular extremes are the system's own
+    constants, computed once per system whatever the rate.
     """
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError("contraction rate must be in (0, 1]")
+    lam = _check_lambda(lam)
     if not sys.controllable:
         raise NotControllableError("certificate requires a controllable pair (A, B)")
 
-    exact_x_lo = inradius_origin(sys.X)
-    exact_x_hi = outer_radius(sys.X)
-    exact_u_lo = inradius_origin(sys.U)
+    exact_x_lo, exact_x_hi, exact_u_lo = sys.radii
     r_x_lo = exact_x_lo if r_x_lo is None else float(r_x_lo)
     r_x_hi = exact_x_hi if r_x_hi is None else float(r_x_hi)
     r_u_lo = exact_u_lo if r_u_lo is None else float(r_u_lo)
@@ -84,11 +71,8 @@ def compute_certificate(
     if r_x_lo > r_x_hi:
         raise ValidationError("inner radius exceeds outer radius")
 
-    n = sys.n
-    alpha = 1.0
-    for j in range(1, n + 1):
-        alpha = max(alpha, spectral_norm(matrix_power(sys.A, j)))
-    sigma_min, sigma_max = singular_extremes(sys.reachability)
+    n, alpha = sys.n, sys.alpha
+    sigma_min, sigma_max = sys.sigma_extremes
     rho_hat = (lam ** (n - 1) / alpha) * min(
         r_x_lo / (1.0 + sigma_max / sigma_min), r_u_lo * sigma_min
     )

@@ -4,7 +4,10 @@ A single mutable instance (``TOL``) is read by every module at call time so
 the CLI ``--tol`` flag can override the feasibility family process-wide.
 """
 
+import math
 from dataclasses import dataclass
+
+from .errors import ValidationError
 
 
 @dataclass
@@ -20,7 +23,7 @@ TOL = Tolerances()
 
 def set_feasibility_tolerance(value: float) -> None:
     """Override the feasibility/optimality tolerance family."""
-    if not value > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValidationError("tolerance must be positive and finite")
     TOL.feas = value
     TOL.opt = value

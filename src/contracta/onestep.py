@@ -7,13 +7,15 @@ the state coordinates. Iterating the map from the state constraint set gives
 a nested outer approximation of the maximal contractive set; iterating from
 a contractive seed gives an expanding inner one. A set is tested for
 contractiveness the same way: it is ``lam``-contractive iff it lies in its
-own one-step set.
+own one-step set. Each system memoizes its map: the bits of a target are
+projected once per rate and tolerances, whoever asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +28,15 @@ from .errors import (
     ValidationError,
 )
 from .lp import LinearProgram, LpStatus, solve_lp
-from .numerics import matrix_power, reachability_matrix, singular_extremes
+from .numerics import matrix_power, reachability_matrix, singular_extremes, spectral_norm
 from .polytope import (
     CSetPolytope,
     HPolytope,
+    _facet_cap,
     _first_exceeded,
+    inradius_origin,
     is_subset,
+    outer_radius,
     project,
     validate_cset,
 )
@@ -42,9 +47,14 @@ class SeedLabel(Enum):
     CONTRACTIVE = "contractive"        # expanding sequence
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SystemModel:
-    """Linear system ``x+ = A x + B u`` with compact constraint sets X, U."""
+    """Linear system ``x+ = A x + B u`` with compact constraint sets X, U.
+
+    Immutable: ``A`` and ``B`` are read-only copies of the caller's arrays.
+    Its certificate constants are kept from their first use, its one-step
+    sets in a memo that lives and dies with it (:func:`one_step_set`).
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -52,24 +62,24 @@ class SystemModel:
     U: CSetPolytope
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.A.shape[0] != self.A.shape[1]:
+        A = np.array(self.A, dtype=float, ndmin=2)
+        B = np.array(self.B, dtype=float, ndmin=2)
+        if A.shape[0] != A.shape[1]:
             raise DimensionError("A must be square")
-        if self.B.shape[0] != self.A.shape[0]:
+        if B.shape[0] != A.shape[0]:
             raise DimensionError("B must have as many rows as A")
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ValidationError("nonfinite system matrices")
-        if not isinstance(self.X, CSetPolytope):
-            self.X = validate_cset(self.X)
-        if not isinstance(self.U, CSetPolytope):
-            self.U = validate_cset(self.U)
-        if self.X.dim != self.n:
+        X = self.X if isinstance(self.X, CSetPolytope) else validate_cset(self.X)
+        U = self.U if isinstance(self.U, CSetPolytope) else validate_cset(self.U)
+        if X.dim != A.shape[0]:
             raise DimensionError("state constraint set dimension mismatch")
-        if self.U.dim != self.m:
+        if U.dim != B.shape[1]:
             raise DimensionError("input constraint set dimension mismatch")
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+        A.setflags(write=False)
+        B.setflags(write=False)
+        for name, value in (("A", A), ("B", B), ("X", X), ("U", U), ("_steps", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -79,14 +89,30 @@ class SystemModel:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
+    @cached_property
     def reachability(self) -> np.ndarray:
-        return reachability_matrix(self.A, self.B, self.n)
+        out = reachability_matrix(self.A, self.B, self.n)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def sigma_extremes(self) -> tuple[float, float]:
+        """Smallest and largest singular values of the reachability matrix."""
+        return singular_extremes(self.reachability)
+
+    @cached_property
+    def alpha(self) -> float:
+        """The largest spectral norm of ``A^j`` over j = 1..n, at least 1."""
+        return max(1.0, *(spectral_norm(matrix_power(self.A, j)) for j in range(1, self.n + 1)))
+
+    @cached_property
+    def radii(self) -> tuple[float, float, float]:
+        """Exact inscribed and circumscribed radii of X, inscribed radius of U."""
+        return inradius_origin(self.X), outer_radius(self.X), inradius_origin(self.U)
 
     @property
     def controllable(self) -> bool:
-        sigma_min, _ = singular_extremes(self.reachability)
-        return sigma_min > TOL.ctrb
+        return self.sigma_extremes[0] > TOL.ctrb
 
 
 @dataclass
@@ -115,14 +141,22 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     makes the shadow's positive too (see :func:`project`). A target without
     the origin in its interior raises ``OriginNotInteriorError``.
 
-    A C-set target whose shadow has its ``H`` and ``b`` bits is returned
-    itself, memo included. The shadow is a function of those bits alone, so
-    from such a target every later step is the target again (see
-    :func:`_project`).
+    The result is memoized on ``sys``, keyed by everything the projection
+    reads: ``lam``, the LP tolerances, the facet cap and the bits of ``D``'s
+    ``H`` and ``b``. A target with the bits of an earlier one thus gets that
+    target's one-step set, with its support memo, and no projection. A C-set
+    target whose shadow has its bits is returned itself (the first such
+    target of those bits), so from it every later step is a memo hit that
+    returns it again: a sequence that reaches a fixed point is stationary.
     """
     lam = _check_lambda(lam)
     if D.dim != sys.n:
         raise DimensionError("target set dimension mismatch")
+    bits = (D.H.tobytes(), D.b.tobytes())
+    key = (lam, TOL.feas, TOL.opt, TOL.pivot, _facet_cap()) + bits
+    q = sys._steps.get(key)
+    if q is not None:
+        return q
     X, U = sys.X, sys.U
     top = X.nfacets + U.nfacets
     lifted_H = np.zeros((top + D.nfacets, sys.n + sys.m))
@@ -135,23 +169,10 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
     shadow = project(HPolytope(lifted_H, lifted_b), sys.n)
     q = CSetPolytope._computed(shadow.H, shadow.b)
-    if (
-        isinstance(D, CSetPolytope)
-        and q.b.tobytes() == D.b.tobytes()
-        and q.H.tobytes() == D.H.tobytes()
-    ):
-        return D
+    if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
+        q = D
+    sys._steps[key] = q
     return q
-
-
-def _project(
-    sys: SystemModel, lam: float, before: CSetPolytope | None, prev: CSetPolytope
-) -> CSetPolytope:
-    """The entry after ``prev`` of a one-step sequence whose entry before
-    ``prev`` is ``before`` (None at the start): ``prev`` itself, with no
-    projection, once the sequence is stationary (``prev is before``, see
-    :func:`one_step_set`), else ``one_step_set(sys, lam, prev)``."""
-    return prev if prev is before else one_step_set(sys, lam, prev)
 
 
 def _verify(lam: float, prev: CSetPolytope, nxt: CSetPolytope, seed_label: SeedLabel, step: int):
@@ -180,26 +201,24 @@ def iterate(
 ) -> SetSequence:
     """Entries ``0..k`` of the iterated one-step sequence started at ``D``.
 
-    Each entry is projected from the one before (:func:`_project`), and when
-    the seed label is known the step is verified (:func:`_verify`): shrinking
-    from the state set, expanding from a contractive seed. A violation
-    indicates a numerical fault and raises, except that a seed failing step
-    1 is not contractive. Once a step returns its target, the sequence is
-    stationary: the later entries are that object, neither projected nor
-    verified again.
+    Each entry is the one-step set of the one before, and when the seed
+    label is known the step is verified (:func:`_verify`): shrinking from
+    the state set, expanding from a contractive seed. A violation indicates
+    a numerical fault and raises, except that a seed failing step 1 is not
+    contractive. Once a step returns its target, the sequence is
+    stationary: the later entries are that object, each step a memo hit of
+    :func:`one_step_set` whose verification reads memoized supports.
     """
     lam = _check_lambda(lam)
     if k < 0:
         raise ValidationError("iteration count must be nonnegative")
     seq = SetSequence(lam=lam, entries=[D], seed_label=seed_label)
-    before = None
     for j in range(1, k + 1):
         prev = seq.entries[-1]
-        nxt = _project(sys, lam, before, prev)
-        if seed_label is not None and prev is not before:
+        nxt = one_step_set(sys, lam, prev)
+        if seed_label is not None:
             _verify(lam, prev, nxt, seed_label, j)
         seq.entries.append(nxt)
-        before = prev
     return seq
 
 

@@ -38,7 +38,6 @@ from .metric import set_distance
 from .onestep import (
     SeedLabel,
     SystemModel,
-    _project,
     _verify,
     is_lambda_contractive,
     one_step_set,
@@ -207,8 +206,9 @@ def approximate_cmax1(
     """Execute a plan and return the terminal contractive set.
 
     Both strategies advance the seed and state-set sequences jointly, each
-    step projected and verified as in :func:`iterate`, a stationary sequence
-    carried forward unprojected. The seed's first step is the gate: it
+    step a one-step set and its verification as in :func:`iterate`. The
+    one-step sets are the system's memo, so neither step 1 of the seed nor a
+    stationary sequence projects again. The seed's first step is the gate: it
     raises ``SeedNotContractiveError`` unless C lies in its one-step set,
     even for ``plan.k == 0``. Each step records facet counts, the distance
     between the seed and state iterates and the inclusion slack of the state
@@ -230,22 +230,15 @@ def approximate_cmax1(
     gate = one_step_set(sys, lam, C)
     _pool([(C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H)])
     _verify(lam, C, gate, SeedLabel.CONTRACTIVE, 1)
-    seed_before = state_before = None
     seed_j, state_j = C, sys.X
     records: list[dict] = []
     for j in range(plan.k + 1):
         if j > 0:
-            # the gate is step 1 of the seed; a step projects unless stationary
-            seed_new = j > 1 and seed_j is not seed_before
-            state_new = state_j is not state_before
-            seed_before, seed_j = seed_j, (
-                gate if j == 1 else _project(sys, lam, seed_before, seed_j)
-            )
+            seed_before, seed_j = seed_j, one_step_set(sys, lam, seed_j)
             try:
-                state_before, state_j = state_j, _project(sys, lam, state_before, state_j)
+                state_before, state_j = state_j, one_step_set(sys, lam, state_j)
             except ContractaError:
-                if seed_new:
-                    _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
+                _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
                 raise
             _pool(
                 [
@@ -254,10 +247,8 @@ def approximate_cmax1(
                     (seed_j, state_j.H),
                 ]
             )
-            if seed_new:
-                _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
-            if state_new:
-                _verify(lam, state_before, state_j, SeedLabel.FROM_STATE_SET, j)
+            _verify(lam, seed_before, seed_j, SeedLabel.CONTRACTIVE, j)
+            _verify(lam, state_before, state_j, SeedLabel.FROM_STATE_SET, j)
         slack = float(np.max(support_many(state_j, seed_j.H) - one_plus_eps * seed_j.b))
         distance = set_distance(seed_j, state_j)
         records.append(
@@ -291,8 +282,7 @@ def approximate_cmax1(
             "relation": "terminal_set_contractive",
             "step": stop,
             "slack": 0.0,
-            # a stationary seed passed this test when its step returned it
-            "holds": seed_j is seed_before or is_lambda_contractive(sys, lam, terminal),
+            "holds": is_lambda_contractive(sys, lam, terminal),
         },
     ]
     if not relations[-1]["holds"]:

@@ -26,8 +26,9 @@ polytope is safe to share across threads. A memo is filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
 polytopes (:func:`_pool`: the planner's steps and the distance tables).
 Construction renormalizes rows, so no memo passes to another polytope, not
-even one built from the same rows; a one-step set equal to its target is
-the target object, memo included.
+even one built from the same rows. A system's one-step memo is keyed by bits
+instead: a target with an earlier target's bits gets that target's one-step
+set, memo included, which is the earlier target itself when they are equal.
 """
 
 from __future__ import annotations

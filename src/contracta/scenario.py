@@ -123,6 +123,9 @@ def validate_scenario(data: dict) -> Scenario:
     if not isinstance(task, dict):
         raise ValidationError("task parameters must be an object")
 
+    for name in ("system", "seed"):
+        if name in data and not isinstance(data[name], dict):
+            raise ValidationError(f"{name} block must be an object")
     system = None
     if "system" in data:
         block = data["system"]
@@ -169,7 +172,7 @@ def resolve_seed(scenario: Scenario, lam: float) -> tuple[CSetPolytope, float]:
     if "ellipsoid" in block:
         e = block["ellipsoid"]
         for key in ("K", "P", "beta", "lambda"):
-            if key not in e:
+            if not isinstance(e, dict) or key not in e:
                 raise ValidationError(f"ellipsoid seed block is missing {key}")
         try:
             seed = EllipsoidSeed(

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from contracta import compute_certificate, iterate, set_distance
+from contracta import SystemModel, compute_certificate, iterate, onestep, set_distance
 from contracta.benchmarks import oscillator_system, scalar_system, stabilizable_system
 from contracta.errors import NotControllableError, ValidationError
 from conftest import nested_cset_pair, random_controllable_system
@@ -105,3 +107,42 @@ class TestContractionBound:
             qc = iterate(sysr, lam, C, 2).entries[2]
             qd = iterate(sysr, lam, D, 2).entries[2]
             assert set_distance(qc, qd).distance <= loose.eta * base + 1e-8
+
+
+class TestSystemConstants:
+    RATES = [0.6 + 0.05 * i for i in range(9)]  # the grid of scripts/rate_sweep.py
+
+    @staticmethod
+    def bits(cert) -> dict:
+        return {f.name: float(getattr(cert, f.name)).hex() for f in dataclasses.fields(cert)}
+
+    @pytest.mark.parametrize("make", [lambda: scalar_system(1), lambda: scalar_system(3)])
+    def test_rate_grid_matches_fresh_systems(self, make):
+        # one system's certificates over the grid equal, bit for bit, a fresh
+        # system's certificate at each rate
+        sysn = make()
+        for lam in self.RATES:
+            assert self.bits(compute_certificate(sysn, lam)) == self.bits(
+                compute_certificate(make(), lam)
+            )
+
+    def test_random_systems_match_fresh_systems(self, rng):
+        for _ in range(5):
+            sysr = random_controllable_system(rng, 3, 1)
+            for lam in self.RATES:
+                fresh = SystemModel(sysr.A, sysr.B, sysr.X, sysr.U)
+                assert self.bits(compute_certificate(sysr, lam)) == self.bits(
+                    compute_certificate(fresh, lam)
+                )
+
+    def test_one_svd_per_system(self, monkeypatch):
+        calls = []
+        extremes = onestep.singular_extremes
+        monkeypatch.setattr(
+            onestep, "singular_extremes", lambda m: calls.append(m) or extremes(m)
+        )
+        sysn = scalar_system(2)
+        assert sysn.controllable
+        for lam in self.RATES:
+            compute_certificate(sysn, lam)
+        assert len(calls) == 1

@@ -188,6 +188,26 @@ class TestCliProcess:
         scenario = scalar_scenario({"certify": {"lambda": "high"}})
         assert main(["certify", "--scenario", write(tmp_path, "s.json", scenario)]) == 3
 
+    @pytest.mark.parametrize("block", ["system", "seed"])
+    def test_block_not_an_object_exit_3(self, tmp_path, block):
+        scenario = scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 0.1}})
+        scenario[block] = 5
+        assert main(["plan", "--scenario", write(tmp_path, "s.json", scenario)]) == 3
+
+    def test_ellipsoid_seed_not_an_object_exit_3(self, tmp_path):
+        scenario = scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 0.1}})
+        scenario["seed"] = {"ellipsoid": 5}
+        assert main(["plan", "--scenario", write(tmp_path, "s.json", scenario)]) == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    def test_bad_tolerance_exit_3(self, tmp_path, tol):
+        from contracta.config import TOL
+
+        scenario = write(tmp_path, "s.json", scalar_scenario({"certify": {"lambda": 0.8}}))
+        before = (TOL.feas, TOL.opt)
+        assert main(["certify", "--scenario", scenario, "--tol", tol]) == 3
+        assert (TOL.feas, TOL.opt) == before
+
     def test_task_subcommand_mismatch_exit_3(self, tmp_path):
         scenario = write(tmp_path, "s.json", scalar_scenario({"certify": {"lambda": 0.8}}))
         assert main(["iterate", "--scenario", scenario]) == 3

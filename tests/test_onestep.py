@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from unittest import mock
 
@@ -30,6 +31,7 @@ from contracta import (
 )
 from contracta import onestep
 from contracta import polytope as polytope_module
+from contracta.config import TOL, set_feasibility_tolerance
 from contracta.benchmarks import (
     oscillator_step_box,
     oscillator_system,
@@ -157,9 +159,11 @@ class TestOneStep:
         for lam in (0.5, 1.0):
             step = one_step_set(sysr, lam, sysr.X)
             for D in (sysr.X, random_cset(rng, n), scale(step, 0.5), scale(step, 1.5)):
+                # a fresh system, whose memo holds no one-step set of X yet
+                fresh = SystemModel(sysr.A, sysr.B, sysr.X, sysr.U)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(onestep, "project", recording_project)
-                    q = one_step_set(sysr, lam, D)
+                    q = one_step_set(fresh, lam, D)
                 reference = validate_cset(shadows[-1])
                 assert isinstance(q, CSetPolytope)
                 assert np.array_equal(q.H, reference.H) and np.array_equal(q.b, reference.b)
@@ -254,20 +258,14 @@ class TestIterate:
     )
     def test_stationary_sequence_is_carried(self, monkeypatch, case, labelled):
         # from the step that returns its target on, every entry is that
-        # object, projected no more, with the bits a fresh projection gives
+        # object, projected no more (a memo hit of the system's one-step
+        # sets), with the bits a fresh projection gives
         make, lam, start, label, fixed = case
         sysr = make()
         D = sysr.X if start == "X" else validate_cset(symmetric_box(start))
-        original = onestep.one_step_set
-        targets = []
-
-        def counted(sys, lam, D):
-            targets.append(D)
-            return original(sys, lam, D)
-
-        monkeypatch.setattr(onestep, "one_step_set", counted)
+        projected = count_projections(monkeypatch)
         seq = iterate(sysr, lam, D, 6, label if labelled else None)
-        assert len(targets) == fixed
+        assert len(projected) == fixed
         entries = seq.entries
         assert all(e is not f for e, f in zip(entries[:fixed], entries[1:fixed]))
         assert all(e is entries[fixed - 1] for e in entries[fixed:])
@@ -456,3 +454,77 @@ class TestSystemModel:
                 X=validate_cset(symmetric_box([1.0])),
                 U=validate_cset(symmetric_box([1.0])),
             )
+
+    def test_arrays_are_read_only_copies(self):
+        base = np.array([[1.1, 7.0]])
+        A = base[:, :1]  # a view into the caller's array
+        sysr = SystemModel(A, [[1.0]], symmetric_box([10.0]), symmetric_box([1.0]))
+        assert A.flags.writeable and base.flags.writeable
+        A[0, 0] = 2.0
+        base[0, 0] = 3.0
+        assert sysr.A[0, 0] == 1.1
+        assert not (sysr.A.flags.writeable or sysr.B.flags.writeable)
+        assert not sysr.reachability.flags.writeable
+
+    def test_frozen(self):
+        sysr = scalar_system(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sysr.X = validate_cset(symmetric_box([5.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sysr.A = np.eye(1)
+
+
+def count_projections(monkeypatch) -> list:
+    """From now on, record every polytope ``one_step_set`` projects."""
+    project_once, projected = onestep.project, []
+
+    def counted(p, keep):
+        projected.append(p)
+        return project_once(p, keep)
+
+    monkeypatch.setattr(onestep, "project", counted)
+    return projected
+
+
+class TestOneStepMemo:
+    def test_repeat_is_a_memo_hit(self, monkeypatch):
+        # the same target, or another object with its bits, gets the same
+        # object back with no projection
+        sysr = oscillator_system()
+        seed = validate_cset(symmetric_box([1.0, 1.0]))
+        first = one_step_set(sysr, 0.9, seed)
+        projected = count_projections(monkeypatch)
+        assert one_step_set(sysr, 0.9, seed) is first
+        assert one_step_set(sysr, 0.9, validate_cset(symmetric_box([1.0, 1.0]))) is first
+        assert projected == []
+        # another rate or another system projects
+        assert one_step_set(sysr, 0.8, seed) is not first
+        other = one_step_set(oscillator_system(), 0.9, seed)
+        assert other is not first and other.H.tobytes() == first.H.tobytes()
+        assert len(projected) == 2
+
+    def test_tolerance_or_facet_cap_change_projects_again(self, monkeypatch):
+        sysr = oscillator_system()
+        first = one_step_set(sysr, 0.9, sysr.X)
+        monkeypatch.setattr(TOL, "feas", TOL.feas)
+        monkeypatch.setattr(TOL, "opt", TOL.opt)
+        projected = count_projections(monkeypatch)
+        set_feasibility_tolerance(1e-7)
+        after_tol = one_step_set(sysr, 0.9, sysr.X)
+        assert len(projected) == 1 and after_tol is not first
+        assert one_step_set(sysr, 0.9, sysr.X) is after_tol
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "5000")
+        assert one_step_set(sysr, 0.9, sysr.X) is not after_tol
+        assert len(projected) == 2
+
+    def test_rotation_pair_shares_entries_at_rate_one(self, monkeypatch):
+        # at rate 1 the larger box [2, 1] is the one-step set of [1, 1]: from
+        # its step 1 on, the second sequence's targets have the first's bits
+        sysr = oscillator_system()
+        C = validate_cset(symmetric_box([1.0, 1.0]))
+        D = validate_cset(symmetric_box([2.0, 1.0]))
+        seq_c = iterate(sysr, 1.0, C, 7)
+        projected = count_projections(monkeypatch)
+        seq_d = iterate(sysr, 1.0, D, 7)
+        assert all(d is c for d, c in zip(seq_d.entries[2:], seq_c.entries[3:]))
+        assert len(projected) == 2  # steps 1 and 7 of the second sequence

@@ -9,6 +9,7 @@ from contracta import (
     Purpose,
     SeedLabel,
     Strategy,
+    SystemModel,
     approximate_cmax1,
     epsilon_plan,
     exact_k_oracle_1d,
@@ -237,25 +238,33 @@ class TestApproximation:
             assert outcome.k_star == 0
 
     def test_one_projection_of_the_seed(self, monkeypatch):
-        # the gate is the seed's first step: 2 k* steps and the terminal re-check
+        # the gate is the seed's first step: 2 k* projections, the gate and
+        # the terminal re-check; step 1 of the seed is the gate's memo hit
         sys2, seed = scalar_system(2), scalar_seed(2)
         plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
         assert plan.k == 64
-        original = onestep.one_step_set
-        targets = []
+        original, project_once = onestep.one_step_set, onestep.project
+        targets, projected = [], []  # one_step_set targets; the projected ones
 
         def counted(sys, lam, D):
             targets.append(D)
             return original(sys, lam, D)
 
+        def projecting(p, keep):
+            projected.append(targets[-1])
+            return project_once(p, keep)
+
         monkeypatch.setattr(onestep, "one_step_set", counted)
-        monkeypatch.setattr(planner, "one_step_set", counted, raising=False)
+        monkeypatch.setattr(planner, "one_step_set", counted)
+        monkeypatch.setattr(onestep, "project", projecting)
         for strategy, k_star in ((Strategy.ADAPTIVE_INCLUSION, 23), (Strategy.APRIORI_BOUND, 64)):
-            targets.clear()
-            outcome = approximate_cmax1(sys2, plan, seed, strategy)
+            projected.clear()
+            # a fresh system each time, whose memo holds none of the sets
+            fresh = SystemModel(sys2.A, sys2.B, sys2.X, sys2.U)
+            outcome = approximate_cmax1(fresh, plan, seed, strategy)
             assert outcome.k_star == k_star
-            assert sum(D is seed for D in targets) == 1
-            assert len(targets) == 2 * k_star + 1
+            assert sum(D is seed for D in projected) == 1
+            assert len(projected) == 2 * k_star + 1
 
     def test_support_lps_once_per_polytope(self, monkeypatch):
         # the slack, the distance and the steps' inclusion tests ask the same
@@ -278,6 +287,8 @@ class TestApproximation:
         seeds, states = [seed], []
 
         def faulty(sys, lam, D):
+            if any(D is s for s in seeds[:-1]):  # step 1 of the seed: the gate's memo
+                return original(sys, lam, D)
             if D is seeds[-1]:
                 seeds.append(original(sys, lam, D))
                 if shrink and len(seeds) == 3:  # the seed's step 2 shrinks
@@ -308,8 +319,10 @@ class TestApproximation:
         original, solve = onestep.one_step_set, polytope_module._solve_batch
 
         def recorded(sys, lam, D):
-            made.append(original(sys, lam, D))
-            return made[-1]
+            q = original(sys, lam, D)
+            if all(q is not m for m in made):  # not a memo hit (seed step 1 is the gate's)
+                made.append(q)
+            return q
 
         def over(p, rows):
             k = p.nfacets
@@ -331,8 +344,9 @@ class TestApproximation:
         monkeypatch.setattr(onestep, "one_step_set", recorded)
         monkeypatch.setattr(planner, "one_step_set", recorded)
         monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)  # sys3's memo holds the steps
         with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
-            approximate_cmax1(sys3, plan, seed, Strategy.ADAPTIVE_INCLUSION)
+            approximate_cmax1(fresh, plan, seed, Strategy.ADAPTIVE_INCLUSION)
         assert len(made) == 4 and made[3] is not made[1]  # raised at step 2
 
     def test_slack_and_distance_on_oblique_facets(self):
