@@ -18,15 +18,17 @@ polytopes along many directions, or one round of redundancy tests. When no
 offset is negative the slack basis is feasible, so phase 1 is skipped, and
 the LPs are pivoted in lockstep, one Bland pivot of every unfinished LP per
 step, with the array operations of ``_iterate`` and ``_pivot`` applied along
-a leading LP axis. An LP leaves the stack when it is optimal or unbounded.
-This pays the per-pivot overhead once per step instead of once per LP. The
-stack is the condensed tableau (LP x row x slot): ``k`` constraint rows and
-a reduced-cost row over the ``2n`` nonbasic columns and the rhs, with the
-variable id of each slot kept beside it. The ``k`` basic columns of the
-full tableau ``[A, -A, I, rhs]`` are exact unit vectors, so dropping them
-loses nothing: a pivot swaps the leaving variable's unit column into the
-entering variable's slot and pivots on it, and Bland's entering choice is
-the improving slot of smallest variable id.
+a leading LP axis. An LP leaves the stack when it is optimal or unbounded,
+and one pass after the last step builds and checks the basic solutions of
+all that left. This pays the per-pivot overhead once per step instead of
+once per LP. The stack is the condensed tableau, slot-major (LP x slot x
+row): each of the ``2n`` nonbasic columns and the rhs holds ``k`` constraint
+rows and a reduced cost, and the variable id of each slot is kept beside it.
+The ``k`` basic columns of the full tableau ``[A, -A, I, rhs]`` are exact
+unit vectors, so dropping them loses nothing: a pivot swaps the leaving
+variable's unit column into the entering variable's slot and pivots on it,
+and Bland's entering choice is the improving slot of smallest variable id.
+Neither the layout nor the pooled pass changes an operation on an element.
 
 Invariant: a kernel change must keep the pivot sequence and every
 floating-point operation, so each ``LpOutcome`` stays bit-identical for
@@ -49,9 +51,10 @@ from .errors import ComputationError, DimensionError, ValidationError
 
 _MAX_PIVOTS = 20000
 # solve_lp_batch runs at least this many LPs in lockstep: on LPs of 2-40 rows
-# in 1-4 variables, 8 LPs took 0.35-0.73 of the time of solving them one at a
-# time and 4 took 0.68-1.26 (Intel Xeon VM, one core). A lockstep chunk holds
-# about this many bytes of tableau, which bounds the memory a batch adds.
+# in 1-4 variables, 8 LPs took 0.48-1.00 (median 0.62) of the time of solving
+# them one at a time and 4 took 0.85-1.62 (median 1.03) (Intel Xeon VM, one
+# core). A lockstep chunk holds about this many bytes of tableau, which bounds
+# the memory a batch adds.
 _LOCKSTEP_MIN = 8
 _BATCH_BYTES = 1 << 20
 
@@ -204,80 +207,83 @@ def _lockstep(C: np.ndarray, A: np.ndarray, b: np.ndarray) -> list:
     pivot of every unfinished LP per step, with ``_iterate``'s Bland rule and
     ``_pivot``'s floating-point operations.
 
-    Each LP keeps only its ``2n`` nonbasic columns and the rhs; row ``k``
-    holds the reduced costs. A basic column of the full tableau is a unit
-    vector, so a pivot puts the leaving variable's unit column in the
-    entering variable's slot and pivots on it as ``_pivot`` would: ``1/p``
-    in the pivot row, ``0 - col_i * (1/p)`` in row ``i``. The reduced costs
-    are pivoted with the other rows, before ``_pivot`` turns ``-0`` entries
-    of the pivot row into ``+0``; they are only compared with ``opt``, so the
-    sign of a zero among them changes nothing.
+    Each LP keeps only its ``2n`` nonbasic columns and the rhs, slot-major:
+    a slot holds the column's ``k`` rows, then its reduced cost. A basic
+    column of the full tableau is a unit vector, so a pivot puts the leaving
+    variable's unit column in the entering variable's slot and pivots on it
+    as ``_pivot`` would: ``1/p`` in the pivot row, ``0 - col_i * (1/p)`` in
+    row ``i``, each product taken as ``row_s * col_i``, which is bit-for-bit
+    ``col_i * row_s``. The reduced costs are pivoted with the other rows,
+    before ``_pivot`` turns ``-0`` entries of the pivot row into ``+0``; they
+    are only compared with ``opt``, so the sign of a zero among them changes
+    nothing. A finished LP leaves with its basis and rhs, and one ``_finish``
+    after the loop settles them all: its work is per LP, so no bit moves.
 
     An LP that faults gets the ``ComputationError`` that ``solve_lp`` would
     raise on it in its place; the other LPs go on.
     """
     L, k, n = A.shape
     m = 2 * n + k
-    tab = np.empty((L, k + 1, 2 * n + 1))  # nonbasic columns, then the rhs
-    tab[:, :k, :n] = A
-    np.negative(A, out=tab[:, :k, n : 2 * n])
-    tab[:, :k, -1] = b
-    tab[:, k, :n] = C  # slack costs are zero: nothing to price out
-    np.negative(C, out=tab[:, k, n : 2 * n])
-    tab[:, k, -1] = 0.0
+    tab = np.empty((L, 2 * n + 1, k + 1))  # nonbasic columns, then the rhs
+    tab[:, :n, :k] = A.transpose(0, 2, 1)
+    np.negative(A.transpose(0, 2, 1), out=tab[:, n : 2 * n, :k])
+    tab[:, -1, :k] = b
+    tab[:, :n, k] = C  # slack costs are zero: nothing to price out
+    np.negative(C, out=tab[:, n : 2 * n, k])
+    tab[:, -1, k] = 0.0
     nonbasic = np.tile(np.arange(2 * n), (L, 1))  # variable id of each slot
     basis = np.tile(np.arange(2 * n, m), (L, 1))
     outcomes: list[LpOutcome | ComputationError | None] = [None] * L
+    settled = []  # (positions, optimal flags, bases, rhs) of finished LPs
     live = np.arange(L)  # position of each unfinished LP in the input
     lanes = np.arange(L)
-    first_rows = lanes * (k + 1)  # row of each LP's first constraint in ``flat``
-    flat = tab.reshape(-1, 2 * n + 1)  # tableau rows of all LPs, LP-major
     product = np.empty_like(tab)
-    red, rhs = tab[:, k, :-1], tab[:, :k, -1]
+    red, rhs = tab[:, :-1, k], tab[:, -1, :k]
     opt, piv = TOL.opt, TOL.pivot
     for _ in range(_MAX_PIVOTS):
         # Bland: the improving slot of smallest variable id
         ids = np.where(red > opt, nonbasic, m)
         slot = ids.argmin(axis=1)
-        enter = ids[lanes, slot]
-        col = tab[lanes, :, slot]
+        enter = ids.min(axis=1)
+        col = tab[lanes, slot]
         usable = col[:, :k] > piv
         optimal = enter == m
         finished = optimal | ~usable.any(axis=1)
         if finished.any():
-            z = np.zeros((np.count_nonzero(finished), m))
-            np.put_along_axis(z, basis[finished], rhs[finished], axis=1)
-            X = z[:, :n] - z[:, n : 2 * n]
-            _finish(outcomes, live[finished], optimal[finished], X, C, A, b)
+            settled.append((live[finished], optimal[finished], basis[finished], rhs[finished]))
             going = ~finished
-            if not going.any():
-                return outcomes
             live, tab, basis, nonbasic = live[going], tab[going], basis[going], nonbasic[going]
+            if not live.size:
+                break
             slot, enter, col, usable = slot[going], enter[going], col[going], usable[going]
             lanes = np.arange(live.size)
-            first_rows = lanes * (k + 1)
-            flat = tab.reshape(-1, 2 * n + 1)
-            red, rhs = tab[:, k, :-1], tab[:, :k, -1]
+            red, rhs = tab[:, :-1, k], tab[:, -1, :k]
             product = product[: live.size]
         ratios = np.full(usable.shape, np.inf)
         np.divide(rhs, col[:, :k], out=ratios, where=usable)
-        near = usable & (ratios <= ratios.min(axis=1, keepdims=True) + 1e-12)
+        # unusable rows hold inf, and every live LP has a finite ratio
+        near = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
         # Bland: smallest basic index among the tied rows
         leave = np.where(near, basis, m).argmin(axis=1)
-        pivot_rows = first_rows + leave
         p = col[lanes, leave]
-        tab[lanes, :, slot] = 0.0  # the leaving variable's unit column
-        flat[pivot_rows, slot] = 1.0
-        row = flat[pivot_rows]
+        tab[lanes, slot] = 0.0  # the leaving variable's unit column
+        tab[lanes, slot, leave] = 1.0
+        row = tab[lanes, :, leave]
         row /= p[:, None]
-        flat[pivot_rows] = row
+        tab[lanes, :, leave] = row
         col[lanes, leave] = 0.0  # the entering column, as _pivot's factors
-        np.multiply(col[:, :, None], row[:, None, :], out=product)
+        np.multiply(row[:, :, None], col[:, None, :], out=product)
         tab -= product
         nonbasic[lanes, slot] = basis[lanes, leave]
         basis[lanes, leave] = enter
     for l in live.tolist():
         outcomes[l] = ComputationError("simplex exceeded the pivot budget")
+    if settled:  # LPs that all retired at one step need no join
+        joined = settled[0] if len(settled) == 1 else map(np.concatenate, zip(*settled))
+        where, optimal, basis, rhs = joined
+        z = np.zeros((where.size, m))
+        np.put_along_axis(z, basis, rhs, axis=1)
+        _finish(outcomes, where, optimal, z[:, :n] - z[:, n : 2 * n], C, A, b)
     return outcomes
 
 

@@ -63,7 +63,8 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+        # tolist already gives plain values, except inside object arrays
+        return jsonable(value.tolist()) if value.dtype == object else value.tolist()
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.integer, int)):

@@ -8,6 +8,7 @@ from contracta import reproduce, symmetric_box, validate_cset
 from contracta.cli import main
 from contracta.errors import ComputationError, ScenarioParseError, ValidationError
 from contracta.scenario import (
+    jsonable,
     parse_scenario_text,
     run_scenario_dict,
     serialize_scenario,
@@ -55,6 +56,39 @@ class TestScenarioFormat:
         scenario["bogus"] = 1
         with pytest.raises(ValidationError):
             validate_scenario(scenario)
+
+    def test_jsonable_arrays_match_elementwise_conversion(self):
+        def elementwise(value):  # converts every array entry one at a time
+            if isinstance(value, dict):
+                return {k: elementwise(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [elementwise(v) for v in value]
+            if isinstance(value, np.ndarray):
+                return [elementwise(v) for v in value.tolist()]
+            if isinstance(value, (np.bool_, bool)):
+                return bool(value)
+            if isinstance(value, (np.integer, int)):
+                return int(value)
+            if isinstance(value, (np.floating, float)):
+                return float(value)
+            return value
+
+        floats = np.array([[-0.0, 1.5], [np.float64(2.0) / 3.0, -7.25]])
+        value = {
+            "floats": floats,
+            "ints": np.arange(-3, 3, dtype=np.int32),
+            "bools": np.array([True, False]),
+            "nested": ({"rows": floats[0], "count": np.int64(4)}, [np.array([1e-300, 2e300])]),
+            "objects": np.array([np.float32(0.5), np.int16(-2), np.bool_(True)], dtype=object),
+        }
+        assert json.dumps(jsonable(value)) == json.dumps(elementwise(value))
+        assert json.dumps(jsonable(floats)) == "[[-0.0, 1.5], [0.6666666666666666, -7.25]]"
+
+    def test_jsonable_zero_dimensional_array_is_its_scalar(self):
+        assert jsonable(np.array(2.0)) == 2.0 and type(jsonable(np.array(2.0))) is float
+        assert jsonable(np.array(3)) == 3 and type(jsonable(np.array(3))) is int
+        assert jsonable(np.array(True)) is True
+        assert jsonable(np.array(np.float64(0.25), dtype=object)) == 0.25
 
 
 class TestRunScenario:

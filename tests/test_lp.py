@@ -538,6 +538,48 @@ def test_lockstep_faults_are_per_lp(seed):
             assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))
 
 
+@pytest.mark.parametrize("budget", [4, 6])
+def test_lockstep_pivot_budget_is_per_lp(budget):
+    # under a small pivot budget, the LPs that finish in time keep solve_lp's
+    # outcomes, the others get its budget error, and solve_lp_batch raises
+    # the first of those errors in input order
+    C, A, b = _batch_case("random", 3, 30, lp_module._LOCKSTEP_MIN + 16, 7)
+    returned = []
+    lockstep = lp_module._lockstep
+
+    def kept(C, A, b):
+        returned.append(lockstep(C, A, b))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_MAX_PIVOTS", budget)
+        refs = []
+        for c, a, r in zip(C, A, b):
+            try:
+                refs.append(solve_lp(LinearProgram(c, a, r)))
+            except ComputationError as exc:
+                refs.append(str(exc))
+        patch.setattr(lp_module, "_lockstep", kept)
+        with pytest.raises(ComputationError) as raised:
+            solve_lp_batch(C, A, b)
+    faults = [l for l, ref in enumerate(refs) if isinstance(ref, str)]
+    assert 0 < len(faults) < len(C)
+    assert len(returned) == 1
+    outs = returned[0]
+    assert raised.value is outs[faults[0]]
+    for out, ref in zip(outs, refs):
+        if isinstance(ref, str):
+            assert ref == "simplex exceeded the pivot budget"
+            assert isinstance(out, ComputationError) and str(out) == ref
+        else:
+            assert out.status is ref.status and out.value == ref.value
+            if ref.x is None:
+                assert out.x is None
+            else:
+                assert np.array_equal(out.x, ref.x)
+                assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))
+
+
 def test_batch_small_or_negative_offsets_match_solve_lp():
     # too few LPs for lockstep, or offsets that need phase 1: one at a time
     rng = np.random.default_rng(9)
