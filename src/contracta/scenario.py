@@ -223,6 +223,13 @@ def _require(task: dict, key: str, caster):
         raise ValidationError(f"task field {key}: {exc}") from exc
 
 
+def _whole(value) -> int:
+    """An iteration count: neither a boolean nor a fraction is truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _task_certify(scenario: Scenario):
     lam = _require(scenario.task, "lambda", float)
     cert = compute_certificate(scenario.system, lam)
@@ -261,7 +268,7 @@ def _task_select_lambda(scenario: Scenario):
 
 def _parse_strategy(name: str) -> Strategy:
     table = {"apriori": Strategy.APRIORI_BOUND, "adaptive": Strategy.ADAPTIVE_INCLUSION}
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ValidationError("strategy must be 'apriori' or 'adaptive'")
     return table[name]
 
@@ -278,7 +285,7 @@ def _approximation_dict(outcome) -> dict:
 
 def _task_iterate(scenario: Scenario):
     lam = _require(scenario.task, "lambda", float)
-    k = _require(scenario.task, "k", int)
+    k = _require(scenario.task, "k", _whole)
     seed_kind = scenario.task.get("seed", "X")
     if seed_kind == "X":
         D, label = scenario.system.X, SeedLabel.FROM_STATE_SET

@@ -222,6 +222,27 @@ class TestCliProcess:
         scenario = scalar_scenario({"certify": {"lambda": "high"}})
         assert main(["certify", "--scenario", write(tmp_path, "s.json", scenario)]) == 3
 
+    @pytest.mark.parametrize("strategy", [["adaptive"], {"name": "apriori"}, 1])
+    def test_non_string_strategy_exit_3(self, tmp_path, strategy):
+        task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98, "strategy": strategy}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        assert main(["select-lambda", "--scenario", scenario]) == 3
+
+    @pytest.mark.parametrize("k", [2.7, True, False, "2.5", float("inf")])
+    def test_iteration_count_not_whole_exit_3(self, tmp_path, k):
+        # a boolean or a fraction is rejected, never truncated into a count
+        task = {"iterate": {"lambda": 0.8, "k": k, "seed": "X"}}
+        assert main(["iterate", "--scenario", write(tmp_path, "s.json", scalar_scenario(task))]) == 3
+
+    @pytest.mark.parametrize("k", [2, 2.0])
+    def test_whole_iteration_count_runs(self, tmp_path, k):
+        task = {"iterate": {"lambda": 0.8, "k": k, "seed": "X"}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        out = tmp_path / "report.json"
+        assert main(["iterate", "--scenario", scenario, "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["iterations"] == 2 and len(results["per_iteration"]) == 3
+
     @pytest.mark.parametrize("block", ["system", "seed"])
     def test_block_not_an_object_exit_3(self, tmp_path, block):
         scenario = scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 0.1}})

@@ -23,6 +23,7 @@ from contracta import (
     symmetric_box,
     validate_cset,
 )
+from contracta import lp as lp_module
 from contracta import onestep, planner
 from contracta import polytope as polytope_module
 from contracta.benchmarks import scalar_seed, scalar_system
@@ -348,6 +349,86 @@ class TestApproximation:
         with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
             approximate_cmax1(fresh, plan, seed, Strategy.ADAPTIVE_INCLUSION)
         assert len(made) == 4 and made[3] is not made[1]  # raised at step 2
+
+    @pytest.mark.parametrize("faulty", [("seed", "state"), ("state",)])
+    def test_window_lp_faults_raise_in_step_order(self, monkeypatch, faulty):
+        # an a-priori window pools the LPs of steps 1 to 15 in one batch; a
+        # seed fault at step 2 raises before a state fault at step 5
+        sys3, seed = scalar_system(3), oblique_seed()
+        plan = epsilon_plan(sys3, 0.9, seed, 0.5)
+        assert plan.k > planner._APRIORI_WINDOW
+        made = []  # one-step sets in projection order: seed_1, state_1, seed_2, state_2, ...
+        original, solve = onestep.one_step_set, polytope_module._solve_batch
+
+        def recorded(sys, lam, D):
+            q = original(sys, lam, D)
+            if all(q is not m for m in made):
+                made.append(q)
+            return q
+
+        def over(p, rows, offsets):  # the state iterates share their normals
+            k = p.nfacets
+            same = np.array_equal(rows[:k], p.H) and np.array_equal(offsets[:k], p.b)
+            return rows.shape[0] >= k and same and not rows[k:].any()
+
+        def along(p, c):  # a facet normal of p: seed_1 along seed_2's is step 2
+            return (p.H == c).all(axis=1).any()
+
+        def injected(C, A, b):
+            outs = solve(C, A, b)
+            if len(made) < 10:
+                return outs
+            seed_1, state_1, seed_2, state_5 = made[0], made[1], made[2], made[9]
+            for l, c in enumerate(np.asarray(C)):
+                rows, offsets = (A, b) if A.ndim == 2 else (A[l], b[l])
+                step_2 = over(seed_1, rows, offsets) and along(seed_2, c) and not along(state_1, c)
+                if "seed" in faulty and step_2:
+                    outs[l] = ComputationError("seed fault")
+                elif "state" in faulty and over(state_5, rows, offsets):
+                    outs[l] = ComputationError("state fault")
+            return outs
+
+        monkeypatch.setattr(onestep, "one_step_set", recorded)
+        monkeypatch.setattr(planner, "one_step_set", recorded)
+        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)
+        with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
+            approximate_cmax1(fresh, plan, seed, Strategy.APRIORI_BOUND)
+        assert len(made) == 2 * (planner._APRIORI_WINDOW - 1)  # the first window's steps
+
+    @pytest.mark.parametrize("oblique", [False, True])
+    def test_apriori_records_match_adaptive_bits(self, oblique):
+        # windows pool other batches than single steps; no record moves a bit
+        def case():
+            if oblique:
+                sys3, seed = scalar_system(3), oblique_seed()
+                return sys3, epsilon_plan(sys3, 0.9, seed, 0.5), seed
+            sys2, seed = scalar_system(2), scalar_seed(2)
+            return sys2, select_lambda(sys2, 0.98, seed, 5.0 / 6.0), seed
+
+        adaptive = approximate_cmax1(*case(), Strategy.ADAPTIVE_INCLUSION)
+        sysn, plan, seed = case()  # fresh sets: no memo of the adaptive run
+        full = approximate_cmax1(sysn, plan, seed, Strategy.APRIORI_BOUND)
+        k_star = adaptive.k_star
+        assert (plan.k, k_star) == ((102, 8) if oblique else (64, 23))
+        assert repr(full.per_iteration[: k_star + 1]) == repr(adaptive.per_iteration)
+        assert len(full.per_iteration) == plan.k + 1
+
+    def test_apriori_lockstep_calls(self, monkeypatch):
+        # steps 0-15, 16-31, 32-47 and 48-63 pool a batch each, step 64 one
+        # more: five kernel calls where steps taken one at a time make 64
+        sys2, seed = scalar_system(2), scalar_seed(2)
+        plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
+        assert plan.k == 64
+        calls, lockstep = [], lp_module._lockstep
+
+        def counted(C, A, b):
+            calls.append(len(C))
+            return lockstep(C, A, b)
+
+        monkeypatch.setattr(lp_module, "_lockstep", counted)
+        approximate_cmax1(sys2, plan, seed, Strategy.APRIORI_BOUND)
+        assert len(calls) == 5
 
     def test_slack_and_distance_on_oblique_facets(self):
         sys3, seed = scalar_system(3), oblique_seed()
