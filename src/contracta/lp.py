@@ -8,17 +8,16 @@ the entering and the leaving choice, so the pivot sequence -- and therefore
 the reported outcome -- is a pure, deterministic function of the input.
 
 Instances have a few variables and mostly tens of rows (support and
-inclusion LPs over one polytope's facets, redundancy tests against the
-facets found so far); the flat-set fallback of ``remove_redundancy`` and
-``membership_certificate`` build a few hundred. At that size a dense tableau
-wins, and the cost is the fixed overhead of each call and each pivot.
+inclusion LPs over one polytope's facets); the all-rows redundancy test of
+``remove_redundancy`` and ``membership_certificate`` build a few hundred.
+At that size a dense tableau wins, and the cost is the fixed overhead of
+each call and each pivot.
 
 ``solve_lp_batch`` solves many such LPs at once: support LPs of one or more
-polytopes along many directions, or one round of redundancy tests. When no
-offset is negative the slack basis is feasible, so phase 1 is skipped, and
-the LPs are pivoted in lockstep, one Bland pivot of every unfinished LP per
-step, with the array operations of ``_iterate`` and ``_pivot`` applied along
-a leading LP axis. An LP leaves the stack when it is optimal or unbounded,
+polytopes along many directions. When no offset is negative the slack basis
+is feasible, so phase 1 is skipped, and the LPs are pivoted in lockstep, one
+Bland pivot of every unfinished LP per step, with the array operations of
+``_iterate`` and ``_pivot`` applied along a leading LP axis. An LP leaves the stack when it is optimal or unbounded,
 and one pass after the last step builds and checks the basic solutions of
 all that left. This pays the per-pivot overhead once per step instead of
 once per LP. The stack is the condensed tableau, slot-major (LP x slot x

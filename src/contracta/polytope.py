@@ -29,11 +29,17 @@ Construction renormalizes rows, so no memo passes to another polytope, not
 even one built from the same rows. A system's one-step memo is keyed by bits
 instead: a target with an earlier target's bits gets that target's one-step
 set, memo included, which is the earlier target itself when they are equal.
+
+Redundancy removal tests each row against the facets found so far by
+reading its maximum off their vertices, which an incremental double
+description keeps as facets are found; only rows this cannot decide with a
+clear margin, and flat sets, take an LP (:func:`remove_redundancy`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 
 import numpy as np
@@ -56,7 +62,7 @@ from .lp import _LOCKSTEP_MIN, LinearProgram, LpStatus, _solve_batch, _solve_or_
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
-_RAY_BLOCK = 256  # rays per block in _first_hits
+_RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
 
 
 def _facet_cap() -> int:
@@ -358,8 +364,8 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     removed, and the kept rows are returned in that order.
 
     Rows are tested by Clarkson's output-sensitive algorithm, only against
-    the rows already known to be facets, so each LP has |facets| + 1 rows
-    instead of one row per input row:
+    the rows already known to be facets, whose set is described by its
+    vertices (an incremental double description, :class:`_Description`):
 
     * The interior point is the origin when every offset exceeds ``feas``,
       as for C-sets and their Fourier-Motzkin shadows; such input is
@@ -367,26 +373,31 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
       whose LP also raises ``EmptySetError`` on empty input. The tests run
       in coordinates centred on it, so every offset is positive.
     * The ray from the interior point along each row normal marks the first
-      row it crosses as a facet, with no LP.
-    * The tests run in rounds. A round tests every undecided row against
-      the facets known at its start, as one batch of LPs. When a row's LP
-      optimum beats its offset, the ray from the interior point to the
-      optimum marks the first row it crosses as a facet; the row is tested
-      again next round unless it was that row. The rays of one round are
-      traced together, in row order, and a row whose ray hits a facet found
-      earlier in the same round is also tested again next round.
+      row it crosses as a facet. When that finds every row a facet, nothing
+      else runs.
+    * Otherwise the tests run in rounds. A round reads the maximum of every
+      undecided row over the facets known at its start off their vertices,
+      one matrix product for all rows (+inf along an unbounded ray). A row
+      whose maximum stays within ``feas`` of its offset is redundant. When
+      the maximum beats the offset, the ray from the interior point toward
+      the best vertex (or along the unbounded ray) marks the first row it
+      crosses as a facet, and the facet joins the description; the row is
+      tested again next round unless it was that row. The rays of one round
+      are traced together, in row order, and a row whose ray hits a facet
+      found earlier in the same round is also tested again next round.
 
     A ray hit counts only when the next row lies more than ``10 feas`` of
-    violation behind it. After a tied hit, and for every row of a set whose
-    Chebyshev radius is at most ``feas`` (a flat set), the row is instead
-    tested against all rows except those removed before it, one row at a
-    time in order. The kept rows are thus those of testing every row, in
-    order, against all rows not yet removed.
-
-    A row whose test LP faults (``solve_lp`` raises ``ComputationError``, as
-    on near-parallel rows 1e-9 apart) is kept, which never changes the set;
-    it does not count as a known facet. The outcomes of the other LPs are
-    those they have without the fault.
+    violation behind it. Some rows instead take the all-rows test, one LP
+    against all rows except those removed before it, in order: the rows of
+    a tied hit, those whose maximum lies within ``_DD_MARGIN`` of ``offset +
+    feas``, every row of a set whose Chebyshev radius is at most ``feas`` (a
+    flat set), and, since a missed vertex could only make a row look
+    redundant, every row found redundant when the final description is not
+    bounded with each known facet tight at ``n`` vertices or more. The kept
+    rows are thus those of testing every row, in order, against all rows not
+    yet removed. A row whose all-rows LP faults (``solve_lp`` raises
+    ``ComputationError``, as on near-parallel rows 1e-9 apart) is kept,
+    which never changes the set.
     """
     H, b = _collapse_parallel(p.H, p.b)
     k = H.shape[0]
@@ -418,48 +429,129 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
 
 def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
     """Clarkson's tests, in rounds, of the rows of ``{y | H y <= slack}``
-    (every slack positive) against the facets found so far.
+    (every slack positive) against the facets found so far, read off the
+    vertices of those facets (:class:`_Description`).
 
-    Marks redundant rows in ``removed`` and returns the mask of rows whose
-    ray hit was tied, which need the all-rows test. A row whose test LP
-    faults is kept, but not as a known facet.
+    Marks redundant rows in ``removed`` and returns the mask of rows that
+    need the all-rows test: tied ray hits, maxima within ``_DD_MARGIN`` of
+    the verdict, and every row found redundant when the final description
+    is not a polytope whose every facet meets ``n`` vertices.
     """
     k, n = H.shape
     known = np.zeros(k, dtype=bool)
     first, clear = _first_hits(H, H, slack, removed)  # rays along the row normals
     known[first[clear]] = True
     wide = np.zeros(k, dtype=bool)
-    if known.all():  # every row is a facet, as on most C-set shadows: no LP
+    if known.all():  # every row is a facet, as on most C-set shadows: nothing to build
         return wide
-    faulted = np.zeros(k, dtype=bool)
+    dd, rows = _Description(n), np.concatenate((H, -slack[:, None]), axis=1)
+    for j in np.flatnonzero(known):
+        dd.insert(rows[j])
     while True:
-        todo = np.flatnonzero(~(known | removed | wide | faulted))
+        todo = np.flatnonzero(~(known | removed | wide))
         if todo.size == 0:
-            return wide
-        facets = np.flatnonzero(known)
-        A = np.empty((todo.size, facets.size + 1, n))
-        A[:, :-1] = H[facets]
-        A[:, -1] = H[todo]
-        rhs = np.empty((todo.size, facets.size + 1))
-        rhs[:, :-1] = slack[facets]
-        rhs[:, -1] = slack[todo] + 1.0
-        # the test set holds the interior point and caps the row: every LP is optimal
-        outs = _solve_batch(H[todo], A, rhs)
-        lost = np.array([isinstance(out, ComputationError) for out in outs])
-        faulted[todo[lost]] = True
-        values = np.array([np.inf if fault else out.value for out, fault in zip(outs, lost)])
-        redundant = values <= slack[todo] + TOL.feas
+            break
+        values, directions = dd.maxima(H[todo])
+        gap = values - (slack[todo] + TOL.feas)
+        redundant, beaten = gap < -_DD_MARGIN, gap > _DD_MARGIN
         removed[todo[redundant]] = True
-        beaten = np.flatnonzero(~(redundant | lost))
+        wide[todo[~(redundant | beaten)]] = True
+        beaten = np.flatnonzero(beaten)
         if beaten.size == 0:
             continue
-        first, clear = _first_hits(np.array([outs[j].x for j in beaten]), H, slack, removed)
+        # the ray toward the best vertex (or along an unbounded ray) leaves the set early
+        first, clear = _first_hits(directions[beaten], H, slack, removed)
         found = np.zeros(k, dtype=bool)  # facets found in this round
         for i, hit, ok in zip(todo[beaten], first, clear):
             if ok and not known[hit]:
                 known[hit] = found[hit] = True
+                dd.insert(rows[hit])
             elif not (ok and found[hit]):
                 wide[i] = True
+    if not dd.is_polytope():
+        wide |= removed
+        removed[:] = False
+    return wide
+
+
+# A generator lies on a hyperplane when |a . g| <= _DD_TIGHT |a|, g of unit norm.
+_DD_TIGHT = 1e-10
+# A maximum this close to a row's verdict threshold ``slack + feas`` is decided by LP.
+_DD_MARGIN = 1e-11
+
+
+class _Description:
+    """Incremental double description (Motzkin et al. 1953; Fukuda and
+    Prodon 1996) of ``{y | H_F y <= s_F}``, every ``s_F`` positive, as the
+    cone ``{(y, t) | H_F y <= s_F t, t >= 0}``: unit extreme rays ``rays``,
+    a lineality basis ``lines`` (whose ``t`` is 0), and the 0/1 incidence
+    ``tight`` of each ray on ``t >= 0`` (column 0), then on each inserted
+    row. A ray with ``t > 0`` is the vertex ``y / t``; ``t`` is exactly 0
+    on recession rays, which only combine rays and lines with ``t = 0``.
+    """
+
+    __slots__ = ("rays", "lines", "tight")
+
+    def __init__(self, n: int):
+        self.rays = np.eye(1, n + 1, n)  # the origin, with all of R^n as lineality
+        self.lines = np.eye(n, n + 1)
+        self.tight = np.zeros((1, 1))
+
+    def insert(self, a: np.ndarray) -> None:
+        """Add the row ``a . (y, t) <= 0``, that is ``h y <= s`` for ``a = (h, -s)``."""
+        tol = _DD_TIGHT * math.hypot(1.0, a[-1])
+        if len(self.lines):
+            la = self.lines @ a
+            j = np.abs(la).argmax()
+            if abs(la[j]) > tol:  # the row cuts the lineality: one line becomes a ray
+                line = self.lines[j]
+                lines = np.delete(self.lines - np.outer(la / la[j], line), j, axis=0)
+                rays = self.rays - np.outer(self.rays @ a / la[j], line)  # now on the row
+                self.lines = lines / _row_norms(lines)[:, None]
+                rays = np.concatenate((rays, -np.sign(la[j]) * line[None]))
+                rays /= _row_norms(rays)[:, None]
+                m, c = self.tight.shape
+                tight = np.ones((m + 1, c + 1))  # the new ray lies on every row but this one
+                tight[:m, :c] = self.tight
+                tight[m, c] = 0.0
+                self.rays, self.tight = rays, tight
+                return
+        R, Z = self.rays, self.tight
+        w = R @ a
+        cut = w > tol
+        pos, neg = np.flatnonzero(cut), np.flatnonzero(w < -tol)
+        Zp, Zn = Z[pos], Z[neg]
+        # adjacent pairs: at least d - 2 common tight rows, held by no third ray
+        p, q = np.nonzero(Zp @ Zn.T >= R.shape[1] - len(self.lines) - 2)
+        common = Zp[p] * Zn[q]
+        adjacent = np.count_nonzero(common @ Z.T == common.sum(axis=1)[:, None], axis=1) == 2
+        p, q = pos[p[adjacent]], neg[q[adjacent]]
+        new = w[p, None] * R[q] - w[q, None] * R[p]  # on the row
+        keep = ~cut
+        Z = np.concatenate((Z, (w >= -tol)[:, None]), axis=1)[keep]
+        common = np.concatenate((common[adjacent], np.ones((len(p), 1))), axis=1)
+        self.rays = np.concatenate((R[keep], new / _row_norms(new)[:, None]))
+        self.tight = np.concatenate((Z, common))
+
+    def maxima(self, H: np.ndarray):
+        """Maximum of each row of ``H`` over the set (+inf when unbounded),
+        and a direction toward it: the best vertex or an unbounded ray. Rows
+        are read in blocks of ``_RAY_BLOCK``, which bounds the temporaries."""
+        if len(H) > _RAY_BLOCK:
+            blocks = [self.maxima(H[i : i + _RAY_BLOCK]) for i in range(0, len(H), _RAY_BLOCK)]
+            return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        gens = np.vstack((self.rays, self.lines, -self.lines))
+        t = gens[:, -1]
+        dots = H @ gens[:, :-1].T
+        values = np.divide(dots, t, out=np.where(dots > 0.0, np.inf, -np.inf), where=t > 0.0)
+        best = values.argmax(axis=1)
+        return values[np.arange(len(H)), best], gens[best, :-1]
+
+    def is_polytope(self) -> bool:
+        """Bounded, and every inserted row tight at ``n`` vertices or more."""
+        n = self.rays.shape[1] - 1
+        return (self.lines.size == 0 and (self.rays[:, -1] > 0.0).all()
+                and (self.tight[:, 1:].sum(axis=0) >= n).all())
 
 
 def _interior_slack(H: np.ndarray, b: np.ndarray):
@@ -540,7 +632,7 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     removal thus never lets the row count grow, and the facet cap keeps its
     meaning. An elimination can produce hundreds of rows of which a few
     dozen are facets; :func:`remove_redundancy` tests each row only against
-    the facets found so far (Clarkson's algorithm).
+    the facets found so far (Clarkson's algorithm), on their vertices.
 
     An elimination lists first the rows with a zero coefficient on the
     eliminated coordinate, in order, then, for each row ``i`` with a

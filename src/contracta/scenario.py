@@ -9,6 +9,7 @@ can be recomputed from the report alone.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -219,19 +220,26 @@ def _require(task: dict, key: str, caster):
         raise ValidationError(f"task is missing {key}")
     try:
         return caster(task[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"task field {key}: {exc}") from exc
 
 
+def _number(value) -> float:
+    """A rate or an accuracy: a number, never a boolean or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """An iteration count: neither a boolean nor a fraction is truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An iteration count: a whole number, neither truncated nor parsed."""
+    if not _number(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
 
 def _task_certify(scenario: Scenario):
-    lam = _require(scenario.task, "lambda", float)
+    lam = _require(scenario.task, "lambda", _number)
     cert = compute_certificate(scenario.system, lam)
     return {
         "certificate": cert.as_dict(),
@@ -240,8 +248,8 @@ def _task_certify(scenario: Scenario):
 
 
 def _task_plan_epsilon(scenario: Scenario):
-    lam = _require(scenario.task, "lambda", float)
-    eps = _require(scenario.task, "epsilon", float)
+    lam = _require(scenario.task, "lambda", _number)
+    eps = _require(scenario.task, "epsilon", _number)
     C, lam_eff = resolve_seed(scenario, lam)
     lam = max(lam, lam_eff)
     plan = epsilon_plan(scenario.system, lam, C, eps)
@@ -249,8 +257,8 @@ def _task_plan_epsilon(scenario: Scenario):
 
 
 def _task_select_lambda(scenario: Scenario):
-    lam_star = _require(scenario.task, "lambda-star", float)
-    mu = _require(scenario.task, "mu", float)
+    lam_star = _require(scenario.task, "lambda-star", _number)
+    mu = _require(scenario.task, "mu", _number)
     C, _ = resolve_seed(scenario, lam_star)
     plan = select_lambda(scenario.system, lam_star, C, mu)
     results = {
@@ -284,7 +292,7 @@ def _approximation_dict(outcome) -> dict:
 
 
 def _task_iterate(scenario: Scenario):
-    lam = _require(scenario.task, "lambda", float)
+    lam = _require(scenario.task, "lambda", _number)
     k = _require(scenario.task, "k", _whole)
     seed_kind = scenario.task.get("seed", "X")
     if seed_kind == "X":

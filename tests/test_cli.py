@@ -234,6 +234,28 @@ class TestCliProcess:
         task = {"iterate": {"lambda": 0.8, "k": k, "seed": "X"}}
         assert main(["iterate", "--scenario", write(tmp_path, "s.json", scalar_scenario(task))]) == 3
 
+    @pytest.mark.parametrize(
+        "subcommand,task",
+        [
+            ("certify", {"certify": {"lambda": True}}),  # not certified at rate 1
+            ("plan", {"plan-epsilon": {"lambda": 0.8, "epsilon": "0.1"}}),
+            ("select-lambda", {"select-lambda": {"mu": "0.5", "lambda-star": 0.98}}),
+            ("select-lambda", {"select-lambda": {"mu": 0.5, "lambda-star": "0.98"}}),
+            ("iterate", {"iterate": {"lambda": 0.8, "k": "5", "seed": "X"}}),
+        ],
+    )
+    def test_boolean_or_string_number_exit_3(self, tmp_path, subcommand, task):
+        # a rate, an accuracy or a count is a JSON number, never cast from
+        # a boolean or a string that the report would echo as given
+        with pytest.raises(ValidationError):
+            run_scenario_dict(scalar_scenario(task))
+        assert main([subcommand, "--scenario", write(tmp_path, "s.json", scalar_scenario(task))]) == 3
+
+    def test_integer_accuracy_is_a_number(self):
+        as_int = run_scenario_dict(scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 1}}))
+        as_float = scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 1.0}})
+        assert as_int.results == run_scenario_dict(as_float).results
+
     @pytest.mark.parametrize("k", [2, 2.0])
     def test_whole_iteration_count_runs(self, tmp_path, k):
         task = {"iterate": {"lambda": 0.8, "k": k, "seed": "X"}}

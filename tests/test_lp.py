@@ -440,7 +440,7 @@ def test_padded_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
 
 
 def _clarkson_case(n, k, count, seed):
-    """Redundancy tests shaped like ``polytope._clarkson_rounds``: LP ``l``
+    """Redundancy tests of Clarkson's form, tall stacks of small LPs: LP ``l``
     maximizes row ``h_l`` over ``k - 1`` shared unit facet rows and ``h_l``
     itself, capped at its slack + 1. Some facets are near-parallel copies or
     power-of-two multiples of others, and some tested rows repeat a facet,

@@ -316,17 +316,26 @@ class TestIterate:
 
     def test_ladder_iterate_lp_counts_and_bits(self, monkeypatch):
         # the ladder benchmark's (3, 1, 4) seed-7 case: a change to the LP
-        # kernel may change its speed, never which LPs run or what they return
+        # kernel may change its speed, never which LPs run or what they return;
+        # redundancy removal solves none of them, its rounds read vertices
         lps = count_lps(monkeypatch)
         sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
         seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
         assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
         # solve_lp calls and lockstep LPs, validating the boxes X and U included
-        assert lps[1:] == [22, 1365]
+        assert lps[1:] == [14, 88]
         digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
         assert digest.hexdigest() == (
             "a9a26a62b801f0dd7fc1930843a4c43e479f27e465c755e78fea803044543798"
         )
+
+    def test_five_dimensional_rows_after_lp_faults_go(self):
+        # (5, 1) seed 4: a redundancy test by LP faults on one redundant row
+        # of the step-3 set, which would keep it as a 155th facet; the
+        # vertices of the facets found decide it with no LP
+        sysr = random_controllable_system(np.random.default_rng(4), 5, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 3, SeedLabel.FROM_STATE_SET)
+        assert [p.nfacets for p in seq.entries] == [10, 38, 84, 154]
 
     def test_unit_rate_iterates_dominate_scaled(self, rng):
         # the k-fold set at rate one, shrunk by lam^k, sits inside the rate-lam set

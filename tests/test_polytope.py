@@ -1,3 +1,4 @@
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -548,16 +549,21 @@ class TestRedundancy:
         assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
         assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
 
-    def test_many_cuts_take_several_rounds(self):
-        # the many-cuts family above exercises retests in later rounds
+    def test_many_cuts_take_several_rounds(self, monkeypatch):
+        # the many-cuts family above exercises retests in later rounds; a
+        # round reads its verdicts off the description, one maxima call each
+        lps = count_lps(monkeypatch)
         rounds = []
         for seed in range(20):
             p = random_rows(np.random.default_rng(seed), 3, "many-cuts")
-            batch = mock.Mock(wraps=polytope_module._solve_batch)
-            with mock.patch.object(polytope_module, "_solve_batch", batch):
+            read = polytope_module._Description.maxima
+            with mock.patch.object(
+                polytope_module._Description, "maxima", autospec=True, side_effect=read
+            ) as maxima:
                 remove_redundancy(p)
-            rounds.append(batch.call_count)
+            rounds.append(maxima.call_count)
         assert sum(r >= 2 for r in rounds) >= 15, rounds
+        assert lps[0] == 0  # no LP: the origin is inside and no row is undecidable
 
     def test_flat_segment_keeps_all_rows(self):
         # {1}: zero Chebyshev radius, so every row is tested against all others
@@ -566,6 +572,7 @@ class TestRedundancy:
         assert r.b.tolist() == [-1.0, 1.0]
 
     def test_faulting_clarkson_tests_keep_their_rows(self, monkeypatch):
+        # rows the description cannot decide take the all-rows LP test, where
         # a test LP that trips solve_lp's checks keeps its row, which never
         # changes the set; the other rows are decided as without the fault
         p = random_rows(np.random.default_rng(3), 3, "many-cuts")
@@ -573,10 +580,20 @@ class TestRedundancy:
         victims = np.flatnonzero((np.count_nonzero(H, axis=1) == 1) & ~keep)  # box rows
         assert victims.size >= 2
         _inject_faults(monkeypatch, H[victims])
-        r = remove_redundancy(p)
-        keep[victims] = True
+        r = remove_redundancy(p)  # the rounds decide every row, with no LP
         assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
         assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+        failures = {
+            "maxima": lambda dd, rows: (np.full(len(rows), np.nan), np.zeros_like(rows)),
+            "is_polytope": lambda dd: False,
+        }
+        keep[victims] = True
+        for name, failure in failures.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope_module._Description, name, failure)
+                r = remove_redundancy(p)
+            assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H), name
+            assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b), name
 
     def test_faulting_all_rows_test_keeps_its_row(self, monkeypatch):
         # the edge of test_flat_square_edge with the redundant cut x + y <= 3:
@@ -620,6 +637,116 @@ def _inject_faults(monkeypatch, rows):
 
     monkeypatch.setattr(polytope_module, "_solve_or_fault", faulty_solve)
     monkeypatch.setattr(polytope_module, "_solve_batch", faulty_batch)
+
+
+def brute_force_vertices(H, b):
+    """Vertices of the bounded set ``{x | H x <= b}``, from every n-row
+    subset with a nonsingular matrix, and each vertex's incidence on each row."""
+    n = H.shape[1]
+    idx = np.array(list(itertools.combinations(range(len(b)), n)))
+    subs = H[idx]
+    ok = np.abs(np.linalg.det(subs)) > 1e-10
+    points = np.linalg.solve(subs[ok], b[idx[ok]][..., None])[..., 0]
+    points = points[(points @ H.T <= b + 1e-9).all(axis=1)]
+    found = []
+    for v in points:
+        if not any(np.abs(v - u).max() <= 1e-8 for u in found):
+            found.append(v)
+    V = np.array(found)
+    return V, np.abs(V @ H.T - b) <= 1e-9
+
+
+def describe(H, b):
+    """The double description of ``{x | H x <= b}`` (every offset positive),
+    its rows inserted in order."""
+    dd = polytope_module._Description(H.shape[1])
+    for h, offset in zip(H, b):
+        dd.insert(np.append(h, -offset))
+    return dd
+
+
+def cube_with_corner_cut(n):
+    """[-1, 1]^n (n >= 3) cut by the sum of the coordinates at most n - 2:
+    every corner with one coordinate -1 lies on n + 1 rows."""
+    eye = np.eye(n)
+    return HPolytope(np.vstack([eye, -eye, np.ones(n)]), np.append(np.ones(2 * n), n - 2.0))
+
+
+def cross_polytope(n):
+    """|x|_1 <= 1: each vertex +-e_i lies on 2^(n - 1) rows."""
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    return HPolytope(signs, np.ones(len(signs)))
+
+
+class TestDescription:
+    @pytest.mark.parametrize(
+        "dim,kind",
+        [(d, k) for d in (2, 3, 4) for k in ("c-set", "box", "cross")]
+        + [(2, "many-cuts"), (3, "many-cuts"), (3, "corner-cut"), (4, "corner-cut")],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_vertices(self, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind in ("c-set", "many-cuts"):
+            p = random_rows(rng, dim, kind)  # unreduced: redundant rows are inserted too
+        elif kind == "box":
+            p = symmetric_box(rng.uniform(0.5, 3.0, size=dim))
+        elif kind == "corner-cut":
+            p = cube_with_corner_cut(dim)
+        else:
+            p = cross_polytope(dim)
+        order = rng.permutation(p.nfacets)
+        H, b = p.H[order], p.b[order]
+        V, incidence = brute_force_vertices(H, b)
+        dd = describe(H, b)
+        assert len(dd.lines) == 0 and (dd.rays[:, -1] > 0.0).all()  # bounded
+        got = dd.rays[:, :-1] / dd.rays[:, -1:]
+        assert got.shape == V.shape
+        match = [int(np.abs(got - v).max(axis=1).argmin()) for v in V]
+        assert sorted(match) == list(range(len(V)))
+        assert np.abs(got[match] - V).max() <= 1e-9
+        assert np.array_equal(dd.tight[match, 1:] == 1.0, incidence)
+        assert dd.is_polytope() == (incidence.sum(axis=0) >= dim).all()  # redundant rows fail
+        if kind in ("corner-cut", "cross") and dim > 2:
+            assert (incidence.sum(axis=1) > dim).any()  # degenerate vertices
+
+    def test_lineality_until_the_rows_span(self):
+        # the walls of a square prism leave the z axis as lineality: a row
+        # along it is unbounded, and the caps make the cube
+        dd = describe(np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), np.ones(4))
+        assert len(dd.lines) == 1 and not dd.is_polytope()
+        values, directions = dd.maxima(np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]))
+        assert values[0] == np.inf and directions[0] @ [0.0, 0.0, 1.0] > 0.0
+        assert values[1] == pytest.approx(1.4, abs=1e-12)
+        for h in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]):
+            dd.insert(np.append(h, -1.0))
+        assert len(dd.lines) == 0 and dd.is_polytope()
+        corners = dd.rays[:, :-1] / dd.rays[:, -1:]
+        assert sorted(map(tuple, np.round(corners, 12))) == sorted(
+            itertools.product([-1.0, 1.0], repeat=3)
+        )
+
+    def test_rounds_with_rank_deficient_facets(self):
+        # a tall prism with tilted caps: the normal rays of the caps leave
+        # through the walls, so the first round's facets span only x and y
+        caps = np.array([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [1, 1, 1]], float)
+        caps = np.vstack([caps, caps * [1.0, 1.0, -1.0]])
+        H = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], caps])
+        b = np.concatenate([np.ones(4), 5.0 * np.linalg.norm(caps, axis=1) + 0.1 * np.arange(10)])
+        p = HPolytope(H, b)
+        lines = []
+        read = polytope_module._Description.maxima
+
+        def spy(dd, rows):
+            lines.append(len(dd.lines))
+            return read(dd, rows)
+
+        with mock.patch.object(polytope_module._Description, "maxima", spy):
+            r = remove_redundancy(p)
+        assert lines[0] == 1 and lines[-1] == 0
+        H, b, keep = brute_force_kept_rows(p)
+        assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
+        assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
 
 
 class TestProjection:
