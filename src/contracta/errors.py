@@ -39,10 +39,6 @@ class EmptyInteriorError(CSetValidationError):
     pass
 
 
-class UnsupportedDimensionError(ValidationError):
-    pass
-
-
 class NotControllableError(ValidationError):
     pass
 

@@ -34,6 +34,7 @@ Redundancy removal tests each row against the facets found so far by
 reading its maximum off their vertices, which an incremental double
 description keeps as facets are found; only rows this cannot decide with a
 clear margin, and flat sets, take an LP (:func:`remove_redundancy`).
+:func:`vertices` reads the same description, in any dimension.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .errors import (
     OriginNotInteriorError,
     UnboundedDirectionError,
     UnboundedSetError,
-    UnsupportedDimensionError,
     ValidationError,
 )
 from .lp import _LOCKSTEP_MIN, LinearProgram, LpStatus, _solve_batch, _solve_or_fault, solve_lp
@@ -399,10 +399,17 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     ``ComputationError``, as on near-parallel rows 1e-9 apart) is kept,
     which never changes the set.
     """
-    H, b = _collapse_parallel(p.H, p.b)
+    keep = _irredundant_rows(p)
+    return HPolytope._computed(p.H[keep], p.b[keep])
+
+
+def _irredundant_rows(p: HPolytope) -> np.ndarray:
+    """Indices of the rows of ``p`` that :func:`remove_redundancy` keeps, in its order."""
+    kept = _collapse_parallel(p.H, p.b)
+    H, b = p.H[kept], p.b[kept]
     k = H.shape[0]
     if k <= 1:
-        return HPolytope._computed(H, b)
+        return kept
     slack, radius = _interior_slack(H, b)
     removed = np.zeros(k, dtype=bool)
     if radius > TOL.feas and (slack > 0.0).all():
@@ -423,8 +430,8 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
             and out.value <= b[i] + TOL.feas
         )
     if removed.all():  # cannot happen for a bounded set; fail safe
-        return HPolytope._computed(H, b)
-    return HPolytope._computed(H[~removed], b[~removed])
+        return kept
+    return kept[~removed]
 
 
 def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
@@ -606,16 +613,16 @@ def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore
     return hit, dots[rays, hit] * (t.min(axis=1) - t_first) > 10.0 * TOL.feas
 
 
-def _collapse_parallel(H: np.ndarray, b: np.ndarray):
-    """Keep only the tightest offset among facets sharing an identical normal."""
-    keys = np.concatenate((b[None, :], H.T[::-1]))  # lexsort: H columns first, offset last
-    order = np.lexsort(keys)
-    H, b = H[order], b[order]
+def _collapse_parallel(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of the rows to keep, the tightest offset among rows sharing
+    an identical normal, in lexicographic order of the normals."""
+    order = np.lexsort(np.concatenate((b[None, :], H.T[::-1])))  # H columns first, offset last
+    H = H[order]
     # equal normals are adjacent, and the first row of a run has the smallest offset
     keep = np.empty(b.size, dtype=bool)
     keep[0] = True
     (H[1:] != H[:-1]).any(axis=1, out=keep[1:])
-    return H[keep], b[keep]
+    return order[keep]
 
 
 def project(p: HPolytope, keep: int) -> HPolytope:
@@ -689,7 +696,8 @@ def project(p: HPolytope, keep: int) -> HPolytope:
             n_pos = np.count_nonzero(nxt > _ZERO_ROW)
             n_neg = np.count_nonzero(nxt < -_ZERO_ROW)
             if n_pos * n_neg <= n_pos + n_neg:  # the next elimination cannot add rows
-                H, b = _collapse_parallel(H, b)
+                kept = _collapse_parallel(H, b)
+                H, b = H[kept], b[kept]
                 continue
         shadow = remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
@@ -697,24 +705,29 @@ def project(p: HPolytope, keep: int) -> HPolytope:
 
 
 def vertices(p: HPolytope) -> list[np.ndarray]:
-    """All vertices of a bounded polytope of dimension at most 4."""
-    n = p.dim
-    if n > 4:
-        raise UnsupportedDimensionError("vertex enumeration limited to dimension <= 4")
-    if not isinstance(p, CSetPolytope) and _unbounded_axis(p) is not None:
-        raise UnboundedSetError("cannot enumerate vertices of an unbounded set")
-    found: list[np.ndarray] = []
-    for idx in itertools.combinations(range(p.nfacets), n):
-        sub = p.H[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-10:
-            continue
-        v = np.linalg.solve(sub, p.b[list(idx)])
-        if not np.all(p.H @ v <= p.b + TOL.feas):
-            continue
-        if any(np.max(np.abs(v - u)) <= 1e-8 for u in found):
-            continue
-        found.append(v)
-    return found
+    """All vertices of a C-set, in any dimension (other input goes through
+    :func:`validate_cset`), each solved on its tight facets in the double
+    description of :func:`remove_redundancy`'s facets: ``numpy.linalg.solve``
+    on exactly ``n``, least squares on more. A description that is not
+    bounded with every facet tight at ``n`` vertices, or a vertex whose
+    facets have rank below ``n``, raises ``ComputationError``: a missed
+    vertex would make :func:`outer_radius` too small."""
+    if not isinstance(p, CSetPolytope):
+        p = validate_cset(p)
+    n, rows = p.dim, np.sort(_irredundant_rows(p))  # solved in the order of p's rows
+    H, b = p.H[rows], p.b[rows]
+    dd = _Description(n)
+    for a in np.concatenate((H, -b[:, None]), axis=1):
+        dd.insert(a)
+    if not dd.is_polytope():
+        raise ComputationError("the double description misses a vertex")
+    tight = dd.tight[:, 1:] == 1.0
+    simple = tight.sum(axis=1) == n
+    on = np.nonzero(tight[simple])[1].reshape(-1, n)  # each simple vertex's facets, in order
+    degenerate = [np.linalg.lstsq(H[t], b[t], rcond=None) for t in tight[~simple]]
+    if (np.linalg.matrix_rank(H[on]) < n).any() or any(out[2] < n for out in degenerate):
+        raise ComputationError("a vertex's tight facets do not span the space")
+    return list(np.linalg.solve(H[on], b[on][..., None])[..., 0]) + [out[0] for out in degenerate]
 
 
 def inradius_origin(p: CSetPolytope) -> float:
@@ -723,19 +736,6 @@ def inradius_origin(p: CSetPolytope) -> float:
 
 
 def outer_radius(p: CSetPolytope) -> float:
-    """A circumscribed-ball radius around the origin.
-
-    Exact (max vertex norm) up to dimension 4. In higher dimension falls back
-    to the bounding-box bound ``sqrt(sum_i max(support(e_i), support(-e_i))^2)``,
-    which may overestimate; any overestimate keeps downstream contraction
-    factors valid, merely more conservative.
-    """
-    if p.dim <= 4:
-        verts = vertices(p)
-        return float(max(np.linalg.norm(v) for v in verts))
-    eye = np.eye(p.dim)
-    extents = support_many(p, np.concatenate((eye, -eye))).tolist()
-    total = 0.0
-    for hi, lo in zip(extents[: p.dim], extents[p.dim :]):
-        total += max(hi, lo) ** 2
-    return float(np.sqrt(total))
+    """Circumscribed-ball radius around the origin: the largest vertex norm,
+    exact in every dimension."""
+    return float(max(np.linalg.norm(v) for v in vertices(p)))

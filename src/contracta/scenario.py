@@ -166,8 +166,7 @@ def resolve_seed(scenario: Scenario, lam: float) -> tuple[CSetPolytope, float]:
         raise ValidationError("this task requires a seed block")
     block = scenario.seed
     if "polytope" in block:
-        if "lambda" not in block:
-            raise ValidationError("polytope seed block needs a lambda")
+        _require(block, "lambda", _number, "polytope seed block")
         seed_poly = validate_cset(_polytope_from_block(block["polytope"], "seed.polytope"))
         C = accept_user_seed(scenario.system, lam, seed_poly)
         return C, lam
@@ -176,15 +175,12 @@ def resolve_seed(scenario: Scenario, lam: float) -> tuple[CSetPolytope, float]:
         for key in ("K", "P", "beta", "lambda"):
             if not isinstance(e, dict) or key not in e:
                 raise ValidationError(f"ellipsoid seed block is missing {key}")
-        try:
-            seed = EllipsoidSeed(
-                K=_matrix_from_block(e["K"], "seed.ellipsoid.K"),
-                P=_matrix_from_block(e["P"], "seed.ellipsoid.P"),
-                beta=float(e["beta"]),
-                lam=float(e["lambda"]),
-            )
-        except TypeError as exc:
-            raise ValidationError(f"seed.ellipsoid: {exc}") from exc
+        seed = EllipsoidSeed(
+            K=_matrix_from_block(e["K"], "seed.ellipsoid.K"),
+            P=_matrix_from_block(e["P"], "seed.ellipsoid.P"),
+            beta=_require(e, "beta", _number, "seed.ellipsoid"),
+            lam=_require(e, "lambda", _number, "seed.ellipsoid"),
+        )
         C, lam_eff = polytopic_inner_seed(scenario.system, seed)
         if lam + 1e-12 < lam_eff:
             raise ValidationError(
@@ -215,13 +211,13 @@ def run_scenario_dict(data: dict) -> Report:
     )
 
 
-def _require(task: dict, key: str, caster):
-    if key not in task:
-        raise ValidationError(f"task is missing {key}")
+def _require(block: dict, key: str, caster, name: str = "task"):
+    if key not in block:
+        raise ValidationError(f"{name} is missing {key}")
     try:
-        return caster(task[key])
+        return caster(block[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"task field {key}: {exc}") from exc
+        raise ValidationError(f"{name} field {key}: {exc}") from exc
 
 
 def _number(value) -> float:

@@ -251,6 +251,23 @@ class TestCliProcess:
             run_scenario_dict(scalar_scenario(task))
         assert main([subcommand, "--scenario", write(tmp_path, "s.json", scalar_scenario(task))]) == 3
 
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            {"ellipsoid": {"K": [[-0.5]], "P": [[1.0]], "beta": True, "lambda": 0.6}},
+            {"ellipsoid": {"K": [[-0.5]], "P": [[1.0]], "beta": 4.0, "lambda": "0.6"}},
+            {"polytope": {"H": [[1.0], [-1.0]], "b": [2.0, 2.0]}, "lambda": "whatever"},
+        ],
+        ids=["ellipsoid-beta-boolean", "ellipsoid-lambda-string", "polytope-lambda-string"],
+    )
+    def test_seed_number_not_a_number_exit_3(self, tmp_path, seed):
+        # a seed's rate and level are JSON numbers too, checked before any use
+        scenario = scalar_scenario({"plan-epsilon": {"lambda": 0.6, "epsilon": 0.1}})
+        scenario["seed"] = seed
+        with pytest.raises(ValidationError):
+            run_scenario_dict(scenario)
+        assert main(["plan", "--scenario", write(tmp_path, "s.json", scenario)]) == 3
+
     def test_integer_accuracy_is_a_number(self):
         as_int = run_scenario_dict(scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 1}}))
         as_float = scalar_scenario({"plan-epsilon": {"lambda": 0.8, "epsilon": 1.0}})

@@ -109,6 +109,22 @@ class TestEpsilonPlan:
         with pytest.raises(SeedNotContractiveError):
             epsilon_plan(scalar_system(n), 0.5, scalar_seed(n), 0.1)
 
+    def test_five_dimensional_cross_polytope_state_set(self):
+        # X = {|x|_1 <= 5}: the exact outer radius 5 replaced a bounding box
+        # of sqrt(125) = 11.1803, which gave eta 0.95926 and k = 385
+        n, lam = 5, 0.9
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+        scalar = scalar_system(n)
+        X = validate_cset(HPolytope(signs, np.full(32, 5.0)))
+        seed = validate_cset(symmetric_box([0.5] * n))
+        plan = epsilon_plan(SystemModel(scalar.A, scalar.B, X, scalar.U), lam, seed, 0.1)
+        rho = lam ** (n - 1) / 1.1**n * math.sqrt(n) / 2.0  # r_x_lo / 2 is the smaller term
+        assert plan.certificate.r_x_hi == pytest.approx(5.0, abs=1e-12)
+        assert plan.eta == pytest.approx(1.0 - rho / 5.0, rel=1e-12)
+        assert plan.eta == pytest.approx(0.9089056137, abs=1e-10)
+        assert plan.d_seed_state == pytest.approx(math.log(10.0), abs=1e-12)  # along each axis
+        assert plan.k == 170
+
 
 class TestExactOracle:
     @pytest.mark.parametrize("lam", list(TABLE_B))

@@ -45,7 +45,6 @@ from contracta.errors import (
     OriginNotInteriorError,
     UnboundedDirectionError,
     UnboundedSetError,
-    UnsupportedDimensionError,
     ValidationError,
 )
 from contracta.benchmarks import scalar_system, stabilizable_system
@@ -678,14 +677,21 @@ def cross_polytope(n):
     return HPolytope(signs, np.ones(len(signs)))
 
 
+def weakly_redundant_square():
+    """[-1, 1]^2 and the row x + y <= 2, which touches the corner (1, 1)."""
+    return HPolytope(np.vstack([np.eye(2), -np.eye(2), np.ones(2)]), [1.0, 1.0, 1.0, 1.0, 2.0])
+
+
 class TestDescription:
     @pytest.mark.parametrize(
         "dim,kind",
         [(d, k) for d in (2, 3, 4) for k in ("c-set", "box", "cross")]
-        + [(2, "many-cuts"), (3, "many-cuts"), (3, "corner-cut"), (4, "corner-cut")],
+        + [(2, "many-cuts"), (3, "many-cuts"), (3, "corner-cut"), (4, "corner-cut")]
+        + [(5, "c-set"), (5, "box"), (5, "cross"), (2, "weakly-redundant")],
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_vertices(self, dim, kind, seed):
+        # the double description of the rows, and the public vertices of the set
         rng = np.random.default_rng(seed)
         if kind in ("c-set", "many-cuts"):
             p = random_rows(rng, dim, kind)  # unreduced: redundant rows are inserted too
@@ -693,6 +699,8 @@ class TestDescription:
             p = symmetric_box(rng.uniform(0.5, 3.0, size=dim))
         elif kind == "corner-cut":
             p = cube_with_corner_cut(dim)
+        elif kind == "weakly-redundant":
+            p = weakly_redundant_square()
         else:
             p = cross_polytope(dim)
         order = rng.permutation(p.nfacets)
@@ -707,8 +715,13 @@ class TestDescription:
         assert np.abs(got[match] - V).max() <= 1e-9
         assert np.array_equal(dd.tight[match, 1:] == 1.0, incidence)
         assert dd.is_polytope() == (incidence.sum(axis=0) >= dim).all()  # redundant rows fail
-        if kind in ("corner-cut", "cross") and dim > 2:
+        if kind in ("corner-cut", "cross") and dim > 2 or kind == "weakly-redundant":
             assert (incidence.sum(axis=1) > dim).any()  # degenerate vertices
+        public = np.array(vertices(p))  # the set's facets only, degenerate vertices by lstsq
+        assert public.shape == V.shape
+        match = [int(np.abs(public - v).max(axis=1).argmin()) for v in V]
+        assert sorted(match) == list(range(len(V)))
+        assert np.abs(public[match] - V).max() <= 1e-9
 
     def test_lineality_until_the_rows_span(self):
         # the walls of a square prism leave the z axis as lineality: a row
@@ -965,7 +978,8 @@ def _reference_project(p, keep):
             pos = np.count_nonzero(nxt > pm._ZERO_ROW)
             neg = np.count_nonzero(nxt < -pm._ZERO_ROW)
             if pos * neg <= pos + neg:  # the next elimination cannot add rows
-                H, b = pm._collapse_parallel(shadow.H, shadow.b)
+                kept = pm._collapse_parallel(shadow.H, shadow.b)
+                H, b = shadow.H[kept], shadow.b[kept]
                 continue
         shadow = pm.remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
@@ -984,18 +998,31 @@ class TestVertices:
         assert all(abs(v[0]) == pytest.approx(2.0) and abs(v[1]) == pytest.approx(1.0) for v in verts)
 
     def test_simplex(self):
-        p = HPolytope(
-            np.vstack([-np.eye(3), np.ones((1, 3))]), np.array([0.0, 0.0, 0.0, 1.0])
-        )
-        assert len(vertices(p)) == 4
+        # the unit simplex translated by minus its centroid: a C-set
+        p = HPolytope(np.vstack([-np.eye(3), np.ones((1, 3))]), np.full(4, 0.25))
+        got = sorted(tuple(np.round(v, 12)) for v in vertices(p))
+        assert got == sorted([(-0.25, -0.25, -0.25)] + [tuple(np.eye(3)[i] - 0.25) for i in range(3)])
 
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
-            vertices(symmetric_box([1.0] * 5))
+    def test_five_dimensional_box(self):
+        verts = vertices(validate_cset(symmetric_box([1.0, 2.0, 3.0, 4.0, 5.0])))
+        got = sorted(tuple(v) for v in verts)  # box corners are exact
+        assert got == sorted(itertools.product(*[(-w, w) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]))
 
     def test_unbounded_guard(self):
         with pytest.raises(UnboundedSetError):
             vertices(HPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("fault", ["is_polytope", "rank"])
+    def test_incomplete_description_raises(self, monkeypatch, fault):
+        # a description that may miss a vertex never yields a radius
+        if fault == "is_polytope":
+            monkeypatch.setattr(polytope_module._Description, "is_polytope", lambda dd: False)
+        else:
+            monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: np.zeros(len(M), dtype=int))
+        p = validate_cset(symmetric_box([1.0, 2.0, 3.0]))
+        for fn in (vertices, outer_radius):
+            with pytest.raises(ComputationError):
+                fn(p)
 
     def test_each_irredundant_facet_touched(self, rng):
         for _ in range(10):
@@ -1028,6 +1055,10 @@ class TestRadii:
     def test_outer_radius_boxes(self, n, expected):
         assert outer_radius(validate_cset(symmetric_box([10.0] * n))) == pytest.approx(expected, rel=1e-9)
 
-    def test_outer_radius_5d_fallback_is_circumscribing(self):
-        p = validate_cset(symmetric_box([1.0] * 5))
-        assert outer_radius(p) == pytest.approx(np.sqrt(5.0), rel=1e-9)
+    def test_outer_radius_5d_is_exact(self):
+        # |x|_1 <= 5 has its vertices at 5 e_i; a bounding box gave sqrt(125)
+        cross = validate_cset(scale(cross_polytope(5), 5.0))
+        assert outer_radius(cross) == pytest.approx(5.0, abs=1e-12)
+        p = random_cset(np.random.default_rng(5), 5, extra_facets=8)
+        V, _ = brute_force_vertices(p.H, p.b)
+        assert outer_radius(p) == pytest.approx(np.linalg.norm(V, axis=1).max(), abs=1e-12)
