@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .polytope import (
     CSetPolytope,
-    _pool,
+    _support_lps,
     _support_values,
     is_subset,
     scale,
@@ -66,10 +66,9 @@ def set_distances(pairs) -> list[DistanceResult]:
 
     Every pair is checked first (dimensions, then origin-interior sets), so
     a pair that fails a check raises before any LP is solved. The support
-    LPs of all pairs then run as one batch (:func:`polytope._pool`), and the
-    sides are read pair by pair, ``D`` along ``C``'s facets before ``C``
-    along ``D``'s. After an LP fault each side is read from the memos only
-    when its turn comes, so the first error in that order raises, as it does
+    LPs of all pairs then run as one batch (:func:`polytope._support_lps`),
+    and the sides are read pair by pair, ``D`` along ``C``'s facets before
+    ``C`` along ``D``'s, so the first error in that order raises, as it does
     when the pairs are taken one at a time.
     """
     pairs = list(pairs)
@@ -78,11 +77,7 @@ def set_distances(pairs) -> list[DistanceResult]:
             raise DimensionError("distance across different dimensions")
         _check_origin_interior(C, D)
     sides = [side for C, D in pairs for side in ((D, C.H), (C, D.H))]
-    pooled = _pool(sides)
-    if pooled is None:  # each side solves its faulted LPs again when read
-        supports = (support_many(p, directions) for p, directions in sides)
-    else:
-        supports = map(_support_values, pooled)
+    supports = map(_support_values, _support_lps(sides))
     results = []
     for C, D in pairs:
         out = _inclusion_factor(next(supports), C.b)

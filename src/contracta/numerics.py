@@ -25,16 +25,14 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def matrix_power(a, j: int) -> np.ndarray:
-    """Repeated product ``a^j``; ``j = 0`` yields the identity."""
+    """``a^j`` by ``numpy.linalg.matrix_power`` (``j = 0`` yields the
+    identity), always a new array: numpy returns its input at ``j = 1``."""
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("matrix power needs a square matrix")
     if j < 0:
         raise ValidationError("exponent must be nonnegative")
-    out = np.eye(a.shape[0])
-    for _ in range(j):
-        out = out @ a
-    return out
+    return a.copy() if j == 1 else np.linalg.matrix_power(a, j)
 
 
 def symmetric_eigen_min(s) -> float:

@@ -44,7 +44,7 @@ from .onestep import (
     is_lambda_contractive,
     one_step_set,
 )
-from .polytope import CSetPolytope, _pool, support_many
+from .polytope import CSetPolytope, _support_lps, support_many
 
 _CEIL_NUDGE = 1e-12
 # A-priori steps per window (approximate_cmax1). A seeded benchmark pass (Xeon,
@@ -222,7 +222,7 @@ def approximate_cmax1(
 
     Steps run in windows: the walk projects both iterates of every step of
     a window, then every support LP the window needs that is not memoized
-    yet runs as one batch (``polytope._pool``): each step's two
+    yet runs as one batch (``polytope._support_lps``): each step's two
     verifications, its slack (``state_j`` along ``seed_j``'s facets, which
     is also one side of the distance) and the other side of its distance.
     The checks then read the memos step by step, in the order of steps taken
@@ -239,7 +239,7 @@ def approximate_cmax1(
     lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
     gate = one_step_set(sys, lam, C)
-    _pool([(C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H)])
+    _support_lps([(C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H)])
     _verify(lam, C, gate, SeedLabel.CONTRACTIVE, 1)
     window = _APRIORI_WINDOW if strategy is Strategy.APRIORI_BOUND else 1
     seeds, states, records, done = [C], [sys.X], [], False
@@ -255,7 +255,7 @@ def approximate_cmax1(
         for j in range(max(first, 1), len(states)):
             rows = np.concatenate((states[j - 1].H, seeds[j].H))  # state verification, slack
             pairs += [(seeds[j - 1], seeds[j].H), (states[j], rows), (seeds[j], states[j].H)]
-        _pool(pairs)
+        _support_lps(pairs)
         for j in range(first, len(states)):  # read: the checks in step order
             seed_j, state_j = seeds[j], states[j]
             if j > 0:

@@ -21,14 +21,16 @@ is not idempotent, and one division fewer would move the bits of results.
 
 Facet data are immutable after construction. Each polytope memoizes its
 support LP outcomes by the LP tolerances in force and then by direction; an
-outcome is what any re-solve would give, so memo writes are idempotent and a
-polytope is safe to share across threads. A memo is filled by whichever
-batch solved the LP: the polytope's own, or one pooled over several
-polytopes (:func:`_pool`: the planner's steps and the distance tables).
-Construction renormalizes rows, so no memo passes to another polytope, not
-even one built from the same rows. A system's one-step memo is keyed by bits
-instead: a target with an earlier target's bits gets that target's one-step
-set, memo included, which is the earlier target itself when they are equal.
+outcome, a fault (``ComputationError``) included, is what any re-solve would
+give, so memo writes are idempotent and a polytope is safe to share across
+threads. A fault raises where it is read (:func:`_checked`). A memo is
+filled by whichever batch solved the LP: the polytope's own, or one pooled
+over several polytopes (:func:`_support_lps`: the planner's steps and the
+distance tables). Construction renormalizes rows, so no memo passes to
+another polytope, not even one built from the same rows. A system's
+one-step memo is keyed by bits instead: a target with an earlier target's
+bits gets that target's one-step set, memo included, which is the earlier
+target itself when they are equal.
 
 Redundancy removal tests each row against the facets found so far by
 reading its maximum off their vertices, which an incremental double
@@ -166,7 +168,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
-        probe = _support_lps([(p, np.zeros((1, p.dim)))])[0][0]
+        probe = _checked(_support_lps([(p, np.zeros((1, p.dim)))])[0][0])
         if probe.status is LpStatus.INFEASIBLE:
             raise EmptyInteriorError("polytope is empty")
     axis = _unbounded_axis(p)
@@ -181,7 +183,7 @@ def _unbounded_axis(p: HPolytope) -> int | None:
     """First coordinate along which ``p`` is unbounded, in either sign."""
     eye = np.eye(p.dim)
     (outcomes,) = _support_lps([(p, np.concatenate((eye, -eye)))])
-    unbounded = [out.status is LpStatus.UNBOUNDED for out in outcomes]
+    unbounded = [_checked(out).status is LpStatus.UNBOUNDED for out in outcomes]
     axes = np.flatnonzero(np.logical_or(unbounded[: p.dim], unbounded[p.dim :]))
     return int(axes[0]) if axes.size else None
 
@@ -198,8 +200,8 @@ def support_many(p: HPolytope, directions) -> np.ndarray:
     """Support values of ``p`` along each row of ``directions``.
 
     Equal to :func:`support` per row, and raises its error for the first
-    row whose LP is unbounded or infeasible; LPs not in the memo run as one
-    batch.
+    row whose LP is unbounded, infeasible or faults; LPs not in the memo run
+    as one batch.
     """
     return _support_values(_support_lps([(p, directions)])[0])
 
@@ -213,10 +215,10 @@ def _support_lps(pairs) -> list:
     bytes, sliced once from the directions' buffer. The misses of all pairs
     are solved in one batch (:func:`_solve_misses`), each direction once per
     polytope however many pairs ask for it, as part of the first pair that
-    asks; an LP that faults stays out of the memo, and once the others are
-    stored the first such LP, in pair and row order, raises its
-    ``ComputationError``. Optimal points are read-only, as callers hand them
-    out as witnesses.
+    asks. Every outcome is stored, a fault's ``ComputationError`` too, and
+    none raises here: a reader raises it (:func:`_checked`). A fault is
+    stored without its traceback, whose frames hold the simplex tableau.
+    Optimal points are read-only, as callers hand them out as witnesses.
     """
     tol = (TOL.feas, TOL.opt, TOL.pivot)
     keyed, todos, misses, queued = [], [], [], {}
@@ -234,37 +236,14 @@ def _support_lps(pairs) -> list:
             pending.update(todo)
             todos.append((memo, todo))
             misses.append((p, directions[list(todo.values())]))
-    fault = None
     for (memo, todo), outs in zip(todos, _solve_misses(misses)):
         for key, out in zip(todo, outs):
             if isinstance(out, ComputationError):
-                fault = fault or out
-                continue
-            if out.x is not None:
+                out.__traceback__ = None
+            elif out.x is not None:
                 out.x.setflags(write=False)
             memo[key] = out
-    if fault is not None:
-        raise fault
     return [[memo[key] for key in keys] for memo, keys in keyed]
-
-
-def _pool(pairs) -> list | None:
-    """Memoize the support LPs of every ``(polytope, directions)`` of
-    ``pairs``, the misses solved as one batch, and return
-    :func:`_support_lps`'s outcome lists, or None when an LP faulted.
-
-    Pool, then read in order: the caller then computes as it would without
-    the pool, one support read at a time, and every read hits the memos. An
-    LP that faults stays out of its memo, so the read that meets it solves
-    it again and raises. The first fault in the unpooled order thus raises,
-    with the error it raises unpooled, and so do the errors that reads raise
-    themselves (an unbounded or infeasible support). Without a fault, the
-    caller may read the returned lists instead, in the same order.
-    """
-    try:
-        return _support_lps(pairs)
-    except ComputationError:
-        return None
 
 
 def _solve_misses(misses) -> list:
@@ -296,11 +275,20 @@ def _support_values(outcomes) -> np.ndarray:
 
 
 def _support_value(out) -> float:
+    out = _checked(out)
     if out.status is LpStatus.UNBOUNDED:
         raise UnboundedDirectionError("support is unbounded in this direction")
     if out.status is LpStatus.INFEASIBLE:
         raise EmptySetError("support of an empty polytope")
     return out.value
+
+
+def _checked(out):
+    """A memoized support LP outcome, or a fresh copy of its fault raised:
+    threads that share a memo never share an exception."""
+    if isinstance(out, ComputationError):
+        raise type(out)(*out.args)
+    return out
 
 
 def radial(p: CSetPolytope, xi) -> float:
@@ -342,8 +330,8 @@ def _first_exceeded(inner: HPolytope, outer: HPolytope):
     ``outer``.
 
     The facets are checked in order, on the supports of one batch; an
-    unbounded or infeasible support LP before the first exceeded facet
-    raises as :func:`support` does.
+    unbounded, infeasible or faulting support LP before the first exceeded
+    facet raises as :func:`support` does.
     """
     if inner.dim != outer.dim:
         raise DimensionError("inclusion test across different dimensions")

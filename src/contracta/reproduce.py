@@ -58,9 +58,10 @@ def _table1a():
     rows = [r for r in rows if r["n"] == 2] + [
         {"n": 1, "lambda": "any", "epsilons": list(_EPSILONS), "k": scalar[0]["k"]}
     ]
+    header = ["n", "lambda"] + [f"eps={e}" for e in _EPSILONS]
     return {
         "grid": rows,
-        "csv": _grid_csv(rows, key="lambda"),
+        "csv": _csv(header, ([r["n"], r["lambda"], *r["k"]] for r in rows)),
     }, []
 
 
@@ -69,16 +70,14 @@ def _table1b():
     for lam in _LAMBDAS:
         ks = [exact_k_oracle_1d(lam, eps) for eps in _EPSILONS]
         rows.append({"lambda": lam, "epsilons": list(_EPSILONS), "k": ks})
-    return {"grid": rows, "csv": _grid_csv(rows, key="lambda", with_n=False)}, []
+    header = ["lambda"] + [f"eps={e}" for e in _EPSILONS]
+    return {"grid": rows, "csv": _csv(header, ([r["lambda"], *r["k"]] for r in rows))}, []
 
 
-def _grid_csv(rows, key: str, with_n: bool = True) -> str:
-    header = (["n"] if with_n else []) + [key] + [f"eps={e}" for e in _EPSILONS]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = ([str(row["n"])] if with_n else []) + [str(row[key])] + [str(k) for k in row["k"]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _csv(header, rows) -> str:
+    """CSV text: the ``header`` line, then a line per row of cells, each
+    cell as ``str`` gives it (for a float, ``repr``)."""
+    return "".join(",".join(map(str, line)) + "\n" for line in [header, *rows])
 
 
 def _lambda_selection():
@@ -104,22 +103,18 @@ def _lambda_selection():
         "accuracy_inclusion_holds": bool(terminal_halfwidth >= mu * 10.0 - 1e-9),
         "certificate": plan.certificate.as_dict(),
         "per_iteration": outcome.per_iteration,
-        "csv": _kv_csv(
+        "csv": _csv(
+            ["quantity", "value"],
             [
                 ("k", plan.k),
                 ("branch_value", plan.branch_value),
                 ("lambda", plan.lam),
                 ("conservatism_ratio", (plan.lam - lam_star) / (1.0 - lam_star)),
                 ("adaptive_k_star", outcome.k_star),
-            ]
+            ],
         ),
     }
     return results, []
-
-
-def _kv_csv(pairs) -> str:
-    lines = ["quantity,value"] + [f"{k},{v}" for k, v in pairs]
-    return "\n".join(lines) + "\n"
 
 
 def _rotation_distances():
@@ -146,13 +141,9 @@ def _rotation_distances():
                     "abs_error": abs(computed - reference),
                 }
             )
-    csv_lines = ["lambda,step,distance,closed_form,abs_error"]
-    csv_lines += [
-        f'{r["lambda"]},{r["step"]},{r["distance"]!r},{r["closed_form"]!r},{r["abs_error"]!r}'
-        for r in rows
-    ]
+    header = ["lambda", "step", "distance", "closed_form", "abs_error"]
     return {"rows": rows, "max_abs_error": max(r["abs_error"] for r in rows),
-            "csv": "\n".join(csv_lines) + "\n"}, warnings
+            "csv": _csv(header, ([r[key] for key in header] for r in rows))}, warnings
 
 
 def _stabilizable():
@@ -176,13 +167,12 @@ def _stabilizable():
                     "expected": float(np.log(2.0)),
                 }
             )
-    csv_lines = ["lambda,step,distance,expected"]
-    csv_lines += [f'{r["lambda"]},{r["step"]},{r["distance"]!r},{r["expected"]!r}' for r in rows]
+    header = ["lambda", "step", "distance", "expected"]
     return {
         "rows": rows,
         "controllable": sysr.controllable,
         "max_abs_error": max(abs(r["distance"] - r["expected"]) for r in rows),
-        "csv": "\n".join(csv_lines) + "\n",
+        "csv": _csv(header, ([r[key] for key in header] for r in rows)),
     }, warnings
 
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import contracta.polytope as polytope_module
 from contracta import reproduce, symmetric_box, validate_cset
 from contracta.cli import main
 from contracta.errors import ComputationError, ScenarioParseError, ValidationError
@@ -301,6 +302,19 @@ class TestCliProcess:
         before = (TOL.feas, TOL.opt)
         assert main(["certify", "--scenario", scenario, "--tol", tol]) == 3
         assert (TOL.feas, TOL.opt) == before
+
+    def test_support_lp_fault_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a faulting support LP is a computation error wherever it is read
+        solve = polytope_module._solve_batch
+
+        def faulty(C, A, b):
+            return [ComputationError("injected fault") for _ in solve(C, A, b)]
+
+        monkeypatch.setattr(polytope_module, "_solve_batch", faulty)
+        task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        assert main(["select-lambda", "--scenario", scenario]) == 4
+        assert "computation error: injected fault" in capsys.readouterr().err
 
     def test_task_subcommand_mismatch_exit_3(self, tmp_path):
         scenario = write(tmp_path, "s.json", scalar_scenario({"certify": {"lambda": 0.8}}))

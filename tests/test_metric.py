@@ -304,5 +304,8 @@ class TestSetDistancesErrors:
             for C, D in pairs:  # one side at a time, on the memos just filled
                 reference_distance(C, D)
         monkeypatch.setattr(polytope_module, "_solve_batch", solve)
+        with pytest.raises(ComputationError, match=f"^fault {first[0]} {first[1]}$"):
+            set_distances(pairs)  # the memos hold the faults: a fault is deterministic
+        fresh = unequal_pairs(11)[:3]  # the same rows, on new polytopes with cold memos
         expected = [reference_distance(C, D) for C, D in unequal_pairs(11)[:3]]
-        assert [_bits(r) for r in set_distances(pairs)] == [_bits(r) for r in expected]
+        assert [_bits(r) for r in set_distances(fresh)] == [_bits(r) for r in expected]

@@ -29,6 +29,11 @@ class TestMatrixPower:
     def test_zero_exponent_identity(self):
         assert np.array_equal(matrix_power(np.array([[3.0]]), 0), np.eye(1))
 
+    def test_first_power_is_a_new_array(self):
+        a = np.array([[3.0, 1.0], [0.0, 2.0]])
+        first = matrix_power(a, 1)
+        assert np.array_equal(first, a) and not np.shares_memory(first, a)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(DimensionError):
             matrix_power(np.ones((2, 3)), 2)

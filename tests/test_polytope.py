@@ -269,7 +269,7 @@ class TestSupportMany:
         if kind == "c-set":
             assert is_subset(inner, inner)
 
-    def test_exceeded_facet_before_unbounded_one(self):
+    def test_exceeded_facet_before_unbounded_one(self, monkeypatch):
         # the inner set exceeds facet 0 and is unbounded along facet 1: the
         # row-by-row loop answers False before it reaches the unbounded LP
         inner = HPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]], [1.0, 5.0, 1.0])
@@ -278,6 +278,15 @@ class TestSupportMany:
         assert is_subset(inner, outer) is False
         with pytest.raises(UnboundedDirectionError):
             support_many(inner, outer.H)
+        # a fault on facet 2 stays behind both, as in the row-by-row loop
+        _inject_faults(monkeypatch, outer.H[2:3])
+        inner = HPolytope(inner.H, inner.b)
+        assert is_subset(inner, outer) is False
+        for rows in (outer.H, outer.H[1:3]):  # [e_y, -e_x]: unbounded, then the fault
+            with pytest.raises(UnboundedDirectionError):
+                support_many(inner, rows)
+        with pytest.raises(ComputationError, match="^injected fault$"):
+            support_many(inner, outer.H[2:])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -423,6 +432,12 @@ class TestSupportMemo:
         }
         solve = polytope_module._solve_batch
 
+        def raised(message):  # a fault as _solve_or_fault catches it, with its traceback
+            try:
+                raise ComputationError(message)
+            except ComputationError as exc:
+                return exc
+
         def injected(C, A, b):
             outs = solve(C, A, b)
             for l, c in enumerate(np.asarray(C)):
@@ -431,14 +446,18 @@ class TestSupportMemo:
                     key = (id(r), c.tobytes())
                     k = r.nfacets
                     if key in faulty and np.array_equal(rows[:k], r.H) and not rows[k:].any():
-                        outs[l] = ComputationError(faulty[key])
+                        outs[l] = raised(faulty[key])
             return outs
 
         monkeypatch.setattr(polytope_module, "_solve_batch", injected)
         pairs = [(p, directions[:4]), (q, directions[:4]), (p, directions[4:])]
+        pooled = polytope_module._support_lps(pairs)  # stores every outcome, raises none
         with pytest.raises(ComputationError, match="^q fault$"):
-            polytope_module._support_lps(pairs)
-        assert len(p._memo[(TOL.feas, TOL.opt, TOL.pivot)]) == 7  # all but the fault
+            for outcomes in pooled:  # the first fault in pair order
+                polytope_module._support_values(outcomes)
+        memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]
+        assert len(memo) == 8 and memo[directions[6].tobytes()] is pooled[2][2]
+        assert pooled[2][2].__traceback__ is None  # no frame of the solve stays alive
 
     def test_stationary_table_solves_no_direction_twice(self, monkeypatch):
         # the stabilizable target's sequences are stationary, so its distance
@@ -494,7 +513,7 @@ class TestSupportMemo:
         with pytest.raises(ValueError):
             witness[0] = 0.0
 
-    def test_threads_share_a_polytope(self):
+    def test_threads_share_a_polytope(self, monkeypatch):
         rng = np.random.default_rng(11)
         cases = [(random_cset(rng, 3), rng.normal(size=(20, 3))) for _ in range(6)]
         expected = [support_many(HPolytope(p.H, p.b), d).tobytes() for p, d in cases]
@@ -506,8 +525,18 @@ class TestSupportMemo:
                     shared = HPolytope(p.H, p.b)  # a cold memo for the threads to race on
                     futures = [pool.submit(support_many, shared, directions) for _ in range(8)]
                     assert all(f.result(timeout=60).tobytes() == want for f in futures)
+                # one faulting direction: every thread raises it, each its own copy
+                p, directions = cases[0]
+                _inject_faults(monkeypatch, directions[7:8])
+                shared = HPolytope(p.H, p.b)
+                futures = [pool.submit(support_many, shared, directions) for _ in range(8)]
+                errors = [f.exception(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
+        assert all(type(e) is ComputationError and str(e) == "injected fault" for e in errors)
+        assert len({id(e) for e in errors}) == len(errors)
+        (memo,) = shared._memo.values()
+        assert all(e is not memo[directions[7].tobytes()] for e in errors)
 
 
 class TestRedundancy:
@@ -614,9 +643,9 @@ class TestRedundancy:
 
 
 def _inject_faults(monkeypatch, rows):
-    """Make every redundancy-test LP that maximizes one of ``rows`` fault in
-    ``polytope``: alone or in a batch, it gives ``ComputationError`` in
-    place of its outcome."""
+    """Make every LP that maximizes one of ``rows`` fault in ``polytope``, a
+    redundancy test or a support LP: alone or in a batch, it gives
+    ``ComputationError("injected fault")`` in place of its outcome."""
     solve, batch = polytope_module._solve_or_fault, polytope_module._solve_batch
 
     def faults(objectives):
