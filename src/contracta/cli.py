@@ -133,6 +133,9 @@ def _csv_payload(report: Report) -> str:
 
 
 def _flatten(prefix: str, value, lines: list[str]) -> None:
+    """One ``key,value`` line per scalar leaf; a list's index is a key segment."""
+    if isinstance(value, list):
+        value = dict(enumerate(value))
     if isinstance(value, dict):
         for key, item in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), item, lines)

@@ -9,15 +9,12 @@ input set passes; ``one_step_set`` builds its shadows as C-sets by proof.
 The constructor checks its input: a nonempty 2-D facet matrix with one
 offset per row (``DimensionError``), finite entries and no zero row
 (``ValidationError``). Everything built from outside data goes through it:
-user and scenario polytopes, :func:`box`, :func:`intersect`, :func:`scale`
-(which also checks its factor) and the lifted polytope of ``one_step_set``.
-Rows the library computes from checked rows -- Fourier-Motzkin shadows, the
-output of :func:`remove_redundancy` and :func:`project`, and the C-set of
-``one_step_set`` -- skip the checks (``HPolytope._computed``) but not the
-normalization, which is the constructor's own routine. Each of these
-constructions divides by the row norms again, even where the rows are unit
-rows already: the recomputed norm is 1 only up to an ulp, so the division
-is not idempotent, and one division fewer would move the bits of results.
+user and scenario polytopes, :func:`box` and the lifted polytope of
+``one_step_set``. Rows are divided by their norms where they are made, in
+the constructor and in each Fourier-Motzkin elimination of :func:`project`,
+and nowhere else: :func:`intersect`, :func:`scale`, :func:`validate_cset`,
+:func:`remove_redundancy`, :func:`project`'s output and ``one_step_set``'s
+C-set keep the unit rows they are given, bit for bit (``HPolytope._computed``).
 
 Facet data are immutable after construction. Each polytope memoizes its
 support LP outcomes by the LP tolerances in force and then by direction; an
@@ -26,11 +23,10 @@ give, so memo writes are idempotent and a polytope is safe to share across
 threads. A fault raises where it is read (:func:`_checked`). A memo is
 filled by whichever batch solved the LP: the polytope's own, or one pooled
 over several polytopes (:func:`_support_lps`: the planner's steps and the
-distance tables). Construction renormalizes rows, so no memo passes to
-another polytope, not even one built from the same rows. A system's
-one-step memo is keyed by bits instead: a target with an earlier target's
-bits gets that target's one-step set, memo included, which is the earlier
-target itself when they are equal.
+distance tables). :func:`validate_cset` shares its input's arrays and memo.
+A system's one-step memo is keyed by bits: a target with an earlier
+target's bits gets that target's one-step set, memo included, which is the
+earlier target itself when they are equal.
 
 Redundancy removal tests each row against the facets found so far by
 reading its maximum off their vertices, which an incremental double
@@ -68,13 +64,14 @@ _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
 
 
 def _facet_cap() -> int:
-    raw = os.environ.get(_FACET_CAP_ENV)
-    if raw is None:
-        return _DEFAULT_FACET_CAP
+    raw = os.environ.get(_FACET_CAP_ENV, str(_DEFAULT_FACET_CAP))
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{_FACET_CAP_ENV} must be an integer") from exc
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{_FACET_CAP_ENV} must be a positive integer, not {raw!r}")
+    return cap
 
 
 class HPolytope:
@@ -94,24 +91,21 @@ class HPolytope:
         norms = _row_norms(H)
         if (norms <= _ZERO_ROW).any():
             raise ValidationError("all-zero facet row")
-        self._set_rows(H, b, norms)
+        self._set_rows(H / norms[:, None], b / norms, {})
 
     @classmethod
-    def _computed(cls, H: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None):
-        """A polytope on rows the library computed from checked ones: a
-        nonempty float matrix, matching offsets, finite, with no zero row.
-        The constructor's checks are skipped, its normalization is not.
-        ``norms`` are ``_row_norms(H)`` when the caller has them."""
+    def _computed(cls, H: np.ndarray, b: np.ndarray, memo: dict | None = None):
+        """A polytope on unit rows computed from checked ones (nonempty,
+        finite, matching offsets), taken as they are: no check, no division.
+        A ``memo`` is that of a polytope with these bits, shared."""
         p = cls.__new__(cls)
-        p._set_rows(H, b, _row_norms(H) if norms is None else norms)
+        p._set_rows(H, b, {} if memo is None else memo)
         return p
 
-    def _set_rows(self, H: np.ndarray, b: np.ndarray, norms: np.ndarray) -> None:
-        self.H = H / norms[:, None]
-        self.b = b / norms
-        self.H.setflags(write=False)
-        self.b.setflags(write=False)
-        self._memo = {}  # support LP outcomes, see _support_lps
+    def _set_rows(self, H: np.ndarray, b: np.ndarray, memo: dict) -> None:
+        H.setflags(write=False)
+        b.setflags(write=False)
+        self.H, self.b, self._memo = H, b, memo  # the memo of support LPs, see _support_lps
 
     @property
     def dim(self) -> int:
@@ -165,6 +159,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
 
     When every offset is positive the origin is feasible and no probe LP is
     needed; the 2n coordinate LPs that test boundedness run as one batch.
+    The C-set shares ``p``'s ``H`` and ``b`` arrays and its memo.
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
@@ -176,7 +171,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
         raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
     if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
-    return CSetPolytope(p.H, p.b)
+    return CSetPolytope._computed(p.H, p.b, p._memo)  # equal bits, equal outcomes
 
 
 def _unbounded_axis(p: HPolytope) -> int | None:
@@ -310,13 +305,15 @@ def scale(p: HPolytope, mu: float):
     """Origin-centered scaling ``mu * p``; preserves C-set certification."""
     if not mu > 0.0:
         raise ValidationError("scaling factor must be positive")
-    return type(p)(p.H, mu * p.b)
+    if not math.isfinite(float(mu) * float(np.abs(p.b).max())):  # the largest product
+        raise ValidationError("nonfinite facet data")
+    return type(p)._computed(p.H, mu * p.b)
 
 
 def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
     if p.dim != q.dim:
         raise DimensionError("intersection of polytopes of different dimension")
-    return HPolytope(np.vstack([p.H, q.H]), np.concatenate([p.b, q.b]))
+    return HPolytope._computed(np.vstack([p.H, q.H]), np.concatenate([p.b, q.b]))
 
 
 def is_subset(inner: HPolytope, outer: HPolytope) -> bool:
@@ -677,7 +674,7 @@ def project(p: HPolytope, keep: int) -> HPolytope:
             new, norms = new[~trivial], norms[~trivial]
         if norms.size == 0:
             raise UnboundedSetError("projection shadow is unconstrained")
-        shadow = HPolytope._computed(new[:, 1:], new[:, 0], norms)
+        shadow = HPolytope._computed(new[:, 1:] / norms[:, None], new[:, 0] / norms)
         H, b = shadow.H, shadow.b
         if col > keep:
             nxt = H[:, col - 1]
@@ -689,7 +686,7 @@ def project(p: HPolytope, keep: int) -> HPolytope:
                 continue
         shadow = remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
-    return HPolytope._computed(H, b)
+    return shadow
 
 
 def vertices(p: HPolytope) -> list[np.ndarray]:

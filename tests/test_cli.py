@@ -345,6 +345,32 @@ class TestCliProcess:
         assert csv_text.splitlines()[0] == "lambda,eps=0.01,eps=0.05,eps=0.1"
         assert "1.0,47,30,23" in csv_text
 
+    def test_iterate_csv_keeps_list_entries(self, tmp_path):
+        # every scalar leaf of the results, a list entry keyed by its index
+        task = {"iterate": {"lambda": 0.9, "k": 3, "seed": "X"}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        out = tmp_path / "r.json"
+        assert main(["iterate", "--scenario", scenario, "--out", str(out), "--csv"]) == 0
+        results = json.loads(out.read_text())["results"]
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[:4] == ["quantity,value", "lambda,0.9", "seed,X", "iterations,3"]
+        assert "per_iteration.3.facets,2" in lines
+        last = results["per_iteration"][3]["distance_to_previous"]
+        assert f"per_iteration.3.distance_to_previous,{last}" in lines
+        assert f"sets.3.b.1,{results['sets'][3]['b'][1]}" in lines
+        # 3 scalars, 4 records of 3, a final set and 4 sets of 2 rows and 2 offsets
+        assert len(lines) == 1 + 3 + 4 * 3 + 4 + 4 * 4
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_facet_cap_below_one_exit_3(self, tmp_path, monkeypatch, capsys, cap):
+        # a cap that admits no facet is a bad setting, not a computation error
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", cap)
+        task = {"iterate": {"lambda": 0.9, "k": 2, "seed": "X"}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        assert main(["iterate", "--scenario", scenario]) == 3
+        err = capsys.readouterr().err
+        assert f"CONTRACTA_MAX_FACETS must be a positive integer, not {cap!r}" in err
+
     def test_iterate_svg(self, tmp_path):
         scenario = scalar_scenario({"iterate": {"lambda": 0.9, "k": 2, "seed": "X"}})
         scenario["system"] = {

@@ -459,25 +459,21 @@ class TestApproximation:
         for record, seed_j, state_j in zip(outcome.per_iteration, seeds, states):
             S = scale(seed_j, 1.0 + eps)
             expected = float(np.max(support_many(state_j, S.H) - S.b))
-            assert abs(record["inclusion_slack"] - expected) <= 1e-12
+            assert record["inclusion_slack"] == expected
             assert record["distance"] == set_distance(seed_j, state_j).distance
 
 
 def oblique_seed():
-    """A seed with oblique facets for the 3-D scalar benchmark whose rows
-    ``scale`` renormalizes to other bits.
+    """A seed with oblique facets for the 3-D scalar benchmark.
 
     It lies in the box of half width 0.9 < 1 / 1.1, where ``u = -1.1 x`` is
     admissible and steers every point to the origin, so it is contractive
     at every rate.
     """
-    for draw in itertools.count():
-        rng = np.random.default_rng(draw)
-        H = np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
-        b = np.concatenate([rng.uniform(0.4, 0.8, size=6), np.full(6, 0.9)])
-        seed = validate_cset(HPolytope(H, b))
-        if not np.array_equal(scale(seed, 1.5).H, seed.H):
-            return seed
+    rng = np.random.default_rng(0)
+    H = np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
+    b = np.concatenate([rng.uniform(0.4, 0.8, size=6), np.full(6, 0.9)])
+    return validate_cset(HPolytope(H, b))
 
 
 class TestPlanCertificate:

@@ -125,6 +125,22 @@ class TestValidateCset:
         with pytest.raises(OriginNotInteriorError):
             validate_cset(box([1.0, -1.0], [2.0, 1.0]))
 
+    def test_keeps_rows_and_memo(self, monkeypatch):
+        # the C-set has the input's bits and its memo: the input's supports
+        # are read with no LP, and the coordinate LPs serve both
+        rng = np.random.default_rng(3)
+        H = np.vstack([rng.normal(size=(12, 3)), np.eye(3), -np.eye(3)])
+        p = HPolytope(H, np.concatenate([rng.uniform(0.5, 1.5, size=12), np.full(6, 2.0)]))
+        directions = rng.normal(size=(10, 3))
+        values = support_many(p, directions)
+        lps = count_lps(monkeypatch)
+        q = validate_cset(p)
+        assert lps[0] == 6  # the coordinate LPs
+        assert q.H.tobytes() == p.H.tobytes() and q.b.tobytes() == p.b.tobytes()
+        assert support_many(q, directions).tobytes() == values.tobytes()
+        support_many(p, np.vstack([np.eye(3), -np.eye(3)]))
+        assert lps[0] == 6
+
 
 class TestSupportRadial:
     def test_box_support(self):
@@ -169,6 +185,23 @@ class TestScaleIntersect:
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             scale(symmetric_box([1.0]), 0.0)
+
+    def test_scale_rejects_overflow(self):
+        with pytest.raises(ValidationError, match="nonfinite"):
+            scale(symmetric_box([10.0]), 1e308)
+
+    def test_scale_and_intersect_keep_rows(self):
+        # unit rows are not divided again, so their bits never move
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            p, q = (HPolytope(rng.normal(size=(6, 3)), rng.uniform(0.5, 2.0, size=6)) for _ in "pq")
+            for mu in (0.5, 1.1, 1.5):
+                scaled = scale(p, mu)
+                assert scaled.H.tobytes() == p.H.tobytes()
+                assert scaled.b.tobytes() == (mu * p.b).tobytes()
+            both = intersect(p, q)
+            assert both.H.tobytes() == np.vstack([p.H, q.H]).tobytes()
+            assert both.b.tobytes() == np.concatenate([p.b, q.b]).tobytes()
 
     def test_intersection_of_boxes(self):
         p = remove_redundancy(intersect(symmetric_box([10.0]), symmetric_box([5.0])))
@@ -376,7 +409,9 @@ class TestSupportMemo:
     def test_pooled_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch):
         # the inner set is unbounded along facet 0 of the outer one and
         # exceeds facet 1; its memo is filled by one stacked lockstep batch
-        # with a polytope of more facets, so its LPs carry padding rows
+        # with a polytope of more facets, so its LPs carry padding rows; the
+        # other polytope's memo holds its coordinate LPs, so it is asked along
+        # the diagonals
         inner = HPolytope([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], [1.0, 1.0, 5.0])
         diagonals = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         outer = HPolytope(np.vstack([np.eye(2), -np.eye(2), diagonals]), 2.0 * np.ones(8))
@@ -390,7 +425,7 @@ class TestSupportMemo:
             return lockstep(C, A, b)
 
         monkeypatch.setattr(lp_module, "_lockstep", counted)
-        pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[:3])])
+        pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[4:7])])
         assert sizes == [(11, other.nfacets, 2)]
         assert pooled[0][0].status is LpStatus.UNBOUNDED
         with pytest.raises(UnboundedDirectionError):
@@ -455,8 +490,8 @@ class TestSupportMemo:
         with pytest.raises(ComputationError, match="^q fault$"):
             for outcomes in pooled:  # the first fault in pair order
                 polytope_module._support_values(outcomes)
-        memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]
-        assert len(memo) == 8 and memo[directions[6].tobytes()] is pooled[2][2]
+        memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]  # and validate_cset's 4 coordinate LPs
+        assert len(memo) == 12 and memo[directions[6].tobytes()] is pooled[2][2]
         assert pooled[2][2].__traceback__ is None  # no frame of the solve stays alive
 
     def test_stationary_table_solves_no_direction_twice(self, monkeypatch):
@@ -481,8 +516,9 @@ class TestSupportMemo:
         one_at_a_time, lps[0] = lps[0], 0
         for table in pooled:
             set_distances(table)
-        # 24 LPs a task, 480 in a reproduce pass of 20 stabilizable tasks
-        assert lps[0] <= one_at_a_time == 24
+        # 20 LPs a task, 400 in a reproduce pass of 20 stabilizable tasks:
+        # the coordinate LPs of validating C and D are memo hits
+        assert lps[0] <= one_at_a_time == 20
 
     def test_tolerance_change_solves_again(self, monkeypatch):
         p = random_cset(np.random.default_rng(3), 3)
@@ -574,8 +610,16 @@ class TestRedundancy:
         p = random_rows(np.random.default_rng(seed), dim, kind)
         H, b, keep = brute_force_kept_rows(p)
         r = remove_redundancy(p)
-        assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
-        assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+        assert np.array_equal(r.H, H[keep]) and np.array_equal(r.b, b[keep])
+
+    @pytest.mark.parametrize("kind", ["c-set", "near-duplicate", "origin-outside", "many-cuts"])
+    def test_kept_rows_keep_their_bits(self, kind):
+        # the kept rows are the input's, not divided again by their norms
+        for seed in range(10):
+            p = random_rows(np.random.default_rng(seed), 3, kind)
+            keep = polytope_module._irredundant_rows(p)
+            r = remove_redundancy(p)
+            assert r.H.tobytes() == p.H[keep].tobytes() and r.b.tobytes() == p.b[keep].tobytes()
 
     def test_many_cuts_take_several_rounds(self, monkeypatch):
         # the many-cuts family above exercises retests in later rounds; a
@@ -787,8 +831,7 @@ class TestDescription:
             r = remove_redundancy(p)
         assert lines[0] == 1 and lines[-1] == 0
         H, b, keep = brute_force_kept_rows(p)
-        assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H)
-        assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b)
+        assert np.array_equal(r.H, H[keep]) and np.array_equal(r.b, b[keep])
 
 
 class TestProjection:
@@ -848,6 +891,12 @@ class TestProjection:
 
         with pytest.raises(FacetBudgetError):
             project(p, 2)
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_facet_cap_below_one_rejected(self, monkeypatch, cap):
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", cap)
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            project(random_cset(np.random.default_rng(2), 3), 2)
 
     def test_facet_cap_after_a_reduced_elimination(self, monkeypatch):
         # 4-D to 2-D: the first elimination makes 31 rows, which would grow at
@@ -969,8 +1018,9 @@ def _traced_projection(fn, p, keep):
 
 def _reference_project(p, keep):
     """The per-row Fourier-Motzkin loop that whole-array eliminations
-    replaced, kept verbatim as the bit-identity reference (module names
-    qualified, so that tracing patches reach it)."""
+    replaced, kept as the bit-identity reference (module names qualified,
+    so that tracing patches reach it). Each elimination's rows are
+    normalized where they are made, by the constructor, and nowhere else."""
     pm = polytope_module
     if not 1 <= keep < p.dim:
         raise ValidationError(f"keep must be in [1, {p.dim - 1}]")
@@ -1012,7 +1062,7 @@ def _reference_project(p, keep):
                 continue
         shadow = pm.remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
-    return HPolytope(H, b)
+    return shadow
 
 
 class TestVertices:
