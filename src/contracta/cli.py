@@ -70,12 +70,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             report = run_scenario_dict({"task": {"reproduce": {"name": args.name}}})
         else:
-            report = run_scenario(args.scenario)
-            expected = _SUBCOMMAND_TASK[args.command]
-            if report.task != expected:
-                raise ValidationError(
-                    f"scenario declares a {report.task} task; this subcommand runs {expected}"
-                )
+            report = run_scenario(args.scenario, _SUBCOMMAND_TASK[args.command])
         _emit(report, args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

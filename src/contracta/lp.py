@@ -33,7 +33,7 @@ Two kernels stay. Routing a single nonnegative-offset LP through
 ``_lockstep`` (L = 1) would leave ``_two_phase`` only phase 1, but on support
 LPs of random C-sets it took 2.0-2.5 times ``solve_lp``'s time at 2-40 rows
 and 1.2 times at 128 (medians of 7 interleaved runs of 200 LPs, Intel Xeon
-VM, one thread), and a ``reproduce`` benchmark pass sends 3,200 single LPs.
+VM, one thread), and a ``reproduce`` benchmark pass sends 2,880 single LPs.
 
 Invariant: a kernel change must keep the pivot sequence and every
 floating-point operation, so each ``LpOutcome`` stays bit-identical for

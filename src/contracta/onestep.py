@@ -30,9 +30,11 @@ from .errors import (
 from .lp import LinearProgram, LpStatus, solve_lp
 from .numerics import matrix_power, reachability_matrix, singular_extremes, spectral_norm
 from .polytope import (
+    _ZERO_ROW,
     CSetPolytope,
     HPolytope,
     _facet_cap,
+    _finite_norms,
     _first_exceeded,
     inradius_origin,
     is_subset,
@@ -134,7 +136,12 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
 
     Built as the shadow of the lifted polytope
     ``{(x, u) : x in X, u in U, H_D (A x + B u) <= lam * b_D}``
-    on the state coordinates, with redundant facets removed.
+    on the state coordinates, with redundant facets removed. The lift keeps
+    X's and U's rows and offsets as they are and divides only the rows it
+    makes, ``H_D [A B]`` and ``lam * b_D``, by their norms: an overflowing
+    norm raises ``ValidationError``, and a row of norm at most ``_ZERO_ROW``
+    (``0 <= lam * b_D``, as when ``A`` resets a state) is left to
+    :func:`project`, which drops it.
 
     No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
     and its offsets (those of X, U and ``lam * D``) must be positive, which
@@ -162,12 +169,18 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     lifted_H = np.zeros((top + D.nfacets, sys.n + sys.m))
     lifted_H[: X.nfacets, : sys.n] = X.H
     lifted_H[X.nfacets : top, sys.n :] = U.H
-    lifted_H[top:, : sys.n] = D.H @ sys.A
-    lifted_H[top:, sys.n :] = D.H @ sys.B
+    made = lifted_H[top:]  # a view
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        made[:, : sys.n] = D.H @ sys.A
+        made[:, sys.n :] = D.H @ sys.B
     lifted_b = np.concatenate((X.b, U.b, lam * D.b))
     if not np.all(lifted_b > 0.0):
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
-    shadow = project(HPolytope(lifted_H, lifted_b), sys.n)
+    norms = _finite_norms(made)
+    unit = norms > _ZERO_ROW
+    made[unit] /= norms[unit, None]
+    lifted_b[top:][unit] /= norms[unit]
+    shadow = project(HPolytope._computed(lifted_H, lifted_b), sys.n)
     q = CSetPolytope._computed(shadow.H, shadow.b)
     if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
         q = D

@@ -116,7 +116,8 @@ def iteration_bound(eta: float, delta: float, d_seed_state: float, n: int) -> in
 
     Zero when the start distance is already within delta; otherwise
     ``n * ceil((ln delta - ln d) / ln eta)``, with a tiny downward nudge
-    before the ceiling so representation error cannot add a spurious step.
+    before the ceiling so representation error cannot add a spurious step,
+    and ``n`` at ``eta = 0``, where one n-step block takes the distance to 0.
     """
     if not 0.0 <= eta < 1.0:
         raise ValidationError("contraction factor must lie in [0, 1)")
@@ -128,6 +129,8 @@ def iteration_bound(eta: float, delta: float, d_seed_state: float, n: int) -> in
         raise ValidationError("state dimension must be positive")
     if d_seed_state <= delta:
         return 0
+    if eta == 0.0:
+        return n
     ratio = (math.log(delta) - math.log(d_seed_state)) / math.log(eta)
     return n * math.ceil(ratio - _CEIL_NUDGE)
 

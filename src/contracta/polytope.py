@@ -7,12 +7,15 @@ compact/origin-interior certification of :func:`validate_cset`, which every
 input set passes; ``one_step_set`` builds its shadows as C-sets by proof.
 
 The constructor checks its input: a nonempty 2-D facet matrix with one
-offset per row (``DimensionError``), finite entries and no zero row
-(``ValidationError``). Everything built from outside data goes through it:
-user and scenario polytopes, :func:`box` and the lifted polytope of
-``one_step_set``. Rows are divided by their norms where they are made, in
-the constructor and in each Fourier-Motzkin elimination of :func:`project`,
-and nowhere else: :func:`intersect`, :func:`scale`, :func:`validate_cset`,
+offset per row (``DimensionError``), finite entries, no zero row and no row
+whose norm overflows (``ValidationError``). Data from outside go through it:
+user and scenario polytopes, :func:`box` and the cross-polytope seeds. Rows
+are divided by their norms where they are made, and nowhere else: in the
+constructor, in ``one_step_set``'s lift (only its rows ``H_D [A B]``) and
+in each Fourier-Motzkin elimination of :func:`project`, which also divides
+again the rows it passes through. A made row of norm at most ``_ZERO_ROW``
+has no normal; :func:`project` alone drops it, the lift's included.
+:func:`intersect`, :func:`scale`, :func:`validate_cset`,
 :func:`remove_redundancy`, :func:`project`'s output and ``one_step_set``'s
 C-set keep the unit rows they are given, bit for bit (``HPolytope._computed``).
 
@@ -88,7 +91,7 @@ class HPolytope:
             raise DimensionError(f"{H.shape[0]} facets but {b.size} offsets")
         if not (np.isfinite(H).all() and np.isfinite(b).all()):
             raise ValidationError("nonfinite facet data")
-        norms = _row_norms(H)
+        norms = _finite_norms(H)
         if (norms <= _ZERO_ROW).any():
             raise ValidationError("all-zero facet row")
         self._set_rows(H / norms[:, None], b / norms, {})
@@ -97,7 +100,9 @@ class HPolytope:
     def _computed(cls, H: np.ndarray, b: np.ndarray, memo: dict | None = None):
         """A polytope on unit rows computed from checked ones (nonempty,
         finite, matching offsets), taken as they are: no check, no division.
-        A ``memo`` is that of a polytope with these bits, shared."""
+        ``one_step_set``'s lift may also hold rows of norm at most
+        ``_ZERO_ROW``, for :func:`project` to drop. A ``memo`` is that of a
+        polytope with these bits, shared."""
         p = cls.__new__(cls)
         p._set_rows(H, b, {} if memo is None else memo)
         return p
@@ -134,6 +139,17 @@ class CSetPolytope(HPolytope):
 def _row_norms(H: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of ``H``."""
     return np.sqrt(np.add.reduce(H * H, axis=1))
+
+
+def _finite_norms(H: np.ndarray) -> np.ndarray:
+    """:func:`_row_norms`, raising ``ValidationError`` on a norm that is not
+    finite (entries from about 1e154 on overflow it): dividing by it would
+    turn the row into a zero row and delete it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _row_norms(H)
+    if not np.isfinite(norms).all():
+        raise ValidationError("a facet row's norm overflows")
+    return norms
 
 
 def box(lower, upper) -> HPolytope:

@@ -109,8 +109,10 @@ def _polytope_from_block(block, name: str) -> HPolytope:
         raise ValidationError(f"{name}: {exc}") from exc
 
 
-def validate_scenario(data: dict) -> Scenario:
-    """Structural validation: one task block, consistent dimensions."""
+def validate_scenario(data: dict, task: str | None = None) -> Scenario:
+    """Structural validation: one task block, consistent dimensions. A
+    ``task`` other than the one the scenario declares raises
+    ``ValidationError`` before the system is built."""
     unknown = set(data) - {"system", "seed", "task", "output"}
     if unknown:
         raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")
@@ -121,8 +123,10 @@ def validate_scenario(data: dict) -> Scenario:
     if len(names) != 1 or len(task_block) != 1:
         raise ValidationError(f"exactly one task of {TASK_NAMES} is required")
     task_name = names[0]
-    task = task_block[task_name]
-    if not isinstance(task, dict):
+    if task is not None and task_name != task:
+        raise ValidationError(f"scenario declares a {task_name} task, not {task}")
+    params = task_block[task_name]
+    if not isinstance(params, dict):
         raise ValidationError("task parameters must be an object")
 
     for name in ("system", "seed"):
@@ -149,7 +153,7 @@ def validate_scenario(data: dict) -> Scenario:
     return Scenario(
         raw=data,
         task_name=task_name,
-        task=task,
+        task=params,
         system=system,
         seed=data.get("seed"),
         output=output,
@@ -190,14 +194,16 @@ def resolve_seed(scenario: Scenario, lam: float) -> tuple[CSetPolytope, float]:
     raise ValidationError("seed block must contain either a polytope or an ellipsoid")
 
 
-def run_scenario(path: str) -> Report:
+def run_scenario(path: str, task: str | None = None) -> Report:
     with open(path, "r", encoding="utf-8") as fh:
         data = parse_scenario_text(fh.read())
-    return run_scenario_dict(data)
+    return run_scenario_dict(data, task)
 
 
-def run_scenario_dict(data: dict) -> Report:
-    scenario = validate_scenario(data)
+def run_scenario_dict(data: dict, task: str | None = None) -> Report:
+    """Validate and run a scenario, which must declare ``task`` when one is
+    given (see :func:`validate_scenario`)."""
+    scenario = validate_scenario(data, task)
     start = time.perf_counter()
     handler = _TASK_HANDLERS[scenario.task_name]
     results, warnings = handler(scenario)
@@ -255,6 +261,9 @@ def _task_plan_epsilon(scenario: Scenario):
 def _task_select_lambda(scenario: Scenario):
     lam_star = _require(scenario.task, "lambda-star", _number)
     mu = _require(scenario.task, "mu", _number)
+    strategy = scenario.task.get("strategy")
+    if strategy is not None:
+        strategy = _parse_strategy(strategy)
     C, _ = resolve_seed(scenario, lam_star)
     plan = select_lambda(scenario.system, lam_star, C, mu)
     results = {
@@ -262,9 +271,7 @@ def _task_select_lambda(scenario: Scenario):
         "conservatism_ratio": (plan.lam - lam_star) / (1.0 - lam_star),
         "certificate": plan.certificate.as_dict(),
     }
-    strategy = scenario.task.get("strategy")
     if strategy is not None:
-        strategy = _parse_strategy(strategy)
         outcome = approximate_cmax1(scenario.system, plan, C, strategy)
         results["approximation"] = _approximation_dict(outcome)
     return results, []

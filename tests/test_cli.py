@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import contracta.onestep as onestep_module
 import contracta.polytope as polytope_module
-from contracta import reproduce, symmetric_box, validate_cset
+from contracta import HPolytope, reproduce, support, symmetric_box, validate_cset
 from contracta.cli import main
 from contracta.errors import ComputationError, ScenarioParseError, ValidationError
 from contracta.scenario import (
@@ -16,6 +18,8 @@ from contracta.scenario import (
     validate_scenario,
 )
 from contracta.svg import render_svg
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def scalar_scenario(task):
@@ -319,6 +323,40 @@ class TestCliProcess:
     def test_task_subcommand_mismatch_exit_3(self, tmp_path):
         scenario = write(tmp_path, "s.json", scalar_scenario({"certify": {"lambda": 0.8}}))
         assert main(["iterate", "--scenario", scenario]) == 3
+
+    @pytest.mark.parametrize(
+        "subcommand,strategy,message",
+        [
+            ("plan", "adaptive", "scenario declares a select-lambda task, not plan-epsilon"),
+            ("select-lambda", "fastest", "strategy must be 'apriori' or 'adaptive'"),
+        ],
+        ids=["task-mismatch", "bad-strategy"],
+    )
+    def test_input_checked_before_projection_exit_3(
+        self, tmp_path, monkeypatch, capsys, subcommand, strategy, message
+    ):
+        # a facet cap of 1 stops the first projection, which must not come
+        # before the input's own validation error
+        def no_projection(p, keep):
+            raise AssertionError("projected before the input was checked")
+
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "1")
+        monkeypatch.setattr(onestep_module, "project", no_projection)
+        task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98, "strategy": strategy}}
+        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        assert main([subcommand, "--scenario", scenario]) == 3
+        assert f"validation error: {message}" in capsys.readouterr().err
+
+    def test_state_reset_scenario_runs(self, tmp_path):
+        # the second state is reset every step: its lifted rows vanish, and
+        # the iterates' x1 half-widths are 10, 6, 4, 3, 2.5
+        out = tmp_path / "report.json"
+        assert main(["iterate", "--scenario", str(SCRIPTS / "dead_state_scenario.json"),
+                     "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert [r["facets"] for r in results["per_iteration"]] == [4] * 5
+        final = validate_cset(HPolytope(results["final_set"]["H"], results["final_set"]["b"]))
+        assert support(final, [1.0, 0.0]) == pytest.approx(2.5, abs=1e-12)
 
     def test_tolerance_override_round_trips(self, tmp_path):
         from contracta.config import TOL, set_feasibility_tolerance

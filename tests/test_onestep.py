@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -41,7 +42,12 @@ from contracta.benchmarks import (
     scalar_system,
     stabilizable_system,
 )
-from contracta.errors import CSetValidationError, DimensionError, ValidationError
+from contracta.errors import (
+    CSetValidationError,
+    DimensionError,
+    OriginNotInteriorError,
+    ValidationError,
+)
 from conftest import (
     admits_input,
     count_lps,
@@ -84,6 +90,17 @@ def lifted_step(sysr, lam, D):
     return HPolytope(H, np.concatenate([sysr.X.b, sysr.U.b, lam * D.b]))
 
 
+def reset_state_system(A=((1.0, 0.0), (0.0, 0.0))):
+    """Two states and one input, X = [-10, 10]^2, U = [-1, 1], B = e1; with
+    the default A the second state is reset to 0 every step."""
+    return SystemModel(
+        np.array(A),
+        np.array([[1.0], [0.0]]),
+        validate_cset(symmetric_box([10.0, 10.0])),
+        validate_cset(symmetric_box([1.0])),
+    )
+
+
 def always_reduced_shadow(p, keep):
     """Fourier-Motzkin with redundancy removal after every elimination: a
     projection that eliminates one coordinate always reduces its rows."""
@@ -115,6 +132,59 @@ class TestOneStep:
         for lam, tau in ((0.5, 1.0), (0.8, 4.0)):
             q = one_step_set(sysr, lam, validate_cset(symmetric_box([tau])))
             assert support(q, [1.0]) == pytest.approx(lam * tau / 0.8, abs=1e-12)
+
+    def test_state_reset_every_step(self):
+        # a target row on x2 makes the vanishing lifted row 0 <= lam * b,
+        # which project drops like any row without a normal
+        sysr = reset_state_system()
+        q = one_step_set(sysr, 0.5, sysr.X)
+        assert q.nfacets == 4
+        values = [support(q, d) for d in np.vstack([np.eye(2), -np.eye(2)])]
+        assert values == pytest.approx([6.0, 10.0, 6.0, 10.0], abs=1e-12)
+
+    def test_lift_keeps_certified_rows(self, monkeypatch):
+        # X's and U's rows and offsets enter the lift bit for bit; only the
+        # rows the step makes are divided by their norms (dividing this X's
+        # unit rows by their recomputed norms again would move bits of one)
+        rng = np.random.default_rng(9)
+        base = random_controllable_system(rng, 3, 2)
+        sysr = SystemModel(base.A, base.B, random_cset(rng, 3), base.U)
+        D = random_cset(rng, 3)
+        project, lifts = onestep.project, []
+
+        def recording_project(p, keep):
+            lifts.append(p)
+            return project(p, keep)
+
+        monkeypatch.setattr(onestep, "project", recording_project)
+        one_step_set(sysr, 0.7, D)
+        (lift,) = lifts
+        nx, top = sysr.X.nfacets, sysr.X.nfacets + sysr.U.nfacets
+        assert lift.H[:nx, :3].tobytes() == sysr.X.H.tobytes()
+        assert lift.H[nx:top, 3:].tobytes() == sysr.U.H.tobytes()
+        assert lift.b[:top].tobytes() == np.concatenate([sysr.X.b, sysr.U.b]).tobytes()
+        made = np.hstack([D.H @ sysr.A, D.H @ sysr.B])
+        norms = polytope_module._row_norms(made)
+        assert np.array_equal(lift.H[top:], made / norms[:, None])
+        assert np.array_equal(lift.b[top:], 0.7 * D.b / norms)
+
+    def test_overflowing_made_row_rejected(self):
+        # the row norms of D.H @ [A B] overflow: divided, the rows would
+        # vanish and Q would grow to [-10, 10] x [-5, 5], not the sliver
+        # around x1 = -x2 that it is
+        sysr = reset_state_system(A=((1e308, 1e308), (0.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                one_step_set(sysr, 0.5, sysr.X)
+
+    def test_unvalidated_state_set_offset_checked(self):
+        # a C-set built by a caller is not validated, so every lifted offset
+        # is checked, X's too
+        X = CSetPolytope([[1.0], [-1.0]], [1.0, 0.0])
+        sysr = SystemModel([[0.5]], [[1.0]], X, validate_cset(symmetric_box([1.0])))
+        with pytest.raises(OriginNotInteriorError):
+            one_step_set(sysr, 0.5, validate_cset(symmetric_box([1.0])))
 
     def test_rate_range_checked(self):
         sys1 = scalar_system(1)
@@ -245,6 +315,13 @@ class TestIterate:
                 scalar_state_halfwidth(k, lam), abs=1e-9
             )
 
+    def test_state_reset_every_step(self):
+        # x1 half-widths w -> min(10, 0.5 w + 1); x2 stays in [-10, 10]
+        sysr = reset_state_system()
+        seq = iterate(sysr, 0.5, sysr.X, 4, SeedLabel.FROM_STATE_SET)
+        for entry, w in zip(seq.entries, (10.0, 6.0, 4.0, 3.0, 2.5)):
+            assert halfwidths(entry) == pytest.approx((w, 10.0), abs=1e-12)
+
     @pytest.mark.parametrize("labelled", [False, True])
     @pytest.mark.parametrize(
         "case",
@@ -358,6 +435,12 @@ class TestContractiveness:
         sys2 = scalar_system(2)
         assert is_lambda_contractive(sys2, 0.6, scalar_seed(2))
         assert not is_lambda_contractive(sys2, 0.5, scalar_seed(2))
+
+    def test_state_reset_every_step(self):
+        # [-w, w] x [-10, 10] is 0.5-contractive iff w <= 0.5 w + 1
+        sysr = reset_state_system()
+        assert is_lambda_contractive(sysr, 0.5, validate_cset(symmetric_box([2.0, 10.0])))
+        assert not is_lambda_contractive(sysr, 0.5, validate_cset(symmetric_box([2.1, 10.0])))
 
     def test_not_inside_state_set(self):
         sys1 = scalar_system(1)

@@ -66,6 +66,11 @@ class TestIterationBound:
         assert iteration_bound(0.9, 1.0, 0.5, 3) == 0
         assert iteration_bound(0.9, 1.0, 1.0, 3) == 0
 
+    def test_zero_contraction_factor(self):
+        # at eta = 0 one n-step block takes any distance to 0
+        assert iteration_bound(0.0, 0.1, 1.0, 2) == 2
+        assert iteration_bound(0.0, 1.0, 0.5, 3) == 0
+
     def test_guards(self):
         with pytest.raises(ValidationError):
             iteration_bound(1.0, 0.1, 1.0, 1)

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -101,6 +102,14 @@ class TestConstruction:
     def test_zero_row_rejected(self):
         with pytest.raises(ValidationError):
             HPolytope([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+
+    def test_overflowing_norm_rejected(self):
+        # the norm of the first row overflows: divided by it, the row would
+        # read [0, 0] <= 0 in place of x1 + x2 <= 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows"):
+                HPolytope([[1e200, 1e200], [-1, 0], [0, 1], [0, -1], [1, 0]], [1, 1, 1, 1, 1])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
