@@ -123,6 +123,8 @@ def iteration_bound(eta: float, delta: float, d_seed_state: float, n: int) -> in
         raise ValidationError("contraction factor must lie in [0, 1)")
     if not delta > 0.0:
         raise ValidationError("delta must be positive")
+    if not math.isfinite(d_seed_state):
+        raise ValidationError("distance must be finite")
     if d_seed_state < 0.0:
         raise ValidationError("distance must be nonnegative")
     if n < 1:

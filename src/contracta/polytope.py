@@ -58,12 +58,19 @@ from .errors import (
     UnboundedSetError,
     ValidationError,
 )
-from .lp import _LOCKSTEP_MIN, LinearProgram, LpStatus, _solve_batch, _solve_or_fault, solve_lp
+from .lp import LinearProgram, LpStatus, _solve_batch, _solve_or_fault, solve_lp
 
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
 _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
+
+
+def _check_facets(count: int, cap: int, what: str) -> None:
+    """Raise ``FacetBudgetError`` when ``what`` would have more facets than ``cap``."""
+    if count > cap:
+        message = f"{what} would create {count} facets (cap {cap}; set {_FACET_CAP_ENV})"
+        raise FacetBudgetError(message)
 
 
 def _facet_cap() -> int:
@@ -261,14 +268,14 @@ def _solve_misses(misses) -> list:
     """``lp._solve_batch``'s outcomes of the support LPs of each ``(p,
     directions)`` of ``misses``, one list per pair.
 
-    With a single pair, too few LPs for lockstep or polytopes of different
-    dimensions, each pair's LPs run on its polytope's own rows. Otherwise
+    With a single pair or polytopes of different dimensions, each pair's
+    LPs run on its polytope's own rows. Otherwise
     all run as one stack, each polytope's rows padded to the longest with
     zero rows of offset 0: a zero row never passes the ratio test, so its
     slack stays basic at 0, and the padding changes no outcome's bits.
     """
     counts = [len(d) for _, d in misses]
-    if len(misses) < 2 or sum(counts) < _LOCKSTEP_MIN or len({p.dim for p, _ in misses}) > 1:
+    if len(misses) < 2 or len({p.dim for p, _ in misses}) > 1:
         return [_solve_batch(d, p.H, p.b) for p, d in misses]
     ends = list(itertools.accumulate(counts))
     k = max(p.nfacets for p, _ in misses)
@@ -307,6 +314,8 @@ def radial(p: CSetPolytope, xi) -> float:
     xi = np.asarray(xi, dtype=float).ravel()
     if xi.size != p.dim:
         raise DimensionError("direction dimension mismatch")
+    if not np.isfinite(xi).all():
+        raise ValidationError("radial direction must be finite")
     norm = float(np.linalg.norm(xi))
     if abs(norm - 1.0) > 1e-12:
         raise ValidationError("radial direction must have unit norm")
@@ -671,10 +680,7 @@ def project(p: HPolytope, keep: int) -> HPolytope:
         c_neg = -coeff[neg]
         n_zero = np.count_nonzero(zero)
         n_new = n_zero + c_pos.size * c_neg.size
-        if n_new > cap:
-            raise FacetBudgetError(
-                f"projection would create {n_new} facets (cap {cap}; set {_FACET_CAP_ENV})"
-            )
+        _check_facets(n_new, cap, "projection")
         rows = np.concatenate((b[:, None], H[:, :col]), axis=1)  # offset, then kept coordinates
         new = np.empty((n_new, col + 1))
         new[:n_zero] = rows[zero]

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .numerics import schur_radius_bound, symmetric_eigen_min
 from .onestep import SystemModel, is_lambda_contractive, noncontractive_point
-from .polytope import CSetPolytope, HPolytope, is_subset, validate_cset
+from .polytope import CSetPolytope, HPolytope, _check_facets, _facet_cap, is_subset, validate_cset
 
 _PSD_SLACK = 1e-10
 
@@ -121,10 +121,12 @@ def _inscribed_crosspolytope(P, level: float) -> CSetPolytope:
     """Hull of ``+-sqrt(level) * P^(-1/2) e_i`` in H-form.
 
     In whitened coordinates this is ``|y|_1 <= sqrt(level)``, i.e. rows
-    ``s' P^(1/2) x <= sqrt(level)`` over all sign vectors ``s``.
+    ``s' P^(1/2) x <= sqrt(level)`` over all sign vectors ``s``: ``2^n``
+    rows, checked against the facet cap before any is built.
     """
     P = np.atleast_2d(P)
     n = P.shape[0]
+    _check_facets(2**n, _facet_cap(), "the inscribed cross-polytope")
     w, V = np.linalg.eigh(P)
     sqrt_P = V @ np.diag(np.sqrt(w)) @ V.T
     radius = float(np.sqrt(level))

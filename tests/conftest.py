@@ -59,20 +59,23 @@ def admits_input(sys, lam, C, x) -> bool:
 
 
 def count_lps(monkeypatch) -> list:
-    """From now on, count one LP per ``solve_lp`` call and per LP of a
-    lockstep batch. The returned list holds the total, then the ``solve_lp``
-    calls and the lockstep LPs apart."""
+    """From now on, count one LP per LP the simplex kernel ``lp._lockstep``
+    solves. The returned list holds the total, then the LPs of ``solve_lp``
+    calls and those of batches apart."""
     counter = [0, 0, 0]
     solve, lockstep = lp_module.solve_lp, lp_module._lockstep
+    single = []  # not empty while a solve_lp call runs
 
     def counted_solve(prob):
-        counter[0] += 1
-        counter[1] += 1
-        return solve(prob)
+        single.append(prob)
+        try:
+            return solve(prob)
+        finally:
+            single.pop()
 
     def counted_lockstep(C, A, b):
         counter[0] += len(C)
-        counter[2] += len(C)
+        counter[1 if single else 2] += len(C)
         return lockstep(C, A, b)
 
     for name, module in list(sys.modules.items()):

@@ -388,12 +388,12 @@ def _assert_batch_matches_solve_lp(outs, C, A, b):
 @given(
     n=st.integers(1, 4),
     k=st.integers(1, 40),
-    extra=st.integers(0, 32),
+    extra=st.integers(0, 39),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
-    count = lp_module._LOCKSTEP_MIN + extra  # enough LPs to run in lockstep
+    count = 1 + extra  # a batch of any size runs in lockstep
     if mode == "chunked":  # tall LPs: more than one lockstep chunk
         k += 40
         count = lp_module._BATCH_BYTES // (8 * (k + 1) * (2 * n + 1)) + 1 + extra
@@ -408,15 +408,15 @@ def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
 @given(
     n=st.integers(1, 4),
     k=st.integers(1, 40),
-    extra=st.integers(0, 32),
+    extra=st.integers(0, 39),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_padded_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
     # LP l has its first rows[l] rows, then zero rows of offset 0 up to k, as
     # polytope._support_lps stacks the LPs of polytopes with fewer facets;
-    # some offsets are negative in "signed", which solves them one at a time
-    count = lp_module._LOCKSTEP_MIN + extra
+    # an offset of LP 0 is negative in "signed", so the stack runs phase 1
+    count = 1 + extra
     C, A, b = _batch_case("random" if mode == "signed" else mode, n, k, count, seed)
     rng = np.random.default_rng(seed)
     rows = rng.integers(1, k + 1, size=count)
@@ -427,7 +427,7 @@ def test_padded_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
     A[padding] = 0.0
     b[padding] = 0.0
     outs, sizes = _lockstep_calls(C, A, b)
-    assert sizes == ([] if mode == "signed" else [count])
+    assert sizes == [count]
     unpadded = [solve_lp(LinearProgram(c, a[:r], o[:r])) for c, a, o, r in zip(C, A, b, rows)]
     for out, ref in zip(outs, unpadded):
         assert out.status is ref.status
@@ -480,7 +480,7 @@ def _clarkson_case(n, k, count, seed):
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_batch_clarkson_shaped_bit_identical_to_solve_lp(n, k, extra, seed):
-    C, A, b = _clarkson_case(n, k, lp_module._LOCKSTEP_MIN + 1 + extra, seed)
+    C, A, b = _clarkson_case(n, k, 9 + extra, seed)
     # A 1e-9 near-parallel pair can make the simplex return a point that
     # misses a row by more than the feasibility tolerance; solve_lp raises
     # then, and so must a lockstep chunk holding that LP.
@@ -494,8 +494,6 @@ def test_batch_clarkson_shaped_bit_identical_to_solve_lp(n, k, extra, seed):
         with pytest.raises(ComputationError):
             solve_lp_batch(C, A, b)
         C, A, b = C[~fails], A[~fails], b[~fails]
-    if len(C) < lp_module._LOCKSTEP_MIN:
-        return
     outs, sizes = _lockstep_calls(C, A, b)
     assert sum(sizes) == len(C)
     assert all(out.status is LpStatus.OPTIMAL for out in outs)  # the cap bounds every LP
@@ -543,7 +541,7 @@ def test_lockstep_pivot_budget_is_per_lp(budget):
     # under a small pivot budget, the LPs that finish in time keep solve_lp's
     # outcomes, the others get its budget error, and solve_lp_batch raises
     # the first of those errors in input order
-    C, A, b = _batch_case("random", 3, 30, lp_module._LOCKSTEP_MIN + 16, 7)
+    C, A, b = _batch_case("random", 3, 30, 24, 7)
     returned = []
     lockstep = lp_module._lockstep
 
@@ -581,7 +579,7 @@ def test_lockstep_pivot_budget_is_per_lp(budget):
 
 
 def test_batch_small_or_negative_offsets_match_solve_lp():
-    # too few LPs for lockstep, or offsets that need phase 1: one at a time
+    # a few LPs, or offsets that need phase 1: one lockstep stack either way
     rng = np.random.default_rng(9)
     A = rng.normal(size=(6, 2))
     for count, b in ((3, np.abs(rng.normal(size=6))), (12, rng.normal(size=6))):

@@ -397,8 +397,8 @@ class TestIterate:
         sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
         seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
         assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
-        # solve_lp calls and lockstep LPs, validating the boxes X and U included
-        assert lps[1:] == [14, 88]
+        # LPs of solve_lp calls and of batches, validating the boxes X and U included
+        assert lps[1:] == [0, 102]
         digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
         assert digest.hexdigest() == (
             "276ec03176fb391695fd93bb4ed844f4db3e539b9c4b2d7c755e73337ad7d9c5"

@@ -71,6 +71,11 @@ class TestIterationBound:
         assert iteration_bound(0.0, 0.1, 1.0, 2) == 2
         assert iteration_bound(0.0, 1.0, 0.5, 3) == 0
 
+    @pytest.mark.parametrize("distance", [math.nan, math.inf])
+    def test_nonfinite_distance_rejected(self, distance):
+        with pytest.raises(ValidationError, match="distance must be finite"):
+            iteration_bound(0.5, 0.1, distance, 2)
+
     def test_guards(self):
         with pytest.raises(ValidationError):
             iteration_bound(1.0, 0.1, 1.0, 1)

@@ -175,6 +175,12 @@ class TestSupportRadial:
         with pytest.raises(ValidationError):
             radial(p, [1.0, 1.0])
 
+    @pytest.mark.parametrize("xi", [[np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_radial_rejects_nonfinite_direction(self, xi):
+        # a NaN norm passes a `> 1e-12` test; it must not reach the facets
+        with pytest.raises(ValidationError, match="must be finite"):
+            radial(symmetric_box([1.0, 2.0]), xi)
+
     @given(st.integers(0, 2**32 - 1), st.floats(0.1, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_radial_scales_linearly(self, seed, mu):

@@ -19,6 +19,7 @@ from contracta import (
 )
 from contracta.benchmarks import oscillator_system, scalar_seed, scalar_system
 from contracta.errors import (
+    FacetBudgetError,
     RateTooWeakError,
     SeedNotContractiveError,
     SeedValidationError,
@@ -102,6 +103,17 @@ class TestPolytopicInnerSeed:
         for v in vertices(C):
             assert float(v @ P @ v) == pytest.approx(0.25, abs=1e-9)
         assert is_lambda_contractive(sysp, lam_eff, C)
+
+    def test_crosspolytope_facets_checked_against_cap(self, monkeypatch):
+        # a 4-D seed bridges to 2^4 = 16 facets: past a cap of 15 the bridge
+        # raises before it builds a row, not the projection after it
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "15")
+        seed = EllipsoidSeed(K=-0.8 * np.eye(4), P=np.eye(4), beta=1.0, lam=0.4)
+        with pytest.raises(FacetBudgetError, match="inscribed cross-polytope would create 16 facets"):
+            polytopic_inner_seed(scalar_system(4), seed)
+        monkeypatch.delenv("CONTRACTA_MAX_FACETS")
+        C, lam_eff = polytopic_inner_seed(scalar_system(4), seed)
+        assert C.nfacets == 16 and lam_eff == pytest.approx(0.8)
 
 
 class TestUserSeeds:
