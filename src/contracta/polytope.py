@@ -33,7 +33,8 @@ earlier target itself when they are equal.
 
 Redundancy removal tests each row against the facets found so far by
 reading its maximum off their vertices, which an incremental double
-description keeps as facets are found; only rows this cannot decide with a
+description keeps as facets are found; a ray whose first crossing ties is
+settled by inserting the tied rows, and only rows this cannot decide with a
 clear margin, and flat sets, take an LP (:func:`remove_redundancy`).
 :func:`vertices` reads the same description, in any dimension.
 """
@@ -64,6 +65,7 @@ _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
 _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
+_PAIR_CELLS = 2**16  # largest pair-by-ray product of one adjacency test in _Description.insert
 
 
 def _check_facets(count: int, cap: int, what: str) -> None:
@@ -395,19 +397,29 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
       tested again next round unless it was that row. The rays of one round
       are traced together, in row order, and a row whose ray hits a facet
       found earlier in the same round is also tested again next round.
+    * A ray hit is clear when the next row lies more than ``10 feas`` of
+      violation behind it. On a tie, as through the degenerate vertices of
+      a cross-polytope's shadows, each tied row whose maximum still beats
+      its offset joins the description, last row first (of rows that differ
+      by rounding, the all-rows test keeps the last), and the ray's row is
+      tested again next round. After the rounds, a tied row is a facet when
+      the ray toward the centroid of its vertices hits it clearly, with
+      only the rows removed before it ignored; a tied row whose vertices
+      span less than a facet is redundant among the facets, which drop it
+      without changing the set.
 
-    A ray hit counts only when the next row lies more than ``10 feas`` of
-    violation behind it. Some rows instead take the all-rows test, one LP
-    against all rows except those removed before it, in order: the rows of
-    a tied hit, those whose maximum lies within ``_DD_MARGIN`` of ``offset +
-    feas``, every row of a set whose Chebyshev radius is at most ``feas`` (a
+    Some rows instead take the all-rows test, one LP against all rows
+    except those removed before it, in order: those whose maximum lies
+    within ``_DD_MARGIN`` of ``offset + feas``, those whose ray inserts no
+    row, every row of a set whose Chebyshev radius is at most ``feas`` (a
     flat set), and, since a missed vertex could only make a row look
-    redundant, every row found redundant when the final description is not
-    bounded with each known facet tight at ``n`` vertices or more. The kept
-    rows are thus those of testing every row, in order, against all rows not
-    yet removed. A row whose all-rows LP faults (``solve_lp`` raises
-    ``ComputationError``, as on near-parallel rows 1e-9 apart) is kept,
-    which never changes the set.
+    redundant, every row found redundant and every tied row left unsettled
+    when a tied row is neither confirmed nor dropped, or the final
+    description is not bounded with each facet tight at ``n`` vertices or
+    more. The kept rows are thus those of testing every row, in order,
+    against all rows not yet removed. A row whose all-rows LP faults
+    (``solve_lp`` raises ``ComputationError``, as on near-parallel rows
+    1e-9 apart) is kept, which never changes the set.
     """
     keep = _irredundant_rows(p)
     return HPolytope._computed(p.H[keep], p.b[keep])
@@ -450,9 +462,16 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     vertices of those facets (:class:`_Description`).
 
     Marks redundant rows in ``removed`` and returns the mask of rows that
-    need the all-rows test: tied ray hits, maxima within ``_DD_MARGIN`` of
-    the verdict, and every row found redundant when the final description
-    is not a polytope whose every facet meets ``n`` vertices.
+    need the all-rows test: maxima within ``_DD_MARGIN`` of the verdict,
+    rays whose hit inserts no row, and, when the final description is not
+    a polytope whose every facet meets ``n`` vertices or a row inserted on
+    a tied hit stays unsettled (:func:`_settle`), every row found redundant
+    and every unsettled row.
+
+    On a tied hit, each tied row that still beats the description is
+    inserted (:func:`_beating`) as a facet to be settled after the rounds.
+    The ray's row is tested again next round when its hit, or one of its
+    tied rows, was inserted in this round.
     """
     k, n = H.shape
     known = np.zeros(k, dtype=bool)
@@ -462,10 +481,12 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     if known.all():  # every row is a facet, as on most C-set shadows: nothing to build
         return wide
     dd, rows = _Description(n), np.concatenate((H, -slack[:, None]), axis=1)
-    for j in np.flatnonzero(known):
+    order = list(np.flatnonzero(known))  # the inserted rows, in the order of dd's columns
+    for j in order:
         dd.insert(rows[j])
+    tied = np.zeros(k, dtype=bool)  # rows inserted on a tied hit
     while True:
-        todo = np.flatnonzero(~(known | removed | wide))
+        todo = np.flatnonzero(~(known | tied | removed | wide))
         if todo.size == 0:
             break
         values, directions = dd.maxima(H[todo])
@@ -478,17 +499,90 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
             continue
         # the ray toward the best vertex (or along an unbounded ray) leaves the set early
         first, clear = _first_hits(directions[beaten], H, slack, removed)
-        found = np.zeros(k, dtype=bool)  # facets found in this round
-        for i, hit, ok in zip(todo[beaten], first, clear):
-            if ok and not known[hit]:
+        found = np.zeros(k, dtype=bool)  # rows inserted in this round
+        for i, direction, hit, ok in zip(todo[beaten], directions[beaten], first, clear):
+            if ok and not (known[hit] or tied[hit]):
                 known[hit] = found[hit] = True
+                order.append(hit)
                 dd.insert(rows[hit])
-            elif not (ok and found[hit]):
+                continue
+            hits = [hit]
+            if not ok:
+                hits = _tied_rows(direction, H, slack, removed)
+                for j in _beating(dd, hits[~(known[hits] | tied[hits])], H, slack):
+                    tied[j] = found[j] = True
+                    order.append(j)
+                    dd.insert(rows[j])
+            if not found[hits].any():
                 wide[i] = True
-    if not dd.is_polytope():
-        wide |= removed
+    unsettled = _settle(dd, order, tied, H, slack, removed) if tied.any() else tied
+    if unsettled.any() or not dd.is_polytope():
+        wide |= removed | unsettled
         removed[:] = False
     return wide
+
+
+def _tied_rows(direction: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
+    """The rows that the ray from the interior point along ``direction``
+    crosses within ``10 feas`` of violation of its first crossing, which
+    make that crossing unclear (:func:`_first_hits`), in row order."""
+    dots = H @ direction
+    dots[ignore] = 0.0
+    t = np.divide(slack, dots, out=np.full(dots.shape, np.inf), where=dots > 0.0)
+    hit = t.argmin()
+    return np.flatnonzero(dots[hit] * (t - t[hit]) <= 10.0 * TOL.feas)
+
+
+def _beating(dd: "_Description", candidates: np.ndarray, H: np.ndarray, slack: np.ndarray):
+    """Yield, last row first, each of the rows ``candidates`` whose maximum
+    over the description beats its verdict threshold by more than
+    ``_DD_MARGIN`` when its turn comes; the caller inserts each row yielded.
+    Inserts only shrink the set, so a row that does not beat it stays
+    behind. Of rows that differ by rounding only, the last is inserted and
+    the others no longer beat the set: the all-rows test, in order, also
+    keeps the last of them."""
+    candidates = candidates[::-1]
+    while candidates.size:
+        values, _ = dd.maxima(H[candidates])
+        candidates = candidates[values - (slack[candidates] + TOL.feas) > _DD_MARGIN]
+        if candidates.size:
+            yield candidates[0]
+            candidates = candidates[1:]
+
+
+def _settle(dd: "_Description", order: list, tied: np.ndarray, H: np.ndarray,
+            slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Settle the rows in the mask ``tied``, inserted on tied hits, once the
+    rounds are over; return the mask of those left unsettled.
+
+    A row is a facet when the ray toward the centroid of the vertices that
+    its column of ``dd`` marks tight hits it clearly (:func:`_first_hits`),
+    ignoring only the removed rows before it, which the all-rows test, in
+    order, has removed by then: the ray violates the row by more than ``10
+    feas`` at a point that satisfies every other row present at that test,
+    which so keeps it. A row whose tight rays have rank below ``n`` has a
+    face that is not a facet, so it is redundant among the other rows of
+    ``dd``: it is marked in ``removed`` and its column dropped, which leaves
+    the set, its vertices and every verdict read off them unchanged.
+    """
+    n = H.shape[1]
+    vertex = dd.rays[:, -1] > 0.0
+    points = dd.rays[:, :-1] / np.where(vertex, dd.rays[:, -1], 1.0)[:, None]
+    unsettled, lower = tied.copy(), []
+    for c, j in enumerate(order, start=1):
+        if not tied[j]:
+            continue
+        marks = dd.tight[:, c] == 1.0
+        if marks.sum() < n or np.linalg.matrix_rank(dd.rays[marks]) < n:
+            lower.append(c)
+            unsettled[j], removed[j] = False, True
+        elif vertex[marks].all():
+            ignore = removed.copy()
+            ignore[j:] = False
+            hit, clear = _first_hits(points[marks].mean(axis=0)[None], H, slack, ignore)
+            unsettled[j] = not (clear[0] and hit[0] == j)
+    dd.tight = np.delete(dd.tight, lower, axis=1)
+    return unsettled
 
 
 # A generator lies on a hyperplane when |a . g| <= _DD_TIGHT |a|, g of unit norm.
@@ -501,10 +595,13 @@ class _Description:
     """Incremental double description (Motzkin et al. 1953; Fukuda and
     Prodon 1996) of ``{y | H_F y <= s_F}``, every ``s_F`` positive, as the
     cone ``{(y, t) | H_F y <= s_F t, t >= 0}``: unit extreme rays ``rays``,
-    a lineality basis ``lines`` (whose ``t`` is 0), and the 0/1 incidence
+    a lineality basis ``lines`` (whose ``t`` is 0), and the incidence
     ``tight`` of each ray on ``t >= 0`` (column 0), then on each inserted
-    row. A ray with ``t > 0`` is the vertex ``y / t``; ``t`` is exactly 0
-    on recession rays, which only combine rays and lines with ``t = 0``.
+    row, as float32 0/1 entries: their products count common tight rows
+    exactly (below 2**24) in single-precision BLAS at half the memory
+    traffic of float64. A ray with ``t > 0`` is the vertex ``y / t``; ``t``
+    is exactly 0 on recession rays, which only combine rays and lines with
+    ``t = 0``.
     """
 
     __slots__ = ("rays", "lines", "tight")
@@ -512,43 +609,77 @@ class _Description:
     def __init__(self, n: int):
         self.rays = np.eye(1, n + 1, n)  # the origin, with all of R^n as lineality
         self.lines = np.eye(n, n + 1)
-        self.tight = np.zeros((1, 1))
+        self.tight = np.zeros((1, 1), dtype=np.float32)
 
     def insert(self, a: np.ndarray) -> None:
-        """Add the row ``a . (y, t) <= 0``, that is ``h y <= s`` for ``a = (h, -s)``."""
+        """Add the row ``a . (y, t) <= 0``, that is ``h y <= s`` for ``a = (h, -s)``.
+
+        Each new ray is ``w_p R_q - w_q R_p`` over its norm, for an adjacent
+        pair of rays on either side of the row (``w = R a``). The incidence
+        is gathered and grown in one new array, and numpy is called through
+        its cheapest entries (``take``, ``nonzero``, ``add.reduce``): most
+        descriptions hold a few dozen rays, where call overhead dominates.
+        """
         tol = _DD_TIGHT * math.hypot(1.0, a[-1])
+        R, Z = self.rays, self.tight
+        m, c = Z.shape
         if len(self.lines):
             la = self.lines @ a
             j = np.abs(la).argmax()
             if abs(la[j]) > tol:  # the row cuts the lineality: one line becomes a ray
-                line = self.lines[j]
-                lines = np.delete(self.lines - np.outer(la / la[j], line), j, axis=0)
-                rays = self.rays - np.outer(self.rays @ a / la[j], line)  # now on the row
+                line, others = self.lines[j], np.arange(len(la)) != j
+                lines = self.lines[others] - (la[others] / la[j])[:, None] * line
                 self.lines = lines / _row_norms(lines)[:, None]
-                rays = np.concatenate((rays, -np.sign(la[j]) * line[None]))
-                rays /= _row_norms(rays)[:, None]
-                m, c = self.tight.shape
-                tight = np.ones((m + 1, c + 1))  # the new ray lies on every row but this one
-                tight[:m, :c] = self.tight
+                rays = np.empty((m + 1, R.shape[1]))
+                rays[:m] = R - (R @ a / la[j])[:, None] * line  # now on the row
+                rays[m] = -np.sign(la[j]) * line
+                self.rays = rays / _row_norms(rays)[:, None]
+                tight = np.ones((m + 1, c + 1), dtype=np.float32)  # on every row but this one
+                tight[:m, :c] = Z
                 tight[m, c] = 0.0
-                self.rays, self.tight = rays, tight
+                self.tight = tight
                 return
-        R, Z = self.rays, self.tight
         w = R @ a
-        cut = w > tol
-        pos, neg = np.flatnonzero(cut), np.flatnonzero(w < -tol)
-        Zp, Zn = Z[pos], Z[neg]
-        # adjacent pairs: at least d - 2 common tight rows, held by no third ray
-        p, q = np.nonzero(Zp @ Zn.T >= R.shape[1] - len(self.lines) - 2)
-        common = Zp[p] * Zn[q]
-        adjacent = np.count_nonzero(common @ Z.T == common.sum(axis=1)[:, None], axis=1) == 2
-        p, q = pos[p[adjacent]], neg[q[adjacent]]
-        new = w[p, None] * R[q] - w[q, None] * R[p]  # on the row
-        keep = ~cut
-        Z = np.concatenate((Z, (w >= -tol)[:, None]), axis=1)[keep]
-        common = np.concatenate((common[adjacent], np.ones((len(p), 1))), axis=1)
-        self.rays = np.concatenate((R[keep], new / _row_norms(new)[:, None]))
-        self.tight = np.concatenate((Z, common))
+        cut, below = w > tol, w < -tol
+        (pos,) = cut.nonzero()
+        Zp = Z.take(pos, axis=0)
+        shared = Zp @ Z.T  # tight rows each ray above the row shares with each ray
+        # adjacent pairs, one ray on either side: at least d - 2 common tight rows,
+        # held by no third ray, which must share them all with both rays of the pair
+        least = R.shape[1] - len(self.lines) - 2
+        near_p, near = (shared >= least).nonzero()
+        pair = below[near]
+        p, q = near_p[pair], near[pair]
+        counts = shared[p, q]
+        common = Zp.take(p, axis=0) * Z.take(q, axis=0)
+        if len(p) * m <= _PAIR_CELLS:
+            adjacent = np.add.reduce(common @ Z.T == counts[:, None], axis=1) == 2
+        else:  # the pairs of each ray above, against the rays near it only
+            rows, counts = Z.take(near, axis=0), counts[:, None]
+            ends = np.searchsorted(near_p, np.arange(len(pos) + 1)).tolist()
+            starts = np.searchsorted(p, np.arange(len(pos) + 1)).tolist()
+            adjacent = np.empty(len(p), dtype=bool)
+            for i in range(len(pos)):
+                s, e = starts[i], starts[i + 1]
+                if s < e:  # only the columns tight at the ray above can be common
+                    (cols,) = Zp[i].nonzero()
+                    near_rows = rows[ends[i] : ends[i + 1]].take(cols, axis=1)
+                    third = common[s:e].take(cols, axis=1) @ near_rows.T == counts[s:e]
+                    adjacent[s:e] = np.add.reduce(third, axis=1) == 2
+        common = common[adjacent]
+        p, q = pos[p[adjacent]], q[adjacent]
+        (keep,) = (~cut).nonzero()
+        k = len(keep)
+        tight = np.empty((k + len(p), c + 1), dtype=np.float32)
+        tight[:k, :c] = Z.take(keep, axis=0)
+        tight[:k, c] = w.take(keep) >= -tol
+        tight[k:, :c] = common
+        tight[k:, c] = 1.0
+        rays = np.empty((k + len(p), R.shape[1]))
+        rays[:k] = R.take(keep, axis=0)
+        new = w.take(p)[:, None] * R.take(q, axis=0) - w.take(q)[:, None] * R.take(p, axis=0)
+        np.divide(new, _row_norms(new)[:, None], out=rays[k:])  # on the row
+        self.rays, self.tight = rays, tight
 
     def maxima(self, H: np.ndarray):
         """Maximum of each row of ``H`` over the set (+inf when unbounded),

@@ -404,6 +404,14 @@ class TestIterate:
             "276ec03176fb391695fd93bb4ed844f4db3e539b9c4b2d7c755e73337ad7d9c5"
         )
 
+    @pytest.mark.parametrize("seed,facets", [(3, [10, 26, 50, 120]), (8, [10, 32, 68, 128])])
+    def test_five_dimensional_facet_sequences(self, seed, facets):
+        # (5, 1, 3) from X at 0.9: the double description decides every
+        # step's rows, so a change to its inserts must keep these counts
+        sysr = random_controllable_system(np.random.default_rng(seed), 5, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 3, SeedLabel.FROM_STATE_SET)
+        assert [p.nfacets for p in seq.entries] == facets
+
     def test_five_dimensional_rows_after_lp_faults_go(self):
         # (5, 1) seed 4: a redundancy test by LP faults on one redundant row
         # of the step-3 set, which would keep it as a 155th facet; the

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,10 @@ from contracta.errors import (
     SeedNotContractiveError,
     ValidationError,
 )
+from contracta.scenario import run_scenario_dict
 from conftest import count_lps
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 ETA_1D = 10.0 / 11.0
 LN5 = math.log(5.0)
@@ -134,6 +139,21 @@ class TestEpsilonPlan:
         assert plan.eta == pytest.approx(0.9089056137, abs=1e-10)
         assert plan.d_seed_state == pytest.approx(math.log(10.0), abs=1e-12)  # along each axis
         assert plan.k == 170
+
+    def test_cross_polytope_plan_takes_no_all_rows_lp(self, monkeypatch):
+        # scripts/cross5_plan_scenario.json: the one-step sets of X = {|x|_1 <= 5}
+        # are degenerate shadows whose ray hits tie on 1,340 rows; the rounds
+        # settle every tie with no all-rows LP
+        scenario = json.loads((SCRIPTS / "cross5_plan_scenario.json").read_text())
+        solved = []
+        solve = polytope_module._solve_or_fault
+        monkeypatch.setattr(
+            polytope_module, "_solve_or_fault", lambda *lp: solved.append(lp) or solve(*lp)
+        )
+        plan = run_scenario_dict(scenario).results["plan"]
+        assert solved == []
+        assert plan["k"] == 120
+        assert plan["eta"] == 0.9089056137473465
 
 
 class TestExactOracle:

@@ -79,8 +79,12 @@ def random_rows(rng, dim, kind):
     """Unreduced random cuts plus a box: a C-set, the same with ~1e-13
     perturbed copies of some rows, a translate with the origin outside, or
     30-80 cuts with offsets in [1, 1.3] (``many-cuts``), whose facets the
-    normal rays mostly miss, so Clarkson's tests take several rounds."""
-    if kind == "many-cuts":
+    normal rays mostly miss, so Clarkson's tests take several rounds;
+    ``wide-cuts`` is ``many-cuts`` with 80 cuts, more than 64 rows with the box."""
+    if kind == "wide-cuts":
+        dirs = rng.normal(size=(80, dim))
+        offsets = rng.uniform(1.0, 1.3, size=dirs.shape[0])
+    elif kind == "many-cuts":
         dirs = rng.normal(size=(int(rng.integers(30, 81)), dim))
         offsets = rng.uniform(1.0, 1.3, size=dirs.shape[0])
     else:
@@ -682,6 +686,25 @@ class TestRedundancy:
             assert np.array_equal(r.H, HPolytope(H[keep], b[keep]).H), name
             assert np.array_equal(r.b, HPolytope(H[keep], b[keep]).b), name
 
+    @pytest.mark.parametrize("seed", [12, 13])
+    def test_tied_hits_settled_without_lp(self, monkeypatch, seed):
+        # rays through the degenerate vertices of a cross-polytope tie; each
+        # tied row that beats the description is inserted and settled after
+        # the rounds, with no all-rows LP
+        p = crosspolytope_with_vertex_rows(4, seed)
+        H, b, keep = brute_force_kept_rows(p)
+        solved = []
+        solve = polytope_module._solve_or_fault
+        monkeypatch.setattr(
+            polytope_module, "_solve_or_fault", lambda *lp: solved.append(lp) or solve(*lp)
+        )
+        tied = []
+        settle = polytope_module._settle
+        monkeypatch.setattr(polytope_module, "_settle", lambda *a: tied.append(a[2].sum()) or settle(*a))
+        r = remove_redundancy(p)
+        assert np.array_equal(r.H, H[keep]) and np.array_equal(r.b, b[keep])
+        assert solved == [] and tied  # no all-rows LP, and the tie path ran
+
     def test_faulting_all_rows_test_keeps_its_row(self, monkeypatch):
         # the edge of test_flat_square_edge with the redundant cut x + y <= 3:
         # the all-rows test removes the cut, unless its LP faults
@@ -699,6 +722,22 @@ class TestRedundancy:
         r = remove_redundancy(intersect(box([0.0, 0.0], [1.0, 1.0]), box([1.0, 0.0], [2.0, 1.0])))
         assert r.H.tolist() == [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]]
         assert r.b.tolist() == [-1.0, 0.0, 1.0, 1.0]
+
+
+def crosspolytope_with_vertex_rows(n, seed):
+    """|x|_1 <= 1 with up to 12 more rows of small integer normals, each
+    through a vertex of it, so weakly redundant, and the origin moved by up
+    to 0.3 along some axes; rows in a drawn order."""
+    rng = np.random.default_rng(seed)
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    normals = rng.integers(-2, 3, size=(12, n)).astype(float)
+    normals = normals[np.abs(normals).sum(axis=1) > 0]
+    vertices_ = np.vstack([np.eye(n), -np.eye(n)])
+    H = np.vstack([signs, normals])
+    b = np.concatenate([np.ones(len(signs)), (normals @ vertices_.T).max(axis=1)])
+    b = b - H @ (rng.uniform(-0.3, 0.3, size=n) * (rng.random(n) < 0.5))
+    order = rng.permutation(len(b))
+    return HPolytope(H[order], b[order])
 
 
 def _inject_faults(monkeypatch, rows):
@@ -775,13 +814,14 @@ class TestDescription:
         "dim,kind",
         [(d, k) for d in (2, 3, 4) for k in ("c-set", "box", "cross")]
         + [(2, "many-cuts"), (3, "many-cuts"), (3, "corner-cut"), (4, "corner-cut")]
+        + [(3, "wide-cuts")]  # 86 inserted rows: wider than a 64-bit word of incidence
         + [(5, "c-set"), (5, "box"), (5, "cross"), (2, "weakly-redundant")],
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_vertices(self, dim, kind, seed):
         # the double description of the rows, and the public vertices of the set
         rng = np.random.default_rng(seed)
-        if kind in ("c-set", "many-cuts"):
+        if kind in ("c-set", "many-cuts", "wide-cuts"):
             p = random_rows(rng, dim, kind)  # unreduced: redundant rows are inserted too
         elif kind == "box":
             p = symmetric_box(rng.uniform(0.5, 3.0, size=dim))
