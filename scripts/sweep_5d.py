@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Sweep the 5-D iteration over random systems: which runs finish, and how.
+
+For each system seed 0-11, draws a random controllable system with n = 5
+states and m = 1 input exactly as ``perfbench/workloads.random_controllable_system``
+draws it from ``numpy.random.default_rng(seed)``, with box X and U, and
+iterates the one-step map 3 times from X at rate 0.9 with the label
+``FROM_STATE_SET``. Prints one line per seed: the outcome, the facet counts
+of the sets and the seconds taken. Whether a run finishes can hang on the
+last bits of its rows, so a change that may move row bits or LP outcomes
+should report this table.
+
+Each seed's outcome is pinned in ``EXPECTED``: the facet counts of a run
+that finishes, or ``ComputationError`` for a run that raises it (a
+numerical fault). The exit code is 1 when a seed's outcome differs from
+its pinned one; a change that moves an outcome on purpose restates it.
+
+Usage: sweep_5d.py [first_seed] [last_seed]
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from workloads import random_controllable_system  # noqa: E402
+
+from contracta import SeedLabel, SystemModel, iterate, symmetric_box, validate_cset  # noqa: E402
+from contracta.errors import ComputationError  # noqa: E402
+
+N, M, STEPS, RATE = 5, 1, 3, 0.9
+
+FAULT = "ComputationError"
+EXPECTED = {
+    0: (10, 38, 142, 378),
+    1: (10, 38, 106, 240),
+    2: (10, 38, 88, 150),
+    3: (10, 26, 50, 120),
+    4: (10, 38, 84, 154),
+    5: (10, 38, 112, 222),
+    6: (10, 36, 108, 242),
+    7: (10, 40, 134, 240),
+    8: (10, 32, 68, 128),
+    9: (10, 36, 132, 372),
+    10: FAULT,  # a simplex residual of 1.389e-01
+    11: (10, 36, 94, 186),
+}
+
+
+def run(seed: int) -> tuple[str, bool]:
+    """The report line of one seed, and whether its outcome is the pinned one."""
+    A, B, x_half, u_half = random_controllable_system(np.random.default_rng(seed), N, M)
+    sysr = SystemModel(A, B, validate_cset(symmetric_box(x_half)), validate_cset(symmetric_box(u_half)))
+    start = time.perf_counter()
+    try:
+        seq = iterate(sysr, RATE, sysr.X, STEPS, SeedLabel.FROM_STATE_SET)
+    except ComputationError as exc:
+        outcome, text = FAULT, f"raised ComputationError: {exc}"
+    except Exception as exc:  # reported, and never a pinned outcome
+        outcome, text = None, f"raised {type(exc).__name__}: {exc}"
+    else:
+        outcome = tuple(p.nfacets for p in seq.entries)
+        text = "finished " + "/".join(map(str, outcome)) + " facets"
+    seconds = time.perf_counter() - start
+    expected = EXPECTED.get(seed)
+    pinned = outcome == expected
+    if not pinned:
+        shown = expected if isinstance(expected, str) or expected is None else "/".join(map(str, expected))
+        text += f"  MISMATCH: pinned {shown}"
+    return f"seed {seed:2d}  {seconds:7.2f} s  {text}", pinned
+
+
+def main() -> int:
+    first = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    last = int(sys.argv[2]) if len(sys.argv) > 2 else 11
+    print(f"({N},{M},{STEPS}) iterate from X at rate {RATE}")
+    failed = False
+    for seed in range(first, last + 1):
+        line, pinned = run(seed)
+        print(line, flush=True)
+        failed |= not pinned
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,13 +20,21 @@ has no normal; :func:`project` alone drops it, the lift's included.
 C-set keep the unit rows they are given, bit for bit (``HPolytope._computed``).
 
 Facet data are immutable after construction. Each polytope memoizes its
-support LP outcomes by the LP tolerances in force and then by direction; an
-outcome, a fault (``ComputationError``) included, is what any re-solve would
-give, so memo writes are idempotent and a polytope is safe to share across
-threads. A fault raises where it is read (:func:`_checked`). A memo is
-filled by whichever batch solved the LP: the polytope's own, or one pooled
-over several polytopes (:func:`_support_lps`: the planner's steps and the
-distance tables). :func:`validate_cset` shares its input's arrays and memo.
+support LP outcomes by the LP tolerances in force and then by direction. A
+memo is made on the polytope's first query under those tolerances, holding
+the outcome along the normal of each certified facet, a row that its own
+normal ray from the origin crosses first, clearly: the facet's offset,
+exact, at a point of the set on the facet, with no LP
+(:func:`_facet_supports`). Along any other direction the outcome is the
+simplex's, a fault (``ComputationError``) included, filled by whichever
+batch solved the LP: the polytope's own, or one pooled over several
+polytopes (:func:`_support_lps`: the planner's steps and the distance
+tables). An outcome depends only on the polytope's bits, the direction's
+and the tolerances, so memo writes are idempotent, equal bits carry equal
+outcomes however a polytope was built or queried, and a polytope is safe
+to share across threads. A fault raises where it is read
+(:func:`_checked`). :func:`validate_cset` shares its input's arrays and
+memo.
 A system's one-step memo is keyed by bits: a target with an earlier
 target's bits gets that target's one-step set, memo included, which is the
 earlier target itself when they are equal.
@@ -59,7 +67,7 @@ from .errors import (
     UnboundedSetError,
     ValidationError,
 )
-from .lp import LinearProgram, LpStatus, _solve_batch, _solve_or_fault, solve_lp
+from .lp import LinearProgram, LpOutcome, LpStatus, _solve_batch, _solve_or_fault, solve_lp
 
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
@@ -184,7 +192,9 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
 
     When every offset is positive the origin is feasible and no probe LP is
     needed; the 2n coordinate LPs that test boundedness run as one batch.
-    The C-set shares ``p``'s ``H`` and ``b`` arrays and its memo.
+    A coordinate direction that is the normal of a certified facet, as on
+    a box, is a memo entry with no LP (:func:`_facet_supports`). The C-set
+    shares ``p``'s ``H`` and ``b`` arrays and its memo.
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
@@ -232,23 +242,23 @@ def _support_lps(pairs) -> list:
     per pair, from the polytopes' memos.
 
     A memo is keyed by the LP tolerances in force, then by the direction's
-    bytes, sliced once from the directions' buffer. The misses of all pairs
-    are solved in one batch (:func:`_solve_misses`), each direction once per
-    polytope however many pairs ask for it, as part of the first pair that
-    asks. Every outcome is stored, a fault's ``ComputationError`` too, and
-    none raises here: a reader raises it (:func:`_checked`). A fault is
-    stored without its traceback, whose frames hold the simplex tableau.
-    Optimal points are read-only, as callers hand them out as witnesses.
+    bytes, sliced once from the directions' buffer. It starts with the
+    supports along the polytope's certified facets, each its offset
+    (:func:`_memo`), and holds the simplex's outcome for any other
+    direction. The misses of all pairs are solved in one batch
+    (:func:`_solve_misses`), each direction once per polytope however many
+    pairs ask for it, as part of the first pair that asks. Every outcome is
+    stored, a fault's ``ComputationError`` too, and none raises here: a
+    reader raises it (:func:`_checked`). A fault is stored without its
+    traceback, whose frames hold the simplex tableau. Optimal points are
+    read-only, as callers hand them out as witnesses.
     """
-    tol = (TOL.feas, TOL.opt, TOL.pivot)
     keyed, todos, misses, queued = [], [], [], {}
     for p, directions in pairs:
         directions = np.asarray(directions, dtype=float)
         if directions.ndim != 2 or directions.shape[1] != p.dim:
             raise DimensionError("direction dimension mismatch")
-        raw, width = directions.tobytes(), 8 * p.dim
-        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
-        memo = p._memo.setdefault(tol, {})
+        keys, memo = _row_keys(directions), _memo(p)
         keyed.append((memo, keys))
         pending = queued.setdefault(id(p), set())  # keys an earlier pair of p sends
         todo = {key: i for i, key in enumerate(keys) if key not in memo and key not in pending}
@@ -264,6 +274,45 @@ def _support_lps(pairs) -> list:
                 out.x.setflags(write=False)
             memo[key] = out
     return [[memo[key] for key in keys] for memo, keys in keyed]
+
+
+def _memo(p: HPolytope) -> dict:
+    """``p``'s support memo under the LP tolerances in force, made on its
+    first query under them holding the supports along ``p``'s certified
+    facets (:func:`_facet_supports`)."""
+    tol = (TOL.feas, TOL.opt, TOL.pivot)
+    memo = p._memo.get(tol)
+    if memo is None:
+        memo = p._memo.setdefault(tol, _facet_supports(p.H, p.b))
+    return memo
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """The memo key of each row of a float array: its bytes, sliced once from
+    the array's buffer."""
+    raw, width = rows.tobytes(), 8 * rows.shape[1]
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
+
+
+def _facet_supports(H: np.ndarray, b: np.ndarray) -> dict:
+    """The support outcomes of ``{x | H x <= b}`` along the normal ``h_i``
+    of each certified facet, keyed as in its memo. When every offset
+    exceeds ``feas``, a row that the ray from the origin along its own
+    normal crosses first, clearly (:func:`_first_hits`), is a facet: its
+    support is its offset ``b_i``, exactly, attained at the point ``b_i
+    h_i`` of the set (``+ 0.0`` turns ``-0`` into the simplex's ``+0``, so
+    an axis-aligned facet's outcome is ``solve_lp``'s, bit for bit)."""
+    if not (b > TOL.feas).all():
+        return {}
+    first, clear = _first_hits(H, H, b, np.zeros(len(b), dtype=bool))
+    facets = clear & (first == np.arange(len(b)))
+    H, b = H[facets], b[facets]
+    points = b[:, None] * H + 0.0
+    points.setflags(write=False)  # read-only, as every memoized optimal point
+    return {
+        key: LpOutcome(LpStatus.OPTIMAL, value, x)
+        for key, value, x in zip(_row_keys(H), b.tolist(), points)
+    }
 
 
 def _solve_misses(misses) -> list:

@@ -308,7 +308,9 @@ class TestCliProcess:
         assert (TOL.feas, TOL.opt) == before
 
     def test_support_lp_fault_exit_4(self, tmp_path, monkeypatch, capsys):
-        # a faulting support LP is a computation error wherever it is read
+        # a faulting support LP is a computation error wherever it is read;
+        # the seed is a diamond in a 2-D box system, so its supports along the
+        # boxes' axis normals are no facet's own and take LPs
         solve = polytope_module._solve_batch
 
         def faulty(C, A, b):
@@ -316,7 +318,17 @@ class TestCliProcess:
 
         monkeypatch.setattr(polytope_module, "_solve_batch", faulty)
         task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98}}
-        scenario = write(tmp_path, "s.json", scalar_scenario(task))
+        square = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        diamond = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+        payload = scalar_scenario(task)
+        payload["system"] = {
+            "A": [[1.1, 0.0], [0.0, 1.1]],
+            "B": [[1.0, 0.0], [0.0, 1.0]],
+            "X": {"H": square, "b": [10.0] * 4},
+            "U": {"H": square, "b": [1.0] * 4},
+        }
+        payload["seed"]["polytope"] = {"H": diamond, "b": [2.0] * 4}
+        scenario = write(tmp_path, "s.json", payload)
         assert main(["select-lambda", "--scenario", scenario]) == 4
         assert "computation error: injected fault" in capsys.readouterr().err
 

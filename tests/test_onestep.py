@@ -392,13 +392,14 @@ class TestIterate:
     def test_ladder_iterate_lp_counts_and_bits(self, monkeypatch):
         # the ladder benchmark's (3, 1, 4) seed-7 case: a change to the LP
         # kernel may change its speed, never which LPs run or what they return;
-        # redundancy removal solves none of them, its rounds read vertices
+        # redundancy removal solves none of them, its rounds read vertices, and
+        # the supports along a set's own certified facets are memo entries
         lps = count_lps(monkeypatch)
         sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
         seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
         assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
         # LPs of solve_lp calls and of batches, validating the boxes X and U included
-        assert lps[1:] == [0, 102]
+        assert lps[1:] == [0, 84]
         digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
         assert digest.hexdigest() == (
             "276ec03176fb391695fd93bb4ed844f4db3e539b9c4b2d7c755e73337ad7d9c5"

@@ -12,6 +12,7 @@ from contracta import (
     HPolytope,
     LinearProgram,
     LpStatus,
+    SystemModel,
     TOL,
     box,
     inradius_origin,
@@ -48,7 +49,7 @@ from contracta.errors import (
     UnboundedSetError,
     ValidationError,
 )
-from contracta.benchmarks import scalar_system, stabilizable_system
+from contracta.benchmarks import scalar_system
 from conftest import count_lps, random_cset
 
 
@@ -445,13 +446,15 @@ class TestSupportMemo:
 
         monkeypatch.setattr(lp_module, "_lockstep", counted)
         pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[4:7])])
-        assert sizes == [(11, other.nfacets, 2)]
+        # 8 LPs of inner and 3 of other, less the one along inner's facet
+        # e_2, certified in its memo
+        assert sizes == [(10, other.nfacets, 2)]
         assert pooled[0][0].status is LpStatus.UNBOUNDED
         with pytest.raises(UnboundedDirectionError):
             polytope_module._first_exceeded(inner, outer)
         with pytest.raises(UnboundedDirectionError):
             is_subset(inner, outer)
-        assert sizes == [(11, other.nfacets, 2)]  # both read the memo
+        assert sizes == [(10, other.nfacets, 2)]  # both read the memo
         cold = HPolytope(inner.H, inner.b)
         direct = [_bits(out) for out in support_lps(cold, outer.H)]
         assert [_bits(out) for out in pooled[0]] == direct
@@ -509,17 +512,27 @@ class TestSupportMemo:
         with pytest.raises(ComputationError, match="^q fault$"):
             for outcomes in pooled:  # the first fault in pair order
                 polytope_module._support_values(outcomes)
-        memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]  # and validate_cset's 4 coordinate LPs
-        assert len(memo) == 12 and memo[directions[6].tobytes()] is pooled[2][2]
+        # the 8 directions, validate_cset's 4 coordinate LPs and the 3
+        # certified facets the memo was made with
+        memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]
+        assert len(memo) == 15 and memo[directions[6].tobytes()] is pooled[2][2]
         assert pooled[2][2].__traceback__ is None  # no frame of the solve stays alive
 
     def test_stationary_table_solves_no_direction_twice(self, monkeypatch):
-        # the stabilizable target's sequences are stationary, so its distance
-        # table repeats one pair of objects; per rate the pooled table makes
-        # no more LPs than the sides of its pairs taken one at a time
+        # a dead input and A = 0.8 I make the sequences stationary at rate
+        # 0.8, so the distance table repeats one pair of objects; per rate the
+        # pooled table makes no more LPs than the sides of its pairs taken one
+        # at a time. The seeds are a square and a diamond, so every direction
+        # asked is a facet normal of the other set, not of the set asked
         def sequences():
-            sysr = stabilizable_system()
-            C, D = validate_cset(symmetric_box([1.0])), validate_cset(symmetric_box([2.0]))
+            sysr = SystemModel(
+                A=0.8 * np.eye(2),
+                B=np.zeros((2, 1)),
+                X=validate_cset(symmetric_box([5.0, 5.0])),
+                U=validate_cset(symmetric_box([1.0])),
+            )
+            C = validate_cset(symmetric_box([1.0, 1.0]))
+            D = validate_cset(HPolytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], [2.0] * 4))
             return [
                 list(zip(iterate(sysr, lam, C, 4).entries, iterate(sysr, lam, D, 4).entries))
                 for lam in (0.5, 0.8)
@@ -535,9 +548,10 @@ class TestSupportMemo:
         one_at_a_time, lps[0] = lps[0], 0
         for table in pooled:
             set_distances(table)
-        # 20 LPs a task, 400 in a reproduce pass of 20 stabilizable tasks:
-        # the coordinate LPs of validating C and D are memo hits
-        assert lps[0] <= one_at_a_time == 20
+        # rate 0.5: 4 for the seeds (the diamond's coordinate LPs from its
+        # validation are memo hits) and 8 for each of 4 steps; rate 0.8: the
+        # same seeds, then 8 for the one pair its steps repeat
+        assert lps[0] <= one_at_a_time == 44
 
     def test_tolerance_change_solves_again(self, monkeypatch):
         p = random_cset(np.random.default_rng(3), 3)
@@ -592,6 +606,123 @@ class TestSupportMemo:
         assert len({id(e) for e in errors}) == len(errors)
         (memo,) = shared._memo.values()
         assert all(e is not memo[directions[7].tobytes()] for e in errors)
+
+
+class TestCertifiedFacets:
+    """A row whose own normal ray from the origin crosses it first, clearly,
+    is a facet: its support is its offset, in the memo from its making."""
+
+    def test_box_validates_and_reads_axis_supports_with_no_lp(self, monkeypatch):
+        calls = []
+        lockstep = lp_module._lockstep
+
+        def counted(C, A, b):
+            calls.append(len(C))
+            return lockstep(C, A, b)
+
+        monkeypatch.setattr(lp_module, "_lockstep", counted)
+        parent = box([-1.0, -2.0, -0.5], [3.0, 2.0, 0.25])
+        p = validate_cset(parent)
+        eye = np.eye(3)
+        directions = np.concatenate((eye, -eye))
+        values = support_many(p, directions)
+        outcomes = support_lps(p, directions)
+        assert calls == []
+        for d, value, out in zip(directions, values, outcomes):
+            ref = solve_lp(LinearProgram(d, p.H, p.b))
+            assert _bits(out) == _bits(ref) and value == ref.value
+            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # +0, not -0
+            assert not out.x.flags.writeable
+
+    def test_redundant_row_keeps_its_lp_value(self, monkeypatch):
+        # a box plus x1 <= 5, and an oblique redundant row: neither is
+        # crossed first by its own normal ray; x1's support is the box's 1
+        extra = HPolytope([[1.0, 0.0], [1.0, 1.0]], [5.0, 5.0])
+        p = validate_cset(intersect(symmetric_box([1.0, 1.0]), extra))
+        lps = count_lps(monkeypatch)
+        values = [support(p, p.H[i]) for i in (4, 5)]
+        assert lps[0] == 1  # the oblique row's; x1's is the box facet's
+        for i, value in zip((4, 5), values):
+            assert value == solve_lp(LinearProgram(p.H[i], p.H, p.b)).value
+            assert value < p.b[i] - 1.0
+
+    def test_unclear_self_hit_takes_the_lp(self, monkeypatch):
+        # two rows 1e-13 apart tie on each other's normal ray: no certificate
+        near = HPolytope([[1.0, 1e-13]], [1.0])
+        lps = count_lps(monkeypatch)
+        p = validate_cset(intersect(symmetric_box([1.0, 1.0]), near))
+        assert lps[0] == 1  # the coordinate LP along e_1; -e_1 and +-e_2 are certified
+        out = support_lps(p, p.H[4:])[0]
+        assert lps[0] == 2
+        assert _bits(out) == _bits(solve_lp(LinearProgram(p.H[4], p.H, p.b)))
+
+    def test_tolerance_change_certifies_again(self, monkeypatch):
+        # along e_1 the near row is crossed about 1e-7 after the box facet:
+        # clear under feas 1e-9 (a 1e-8 margin), not under 1e-7 (1e-6), so
+        # the new tolerances' memo takes e_1's LP
+        near = HPolytope([[1.0, 1e-4]], [1.0 + 1e-7])
+        p = validate_cset(intersect(symmetric_box([1.0, 1.0]), near))
+        directions = np.concatenate((np.eye(2), -np.eye(2)))
+        lps = count_lps(monkeypatch)
+        first = support_many(p, directions)
+        assert lps[0] == 0
+        feas, opt = TOL.feas, TOL.opt
+        try:
+            set_feasibility_tolerance(1e-7)
+            assert np.array_equal(support_many(p, directions), first)
+            assert lps[0] == 1
+        finally:
+            TOL.feas, TOL.opt = feas, opt
+        support_many(p, directions)
+        assert lps[0] == 1
+
+    def test_equal_bits_equal_outcomes_in_any_order(self):
+        # a support along a facet normal reads the same bits whether it is
+        # asked before validate_cset or after it, and whether the polytope
+        # came out of redundancy removal or was built on the same rows
+        for seed in range(5):
+            p = remove_redundancy(random_rows(np.random.default_rng(seed), 3, "c-set"))
+            asked_first = HPolytope._computed(p.H.copy(), p.b.copy())
+            before = [_bits(out) for out in support_lps(asked_first, p.H)]
+            validate_cset(asked_first)
+            validated = validate_cset(HPolytope._computed(p.H.copy(), p.b.copy()))
+            after = [_bits(out) for out in support_lps(validated, p.H)]
+            reduced = [_bits(out) for out in support_lps(p, p.H)]
+            assert before == after == reduced
+            certified = polytope_module._memo(p)
+            assert any(h.tobytes() in certified for h in p.H)
+
+    @pytest.mark.parametrize("kind", ["c-set", "many-cuts"])
+    def test_certified_outcomes_match_the_simplex(self, kind):
+        # every memo entry certified on a reduced set is the support
+        # the simplex finds, at a point of the set on the facet
+        for seed in range(10):
+            p = remove_redundancy(random_rows(np.random.default_rng(seed), 3, kind))
+            memo = polytope_module._memo(p)  # made with the certified facets
+            assert memo
+            for h, offset in zip(p.H, p.b):
+                out = memo.get(h.tobytes())
+                if out is None:
+                    continue
+                ref = solve_lp(LinearProgram(h, p.H, p.b))
+                assert out.value == offset == pytest.approx(ref.value, abs=1e-12)
+                assert p.contains(out.x, tol=1e-12) and h @ out.x == pytest.approx(offset)
+
+    def test_noncontractive_witness_on_a_shared_axis_facet(self, monkeypatch):
+        # the box seed exceeds its one-step set along +-e_1, a normal of its
+        # own: the witness is the certified point of the seed's parent box,
+        # whose memo the seed shares, and it lies in the seed
+        sys1 = scalar_system(1)
+        parent = symmetric_box([2.0])
+        C = validate_cset(parent)
+        lps = count_lps(monkeypatch)
+        point = noncontractive_point(sys1, 0.5, C)
+        assert lps[0] == 0
+        memo = parent._memo[(TOL.feas, TOL.opt, TOL.pivot)]
+        assert any(point is out.x for out in memo.values())
+        assert C.contains(point) and abs(point[0]) == 2.0
+        ref = solve_lp(LinearProgram(np.sign(point), C.H, C.b))
+        assert ref.x.tobytes() == point.tobytes()
 
 
 class TestRedundancy:
