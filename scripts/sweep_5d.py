@@ -45,7 +45,7 @@ EXPECTED = {
     7: (10, 40, 134, 240),
     8: (10, 32, 68, 128),
     9: (10, 36, 132, 372),
-    10: FAULT,  # a simplex residual of 1.389e-01
+    10: (10, 32, 86, 122),  # its faulting nesting LP is read off vertices (tests/data)
     11: (10, 36, 94, 186),
 }
 

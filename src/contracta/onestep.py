@@ -146,7 +146,9 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
     and its offsets (those of X, U and ``lam * D``) must be positive, which
     makes the shadow's positive too (see :func:`project`). A target without
-    the origin in its interior raises ``OriginNotInteriorError``.
+    the origin in its interior raises ``OriginNotInteriorError``. The C-set
+    carries the shadow's vertex list, when its reduction kept one, which
+    answers its supports with no LP.
 
     The result is memoized on ``sys``, keyed by everything the projection
     reads: ``lam``, the LP tolerances, the facet cap and the bits of ``D``'s
@@ -181,7 +183,7 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     made[unit] /= norms[unit, None]
     lifted_b[top:][unit] /= norms[unit]
     shadow = project(HPolytope._computed(lifted_H, lifted_b), sys.n)
-    q = CSetPolytope._computed(shadow.H, shadow.b)
+    q = CSetPolytope._computed(shadow.H, shadow.b, vertices=shadow._vertices)
     if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
         q = D
     sys._steps[key] = q

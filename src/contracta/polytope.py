@@ -20,21 +20,27 @@ has no normal; :func:`project` alone drops it, the lift's included.
 C-set keep the unit rows they are given, bit for bit (``HPolytope._computed``).
 
 Facet data are immutable after construction. Each polytope memoizes its
-support LP outcomes by the LP tolerances in force and then by direction. A
-memo is made on the polytope's first query under those tolerances, holding
-the outcome along the normal of each certified facet, a row that its own
-normal ray from the origin crosses first, clearly: the facet's offset,
-exact, at a point of the set on the facet, with no LP
-(:func:`_facet_supports`). Along any other direction the outcome is the
+support LP outcomes by the LP tolerances in force and then by direction
+(its zeros as ``+0``). A memo is made on the polytope's first query under
+those tolerances, holding the outcome along the normal of each certified
+facet, a row that its own normal ray from the origin crosses first,
+clearly: the facet's offset, exact, at a point of the set on the facet,
+with no LP (:func:`_facet_supports`). Along any other direction, a set that
+carries its vertices answers with the largest ``d . v`` over them, at that
+vertex, and no LP: :func:`remove_redundancy` keeps them when its double
+description of the output is complete, solved when first read
+(:func:`_vertex_list`), and :func:`project`'s output and ``one_step_set``'s
+C-set carry them on. Any other set's outcome is the
 simplex's, a fault (``ComputationError``) included, filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
 polytopes (:func:`_support_lps`: the planner's steps and the distance
-tables). An outcome depends only on the polytope's bits, the direction's
-and the tolerances, so memo writes are idempotent, equal bits carry equal
-outcomes however a polytope was built or queried, and a polytope is safe
-to share across threads. A fault raises where it is read
-(:func:`_checked`). :func:`validate_cset` shares its input's arrays and
-memo.
+tables). An outcome depends only on the polytope's bits, the vertex list it
+carries from its making, the direction's bits and the tolerances, so memo
+writes are idempotent, equal bits carry equal outcomes however a polytope
+was queried (and, with no vertex list, however it was built), and a
+polytope is safe to share across threads. A fault raises where it is read
+(:func:`_checked`). :func:`validate_cset` shares its input's arrays, memo
+and vertex list.
 A system's one-step memo is keyed by bits: a target with an earlier
 target's bits gets that target's one-step set, memo included, which is the
 earlier target itself when they are equal.
@@ -72,6 +78,7 @@ from .lp import LinearProgram, LpOutcome, LpStatus, _solve_batch, _solve_or_faul
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
 _ZERO_ROW = 1e-12
+_NEGATIVE_ZERO = np.float64(-0.0).tobytes()
 _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
 _PAIR_CELLS = 2**16  # largest pair-by-ray product of one adjacency test in _Description.insert
 
@@ -97,7 +104,7 @@ def _facet_cap() -> int:
 class HPolytope:
     """Inequality-form polytope ``{x | H x <= b}`` with unit facet normals."""
 
-    __slots__ = ("H", "b", "_memo")
+    __slots__ = ("H", "b", "_memo", "_vertices")
 
     def __init__(self, H, b):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -114,20 +121,25 @@ class HPolytope:
         self._set_rows(H / norms[:, None], b / norms, {})
 
     @classmethod
-    def _computed(cls, H: np.ndarray, b: np.ndarray, memo: dict | None = None):
+    def _computed(cls, H: np.ndarray, b: np.ndarray, memo: dict | None = None,
+                  vertices: np.ndarray | None = None):
         """A polytope on unit rows computed from checked ones (nonempty,
         finite, matching offsets), taken as they are: no check, no division.
         ``one_step_set``'s lift may also hold rows of norm at most
         ``_ZERO_ROW``, for :func:`project` to drop. A ``memo`` is that of a
-        polytope with these bits, shared."""
+        polytope with these bits and these ``vertices``, shared; ``vertices``
+        are the set's vertices as :func:`remove_redundancy` describes them
+        (:func:`_vertex_list`), and answer its supports."""
         p = cls.__new__(cls)
-        p._set_rows(H, b, {} if memo is None else memo)
+        p._set_rows(H, b, {} if memo is None else memo, vertices)
         return p
 
-    def _set_rows(self, H: np.ndarray, b: np.ndarray, memo: dict) -> None:
+    def _set_rows(self, H: np.ndarray, b: np.ndarray, memo: dict,
+                  vertices: np.ndarray | None = None) -> None:
         H.setflags(write=False)
         b.setflags(write=False)
         self.H, self.b, self._memo = H, b, memo  # the memo of support LPs, see _support_lps
+        self._vertices = vertices  # see _vertex_list
 
     @property
     def dim(self) -> int:
@@ -194,7 +206,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     needed; the 2n coordinate LPs that test boundedness run as one batch.
     A coordinate direction that is the normal of a certified facet, as on
     a box, is a memo entry with no LP (:func:`_facet_supports`). The C-set
-    shares ``p``'s ``H`` and ``b`` arrays and its memo.
+    shares ``p``'s ``H`` and ``b`` arrays, its memo and its vertex list.
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
@@ -206,7 +218,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
         raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
     if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
-    return CSetPolytope._computed(p.H, p.b, p._memo)  # equal bits, equal outcomes
+    return CSetPolytope._computed(p.H, p.b, p._memo, p._vertices)  # the same outcomes
 
 
 def _unbounded_axis(p: HPolytope) -> int | None:
@@ -242,10 +254,12 @@ def _support_lps(pairs) -> list:
     per pair, from the polytopes' memos.
 
     A memo is keyed by the LP tolerances in force, then by the direction's
-    bytes, sliced once from the directions' buffer. It starts with the
-    supports along the polytope's certified facets, each its offset
-    (:func:`_memo`), and holds the simplex's outcome for any other
-    direction. The misses of all pairs are solved in one batch
+    bytes (its zeros as ``+0``), sliced once from the directions' buffer.
+    It starts with the supports along the polytope's certified facets, each
+    its offset (:func:`_memo`). Along any other direction it holds, on a
+    polytope that carries its vertices, the largest ``d . v`` over them, at
+    that vertex (:func:`_vertex_supports`), and otherwise the simplex's
+    outcome. The LPs of all pairs are solved in one batch
     (:func:`_solve_misses`), each direction once per polytope however many
     pairs ask for it, as part of the first pair that asks. Every outcome is
     stored, a fault's ``ComputationError`` too, and none raises here: a
@@ -262,10 +276,16 @@ def _support_lps(pairs) -> list:
         keyed.append((memo, keys))
         pending = queued.setdefault(id(p), set())  # keys an earlier pair of p sends
         todo = {key: i for i, key in enumerate(keys) if key not in memo and key not in pending}
-        if todo:  # a row per new key
+        if not todo:
+            continue
+        rows = directions[list(todo.values())]  # a row per new key
+        points = _vertex_list(p)
+        if points is not None:
+            memo.update(zip(todo, _vertex_supports(points, rows)))
+        else:
             pending.update(todo)
             todos.append((memo, todo))
-            misses.append((p, directions[list(todo.values())]))
+            misses.append((p, rows))
     for (memo, todo), outs in zip(todos, _solve_misses(misses)):
         for key, out in zip(todo, outs):
             if isinstance(out, ComputationError):
@@ -288,9 +308,13 @@ def _memo(p: HPolytope) -> dict:
 
 
 def _row_keys(rows: np.ndarray) -> list:
-    """The memo key of each row of a float array: its bytes, sliced once from
-    the array's buffer."""
+    """The memo key of each row of a float array: its bytes with every zero
+    made ``+0``, sliced once from the array's buffer. The sign of a zero
+    entry of an objective decides no pivot and moves no bit of ``solve_lp``'s
+    outcome, so directions that differ only there share their outcome."""
     raw, width = rows.tobytes(), 8 * rows.shape[1]
+    if _NEGATIVE_ZERO in raw:  # a -0 entry, or bytes across two entries that match it
+        raw = (rows + 0.0).tobytes()
     return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
@@ -313,6 +337,35 @@ def _facet_supports(H: np.ndarray, b: np.ndarray) -> dict:
         key: LpOutcome(LpStatus.OPTIMAL, value, x)
         for key, value, x in zip(_row_keys(H), b.tolist(), points)
     }
+
+
+def _vertex_list(p: HPolytope) -> np.ndarray | None:
+    """The vertices of ``p``, one per row and read-only, or None when it
+    carries none. A set that :func:`remove_redundancy` describes completely
+    carries, from its making, the incidence of each vertex on its rows
+    (booleans); the vertices are solved on their tight rows
+    (:func:`_vertex_points`) when a support first reads them, and kept in
+    its place, or None when one's rows do not span the space. Sets whose
+    supports all lie along certified facets solve none."""
+    v = p._vertices
+    if v is not None and v.dtype == bool:
+        v = _vertex_points(p.H, p.b, v)
+        if v is not None:
+            v.setflags(write=False)  # its rows are handed out as optimal points
+        p._vertices = v  # the same points whichever thread solves them
+    return v
+
+
+def _vertex_supports(points: np.ndarray, directions: np.ndarray) -> list:
+    """The support outcomes along each of ``directions`` of the polytope
+    whose vertices are the rows of ``points``: the largest ``d . v``, at
+    that vertex (a read-only row of ``points``), with no LP."""
+    values = directions @ points.T
+    best = values.argmax(axis=1)
+    return [
+        LpOutcome(LpStatus.OPTIMAL, value, points[i])
+        for value, i in zip(values[np.arange(len(best)), best].tolist(), best.tolist())
+    ]
 
 
 def _solve_misses(misses) -> list:
@@ -469,22 +522,38 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     against all rows not yet removed. A row whose all-rows LP faults
     (``solve_lp`` raises ``ComputationError``, as on near-parallel rows
     1e-9 apart) is kept, which never changes the set.
+
+    When the rounds end with the complete description of the output (a
+    bounded one, each facet tight at ``n`` vertices or more, no row left to
+    the all-rows test or unsettled) and the interior point is the origin,
+    the output carries its vertices, which answer its supports
+    (:func:`_support_lps`): each solved on its tight rows when first read
+    (:func:`_vertex_list`), and none kept when a vertex's tight rows do not
+    span the space. A ray's own quotient ``y / t`` is not kept: it can
+    break a row of the set by more than ``feas``.
     """
-    keep = _irredundant_rows(p)
-    return HPolytope._computed(p.H[keep], p.b[keep])
+    keep, incidence = _irredundant_rows(p)
+    return HPolytope._computed(p.H[keep], p.b[keep], vertices=incidence)
 
 
-def _irredundant_rows(p: HPolytope) -> np.ndarray:
-    """Indices of the rows of ``p`` that :func:`remove_redundancy` keeps, in its order."""
+def _irredundant_rows(p: HPolytope):
+    """Indices of the rows of ``p`` that :func:`remove_redundancy` keeps, in
+    its order, and, when the redundancy rounds end with the complete double
+    description of the set they bound about the origin, the incidence of
+    its vertices on the kept rows (vertices by rows, booleans; else None)."""
     kept = _collapse_parallel(p.H, p.b)
     H, b = p.H[kept], p.b[kept]
     k = H.shape[0]
     if k <= 1:
-        return kept
+        return kept, None
     slack, radius = _interior_slack(H, b)
     removed = np.zeros(k, dtype=bool)
+    incidence = None
     if radius > TOL.feas and (slack > 0.0).all():
-        wide = _clarkson_rounds(H, slack, removed)
+        wide, dd, columns = _clarkson_rounds(H, slack, removed)
+        if dd is not None and (b > TOL.feas).all():  # the slacks are b: y is x
+            incidence = np.zeros((len(dd.rays), k - np.count_nonzero(removed)), dtype=bool)
+            incidence[:, (np.cumsum(~removed) - 1)[columns]] = dd.tight[:, 1:] == 1.0
     else:
         wide = np.ones(k, dtype=bool)
     for i in np.flatnonzero(wide):
@@ -501,11 +570,11 @@ def _irredundant_rows(p: HPolytope) -> np.ndarray:
             and out.value <= b[i] + TOL.feas
         )
     if removed.all():  # cannot happen for a bounded set; fail safe
-        return kept
-    return kept[~removed]
+        return kept, None
+    return kept[~removed], incidence
 
 
-def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
+def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
     """Clarkson's tests, in rounds, of the rows of ``{y | H y <= slack}``
     (every slack positive) against the facets found so far, read off the
     vertices of those facets (:class:`_Description`).
@@ -515,7 +584,10 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     rays whose hit inserts no row, and, when the final description is not
     a polytope whose every facet meets ``n`` vertices or a row inserted on
     a tied hit stays unsettled (:func:`_settle`), every row found redundant
-    and every unsettled row.
+    and every unsettled row. With it come the final description and the
+    row of each of its inserted columns when that mask is empty and the
+    description complete (every row left is one of its facets), else None
+    twice.
 
     On a tied hit, each tied row that still beats the description is
     inserted (:func:`_beating`) as a facet to be settled after the rounds.
@@ -528,7 +600,7 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     known[first[clear]] = True
     wide = np.zeros(k, dtype=bool)
     if known.all():  # every row is a facet, as on most C-set shadows: nothing to build
-        return wide
+        return wide, None, None
     dd, rows = _Description(n), np.concatenate((H, -slack[:, None]), axis=1)
     order = list(np.flatnonzero(known))  # the inserted rows, in the order of dd's columns
     for j in order:
@@ -568,7 +640,9 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray) -> n
     if unsettled.any() or not dd.is_polytope():
         wide |= removed | unsettled
         removed[:] = False
-    return wide
+    if wide.any():
+        return wide, None, None
+    return wide, dd, [j for j in order if not removed[j]]  # _settle drops removed rows' columns
 
 
 def _tied_rows(direction: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
@@ -891,30 +965,65 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     return shadow
 
 
+def _vertex_points(H: np.ndarray, b: np.ndarray, tight: np.ndarray) -> np.ndarray | None:
+    """The vertex of ``{x | H x <= b}`` (unit rows) on each row of the
+    incidence ``tight`` (vertices by rows of ``H``), solved on the rows it
+    marks, in ``H``'s order: ``numpy.linalg.solve`` on exactly ``n``, and on
+    more rows least squares by the SVD's pseudo-inverse, formed as
+    ``numpy.linalg.pinv`` forms it; one batched solve per count of rows.
+    None when a vertex's rows have rank below ``n`` by ``matrix_rank``'s
+    rule: that is no vertex, and a vertex may be missing.
+
+    On ``n`` unit rows every singular value is at most ``sqrt(n)``, so the
+    smallest is at least ``|det| / sqrt(n)**(n - 1)``: a determinant above
+    ``n**(n/2 + 1) * 1e-12`` puts it above ``n**1.5 * 1e-12``, far beyond
+    ``matrix_rank``'s threshold (at most ``n**1.5 * eps``) and the
+    determinant's rounding. Only the other square systems take the SVD of
+    that rank test."""
+    n = H.shape[1]
+    counts = tight.sum(axis=1)
+    points = np.empty((len(tight), n))
+    for count in np.unique(counts).tolist():
+        if count < n:
+            return None
+        group = counts == count
+        on = np.nonzero(tight[group])[1].reshape(-1, count)  # each vertex's rows, in order
+        A, rhs = H[on], b[on][..., None]
+        if count == n:
+            unclear = np.abs(np.linalg.det(A)) <= n ** (n / 2 + 1) * 1e-12
+            if unclear.any() and (np.linalg.matrix_rank(A[unclear]) < n).any():
+                return None
+            points[group] = np.linalg.solve(A, rhs)[..., 0]
+            continue
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        if (s[:, -1] <= s[:, 0] * count * np.finfo(float).eps).any():
+            return None
+        pinv = vt.transpose(0, 2, 1) @ ((1.0 / s)[..., None] * u.transpose(0, 2, 1))
+        points[group] = (pinv @ rhs)[..., 0]
+    return points
+
+
 def vertices(p: HPolytope) -> list[np.ndarray]:
     """All vertices of a C-set, in any dimension (other input goes through
     :func:`validate_cset`), each solved on its tight facets in the double
-    description of :func:`remove_redundancy`'s facets: ``numpy.linalg.solve``
-    on exactly ``n``, least squares on more. A description that is not
-    bounded with every facet tight at ``n`` vertices, or a vertex whose
-    facets have rank below ``n``, raises ``ComputationError``: a missed
-    vertex would make :func:`outer_radius` too small."""
+    description of :func:`remove_redundancy`'s facets (:func:`_vertex_points`).
+    A description that is not bounded with every facet tight at ``n``
+    vertices, or a vertex whose facets have rank below ``n``, raises
+    ``ComputationError``: a missed vertex would make :func:`outer_radius`
+    too small."""
     if not isinstance(p, CSetPolytope):
         p = validate_cset(p)
-    n, rows = p.dim, np.sort(_irredundant_rows(p))  # solved in the order of p's rows
+    rows = np.sort(_irredundant_rows(p)[0])  # solved in the order of p's rows
     H, b = p.H[rows], p.b[rows]
-    dd = _Description(n)
+    dd = _Description(p.dim)
     for a in np.concatenate((H, -b[:, None]), axis=1):
         dd.insert(a)
     if not dd.is_polytope():
         raise ComputationError("the double description misses a vertex")
-    tight = dd.tight[:, 1:] == 1.0
-    simple = tight.sum(axis=1) == n
-    on = np.nonzero(tight[simple])[1].reshape(-1, n)  # each simple vertex's facets, in order
-    degenerate = [np.linalg.lstsq(H[t], b[t], rcond=None) for t in tight[~simple]]
-    if (np.linalg.matrix_rank(H[on]) < n).any() or any(out[2] < n for out in degenerate):
+    points = _vertex_points(H, b, dd.tight[:, 1:] == 1.0)
+    if points is None:
         raise ComputationError("a vertex's tight facets do not span the space")
-    return list(np.linalg.solve(H[on], b[on][..., None])[..., 0]) + [out[0] for out in degenerate]
+    return list(points)
 
 
 def inradius_origin(p: CSetPolytope) -> float:

@@ -1,9 +1,12 @@
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import contracta.lp as lp_module
+import contracta.polytope as polytope_module
 from contracta import (
     HPolytope,
     LinearProgram,
@@ -29,6 +32,13 @@ def random_cset(rng, dim, extra_facets=5, bound=3.0):
     H = np.vstack([dirs, eye, -eye])
     b = np.concatenate([offsets, bound * np.ones(2 * dim)])
     return validate_cset(remove_redundancy(HPolytope(H, b)))
+
+
+def recorded_lp(name):
+    """The objective, rows and offsets of the LP recorded in
+    ``tests/data/<name>.json``, bit for bit."""
+    data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    return tuple(np.array(data[key], dtype=float) for key in ("objective", "A", "b"))
 
 
 def nested_cset_pair(rng, dim):
@@ -88,3 +98,11 @@ def count_lps(monkeypatch) -> list:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def lp_supports(monkeypatch):
+    """No set reads its supports off vertices, so every support off a
+    certified facet reaches the simplex: for tests of LP traffic and LP
+    faults."""
+    monkeypatch.setattr(polytope_module, "_vertex_list", lambda p: None)

@@ -9,6 +9,7 @@ from contracta import LinearProgram, LpStatus, solve_lp, solve_lp_batch, symmetr
 from contracta import lp as lp_module
 from contracta.config import TOL
 from contracta.errors import ComputationError, DimensionError
+from conftest import recorded_lp
 
 
 def test_single_box_optimum():
@@ -596,3 +597,45 @@ def test_batch_shape_errors():
         solve_lp_batch(np.ones((9, 2)), np.ones((8, 3, 2)), np.ones((8, 3)))
     with pytest.raises(DimensionError):
         solve_lp_batch(np.ones((9, 2)), np.ones((3, 2)), np.ones(4))
+
+
+def test_recorded_sweep_lp_still_faults():
+    # scripts/sweep_5d.py's seed 10 ran this support LP until its one-step
+    # sets carried their vertices; the simplex still ends it 3% below the
+    # optimum at an infeasible point, the case a basis refactorization is to
+    # mend
+    c, A, b = recorded_lp("sweep5d_seed10_nesting_lp")
+    with pytest.raises(ComputationError, match=r"infeasible point \(residual 1\.389e-01\)"):
+        solve_lp(LinearProgram(c, A, b))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("origin", ["inside", "outside"])
+def test_signed_zeros_of_an_objective_move_no_bit(seed, origin):
+    # support memos key a direction on its bits with every zero made +0:
+    # an objective whose zeros are -0 must give its +0 twin's outcome, bit
+    # for bit, alone and in a batch, through phase 1 too (origin outside)
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    eye = np.eye(n)
+    cuts = rng.normal(size=(int(rng.integers(3, 9)), n))
+    A = np.vstack([cuts / np.linalg.norm(cuts, axis=1)[:, None], eye, -eye])
+    b = np.concatenate([rng.uniform(0.5, 2.0, size=len(cuts)), np.full(2 * n, 3.0)])
+    if origin == "outside":
+        b = b - A @ (4.0 * eye[0])  # the box row x_0 <= 3 now reads x_0 <= -1
+        assert (b < 0.0).any()
+    sparse = rng.normal(size=(6, n)) * (rng.random((6, n)) < 0.5)
+    objectives = np.vstack([eye, -eye, sparse])
+    objectives = objectives[(objectives != 0.0).any(axis=1)]
+    plus = objectives + 0.0
+    minus = np.where(objectives == 0.0, -0.0, objectives)
+    assert np.signbit(minus[minus == 0.0]).all() and not np.signbit(plus[plus == 0.0]).any()
+
+    def bits(out):
+        return out.status, float(out.value).hex(), None if out.x is None else out.x.tobytes()
+
+    for c_plus, c_minus in zip(plus, minus):
+        assert bits(solve_lp(LinearProgram(c_minus, A, b))) == bits(solve_lp(LinearProgram(c_plus, A, b)))
+    assert [bits(out) for out in solve_lp_batch(minus, A, b)] == [
+        bits(out) for out in solve_lp_batch(plus, A, b)
+    ]

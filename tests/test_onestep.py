@@ -295,6 +295,21 @@ class TestDeferredReduction:
                 assert (out.status is LpStatus.OPTIMAL) == inside
 
 
+def ladder_case(monkeypatch):
+    """The ladder benchmark's (3, 1, 4) seed-7 case from X at rate 0.9, its
+    sets' facet counts and row bits checked, and the LPs it solved
+    (``count_lps``)."""
+    lps = count_lps(monkeypatch)
+    sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
+    seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
+    assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
+    digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
+    assert digest.hexdigest() == (
+        "276ec03176fb391695fd93bb4ed844f4db3e539b9c4b2d7c755e73337ad7d9c5"
+    )
+    return seq, lps
+
+
 class TestIterate:
     def test_zero_steps(self):
         sys1 = scalar_system(1)
@@ -393,17 +408,19 @@ class TestIterate:
         # the ladder benchmark's (3, 1, 4) seed-7 case: a change to the LP
         # kernel may change its speed, never which LPs run or what they return;
         # redundancy removal solves none of them, its rounds read vertices, and
-        # the supports along a set's own certified facets are memo entries
-        lps = count_lps(monkeypatch)
-        sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
-        seq = iterate(sysr, 0.9, sysr.X, 4, SeedLabel.FROM_STATE_SET)
-        assert [p.nfacets for p in seq.entries] == [6, 16, 28, 44, 66]
+        # the supports along a set's own certified facets are memo entries.
+        # Each one-step set carries its vertices, which answer the nesting
+        # tests with no LP
+        seq, lps = ladder_case(monkeypatch)
+        assert all(polytope_module._vertex_list(p) is not None for p in seq.entries[1:])
         # LPs of solve_lp calls and of batches, validating the boxes X and U included
+        assert lps[1:] == [0, 0]
+
+    def test_ladder_iterate_lp_counts_without_vertex_lists(self, monkeypatch, lp_supports):
+        # the same case with no support read off vertices: the nesting tests
+        # reach the simplex, and the sets keep their bits
+        _, lps = ladder_case(monkeypatch)
         assert lps[1:] == [0, 84]
-        digest = hashlib.sha256(b"".join(p.H.tobytes() + p.b.tobytes() for p in seq.entries))
-        assert digest.hexdigest() == (
-            "276ec03176fb391695fd93bb4ed844f4db3e539b9c4b2d7c755e73337ad7d9c5"
-        )
 
     @pytest.mark.parametrize("seed,facets", [(3, [10, 26, 50, 120]), (8, [10, 32, 68, 128])])
     def test_five_dimensional_facet_sequences(self, seed, facets):

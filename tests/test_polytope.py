@@ -50,7 +50,7 @@ from contracta.errors import (
     ValidationError,
 )
 from contracta.benchmarks import scalar_system
-from conftest import count_lps, random_cset
+from conftest import count_lps, random_controllable_system, random_cset, recorded_lp
 
 
 def brute_force_kept_rows(p):
@@ -326,16 +326,17 @@ class TestSupportMany:
         # the inner set exceeds facet 0 and is unbounded along facet 1: the
         # row-by-row loop answers False before it reaches the unbounded LP
         inner = HPolytope([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0]], [1.0, 5.0, 1.0])
-        diagonals = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        outer = HPolytope(np.vstack([np.eye(2), -np.eye(2), diagonals]), 2.0 * np.ones(8))
+        diagonals = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+        outer = HPolytope(np.vstack([np.eye(2), diagonals, -np.eye(2)]), 2.0 * np.ones(8))
         assert is_subset(inner, outer) is False
         with pytest.raises(UnboundedDirectionError):
             support_many(inner, outer.H)
-        # a fault on facet 2 stays behind both, as in the row-by-row loop
+        # a fault on facet 2 stays behind both, as in the row-by-row loop;
+        # it is oblique, as -e_x and -e_y are inner's certified facets
         _inject_faults(monkeypatch, outer.H[2:3])
         inner = HPolytope(inner.H, inner.b)
         assert is_subset(inner, outer) is False
-        for rows in (outer.H, outer.H[1:3]):  # [e_y, -e_x]: unbounded, then the fault
+        for rows in (outer.H, outer.H[1:3]):  # [e_y, -(e_x + e_y)]: unbounded, then the fault
             with pytest.raises(UnboundedDirectionError):
                 support_many(inner, rows)
         with pytest.raises(ComputationError, match="^injected fault$"):
@@ -426,7 +427,7 @@ class TestSupportMemo:
         if kind == "exceeded-then-unbounded":
             assert is_subset(inner, outer) is False
 
-    def test_pooled_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch):
+    def test_pooled_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch, lp_supports):
         # the inner set is unbounded along facet 0 of the outer one and
         # exceeds facet 1; its memo is filled by one stacked lockstep batch
         # with a polytope of more facets, so its LPs carry padding rows; the
@@ -446,20 +447,20 @@ class TestSupportMemo:
 
         monkeypatch.setattr(lp_module, "_lockstep", counted)
         pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[4:7])])
-        # 8 LPs of inner and 3 of other, less the one along inner's facet
-        # e_2, certified in its memo
-        assert sizes == [(10, other.nfacets, 2)]
+        # 8 LPs of inner and 3 of other, less those along inner's facets
+        # e_2, -e_1 and -e_2, certified in its memo whatever their zeros' signs
+        assert sizes == [(8, other.nfacets, 2)]
         assert pooled[0][0].status is LpStatus.UNBOUNDED
         with pytest.raises(UnboundedDirectionError):
             polytope_module._first_exceeded(inner, outer)
         with pytest.raises(UnboundedDirectionError):
             is_subset(inner, outer)
-        assert sizes == [(10, other.nfacets, 2)]  # both read the memo
+        assert sizes == [(8, other.nfacets, 2)]  # both read the memo
         cold = HPolytope(inner.H, inner.b)
         direct = [_bits(out) for out in support_lps(cold, outer.H)]
         assert [_bits(out) for out in pooled[0]] == direct
 
-    def test_pairs_of_one_polytope_solve_each_direction_once(self, monkeypatch):
+    def test_pairs_of_one_polytope_solve_each_direction_once(self, monkeypatch, lp_supports):
         # two pairs ask one polytope for overlapping directions, as a distance
         # table asks an iterate that two consecutive pairs share
         rng = np.random.default_rng(7)
@@ -477,7 +478,7 @@ class TestSupportMemo:
             _bits(solve_lp(LinearProgram(d, q.H, q.b))) for d in directions[:4]
         ]
 
-    def test_pooled_faults_raise_in_pair_order(self, monkeypatch):
+    def test_pooled_faults_raise_in_pair_order(self, monkeypatch, lp_supports):
         # both faults are in one pooled batch, and q's pair asks before the
         # pair of p whose row faults
         rng = np.random.default_rng(9)
@@ -518,7 +519,7 @@ class TestSupportMemo:
         assert len(memo) == 15 and memo[directions[6].tobytes()] is pooled[2][2]
         assert pooled[2][2].__traceback__ is None  # no frame of the solve stays alive
 
-    def test_stationary_table_solves_no_direction_twice(self, monkeypatch):
+    def test_stationary_table_solves_no_direction_twice(self, monkeypatch, lp_supports):
         # a dead input and A = 0.8 I make the sequences stationary at rate
         # 0.8, so the distance table repeats one pair of objects; per rate the
         # pooled table makes no more LPs than the sides of its pairs taken one
@@ -553,7 +554,7 @@ class TestSupportMemo:
         # same seeds, then 8 for the one pair its steps repeat
         assert lps[0] <= one_at_a_time == 44
 
-    def test_tolerance_change_solves_again(self, monkeypatch):
+    def test_tolerance_change_solves_again(self, monkeypatch, lp_supports):
         p = random_cset(np.random.default_rng(3), 3)
         directions = np.random.default_rng(4).normal(size=(12, 3))
         lps = count_lps(monkeypatch)
@@ -570,6 +571,19 @@ class TestSupportMemo:
             TOL.feas, TOL.opt = feas, opt
         support_many(p, directions)
         assert lps[0] == 24
+
+    def test_signed_zeros_share_a_memo_entry(self, monkeypatch, lp_supports):
+        # a direction whose zeros are -0 (as -np.eye makes them) reads the
+        # outcome of its +0 twin, alone or beside other rows
+        p = random_cset(np.random.default_rng(2), 3)
+        minus = np.array([[0.6, -0.0, -0.8], [-0.0, -0.0, -1.0]])
+        plus = minus + 0.0
+        lps = count_lps(monkeypatch)
+        first = support_lps(p, minus)
+        solved = lps[0]
+        again = support_lps(p, np.vstack([np.ones((1, 3)), plus]))
+        assert lps[0] == solved + 1  # only the row of ones
+        assert all(a is b for a, b in zip(first, again[1:]))
 
     @pytest.mark.parametrize("count", [1, 12])  # one at a time and in lockstep
     def test_memoized_points_are_read_only(self, count):
@@ -678,19 +692,29 @@ class TestCertifiedFacets:
 
     def test_equal_bits_equal_outcomes_in_any_order(self):
         # a support along a facet normal reads the same bits whether it is
-        # asked before validate_cset or after it, and whether the polytope
-        # came out of redundancy removal or was built on the same rows
+        # asked before validate_cset or after it, on a polytope built on a
+        # reduced set's rows. The reduced set carries its vertices, which its
+        # C-set shares: along a certified facet it reads the same bits, and
+        # along the other rows the largest value over its vertices
         for seed in range(5):
             p = remove_redundancy(random_rows(np.random.default_rng(seed), 3, "c-set"))
+            assert polytope_module._vertex_list(p) is not None
             asked_first = HPolytope._computed(p.H.copy(), p.b.copy())
             before = [_bits(out) for out in support_lps(asked_first, p.H)]
             validate_cset(asked_first)
             validated = validate_cset(HPolytope._computed(p.H.copy(), p.b.copy()))
             after = [_bits(out) for out in support_lps(validated, p.H)]
-            reduced = [_bits(out) for out in support_lps(p, p.H)]
-            assert before == after == reduced
-            certified = polytope_module._memo(p)
-            assert any(h.tobytes() in certified for h in p.H)
+            assert before == after
+            reduced = support_lps(p, p.H)
+            assert all(a is b for a, b in zip(support_lps(validate_cset(p), p.H), reduced))
+            certified = polytope_module._facet_supports(p.H, p.b)
+            assert any((h + 0.0).tobytes() in certified for h in p.H)
+            for h, out, bits in zip(p.H, reduced, before):
+                if (h + 0.0).tobytes() in certified:
+                    assert _bits(out) == bits
+                else:
+                    assert out.value == pytest.approx(float.fromhex(bits[1]), abs=1e-12)
+                    assert (polytope_module._vertex_list(p) == out.x).all(axis=1).any()
 
     @pytest.mark.parametrize("kind", ["c-set", "many-cuts"])
     def test_certified_outcomes_match_the_simplex(self, kind):
@@ -701,7 +725,7 @@ class TestCertifiedFacets:
             memo = polytope_module._memo(p)  # made with the certified facets
             assert memo
             for h, offset in zip(p.H, p.b):
-                out = memo.get(h.tobytes())
+                out = memo.get((h + 0.0).tobytes())  # keys hold +0 for -0
                 if out is None:
                     continue
                 ref = solve_lp(LinearProgram(h, p.H, p.b))
@@ -723,6 +747,117 @@ class TestCertifiedFacets:
         assert C.contains(point) and abs(point[0]) == 2.0
         ref = solve_lp(LinearProgram(np.sign(point), C.H, C.b))
         assert ref.x.tobytes() == point.tobytes()
+
+
+class TestVertexSupports:
+    """A reduced set whose redundancy rounds end with its complete double
+    description carries its vertices, each solved on its tight facets, and
+    reads its supports off them with no LP."""
+
+    KINDS = ["c-set", "near-duplicate", "origin-outside", "many-cuts", "wide-cuts"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kept_vertices_satisfy_every_row(self, kind):
+        # each kept vertex lies in its set to 1e-12 and on n of its facets,
+        # and the list is the set's whole vertex list (vertices, built anew)
+        kept = 0
+        for dim in (2, 3, 4):
+            for seed in range(8):
+                p = remove_redundancy(random_rows(np.random.default_rng(seed), dim, kind))
+                V = polytope_module._vertex_list(p)
+                if V is None:
+                    continue
+                kept += 1
+                assert not V.flags.writeable and polytope_module._vertex_list(p) is V
+                slack = p.b - V @ p.H.T
+                assert slack.min() >= -1e-12
+                assert ((np.abs(slack) <= 1e-9).sum(axis=1) >= dim).all()
+                public = np.array(vertices(validate_cset(p)))
+                assert len(public) == len(V)
+                assert max(np.abs(V - v).max(axis=1).min() for v in public) <= 1e-9
+        assert kept == 0 if kind == "origin-outside" else kept >= 20
+
+    def test_one_step_vertices_satisfy_every_row(self):
+        # the ladder's sets: a one-step set keeps its final reduction's list
+        for seed in range(4):
+            sysr = random_controllable_system(np.random.default_rng(seed), 3, 1)
+            for q in iterate(sysr, 0.9, sysr.X, 3).entries[1:]:
+                V = polytope_module._vertex_list(q)
+                assert V is not None and (V @ q.H.T - q.b).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_vertex_supports_match_the_simplex(self, monkeypatch, kind):
+        # random directions, the set's own rows and the axes: within 1e-12 of
+        # solve_lp, at a point of the set, and with no LP on a set with a list
+        lps = count_lps(monkeypatch)
+        for dim in (2, 3, 4):
+            for seed in range(8):
+                rng = np.random.default_rng(seed)
+                p = remove_redundancy(random_rows(rng, dim, kind))
+                eye = np.eye(dim)
+                directions = np.vstack([rng.normal(size=(12, dim)), p.H, eye, -eye])
+                before = lps[0]
+                outcomes = support_lps(p, directions)
+                assert lps[0] == before or polytope_module._vertex_list(p) is None
+                for d, out in zip(directions, outcomes):
+                    ref = solve_lp(LinearProgram(d, p.H, p.b))
+                    assert out.value == pytest.approx(ref.value, abs=1e-12)
+                    assert p.contains(out.x, tol=1e-12)
+
+    def test_rank_deficient_rows_give_no_points(self):
+        # a vertex marked tight on one row, on two parallel rows (a square
+        # system) or on three rows along one line (least squares) is no vertex
+        H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [1.0, 0.0]])
+        b = np.ones(5)
+
+        def on(*rows):
+            return np.isin(np.arange(5), rows)[None]
+
+        assert polytope_module._vertex_points(H, b, on(2, 3)) is not None
+        assert polytope_module._vertex_points(H, b, on(2)) is None
+        assert polytope_module._vertex_points(H, b, np.vstack([on(2, 3), on(0, 1)])) is None
+        assert polytope_module._vertex_points(H, b, on(0, 1, 4)) is None
+
+    def test_recorded_sweep_lp_read_off_vertices(self):
+        # the support LP on which the simplex faults in scripts/sweep_5d.py's
+        # seed 10 (tests/data): the set's vertices give its optimum,
+        # 1.7134244167570312 (HiGHS), with no LP
+        c, A, b = recorded_lp("sweep5d_seed10_nesting_lp")
+        p = remove_redundancy(HPolytope(A, b))
+        assert p.nfacets == 122 and polytope_module._vertex_list(p) is not None
+        assert support(p, c) == pytest.approx(1.7134244167570312, abs=1e-12)
+
+    def test_incomplete_descriptions_keep_no_list(self, monkeypatch):
+        p = random_rows(np.random.default_rng(3), 3, "many-cuts")
+
+        def listed(q):
+            return polytope_module._vertex_list(remove_redundancy(q)) is not None
+
+        assert listed(p)
+        failures = {
+            # the final description is not bounded with every facet at n vertices
+            "bounds": [(polytope_module._Description, "is_polytope", lambda dd: False)],
+            # no vertex's tight facets span the space
+            "rank": [
+                (np.linalg, "det", lambda A: np.zeros(A.shape[:-2])),
+                (np.linalg, "matrix_rank", lambda A: np.zeros(A.shape[:-2], dtype=int)),
+            ],
+        }
+        for name, patches in failures.items():
+            with monkeypatch.context() as patch:
+                for owner, attr, failure in patches:
+                    patch.setattr(owner, attr, failure)
+                assert not listed(p), name
+        # a tied row left unsettled sends rows to the all-rows test
+        cross = crosspolytope_with_vertex_rows(4, 12)
+        assert listed(cross)
+        with monkeypatch.context() as patch:
+            patch.setattr(polytope_module, "_settle", lambda dd, order, tied, *a: tied.copy())
+            assert not listed(cross)
+        # an offset within feas: the interior point is not the origin
+        shifted = HPolytope(p.H, p.b - p.H @ ((p.b[0] - 1e-10) * p.H[0]))
+        assert 0.0 < shifted.b.min() <= TOL.feas
+        assert not listed(shifted)
 
 
 class TestRedundancy:
@@ -767,7 +902,7 @@ class TestRedundancy:
         # the kept rows are the input's, not divided again by their norms
         for seed in range(10):
             p = random_rows(np.random.default_rng(seed), 3, kind)
-            keep = polytope_module._irredundant_rows(p)
+            keep, _ = polytope_module._irredundant_rows(p)
             r = remove_redundancy(p)
             assert r.H.tobytes() == p.H[keep].tobytes() and r.b.tobytes() == p.b[keep].tobytes()
 
@@ -1282,7 +1417,8 @@ class TestVertices:
         # a description that may miss a vertex never yields a radius
         if fault == "is_polytope":
             monkeypatch.setattr(polytope_module._Description, "is_polytope", lambda dd: False)
-        else:
+        else:  # no determinant clears a square system, and matrix_rank finds rank 0
+            monkeypatch.setattr(np.linalg, "det", lambda M: np.zeros(len(M)))
             monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: np.zeros(len(M), dtype=int))
         p = validate_cset(symmetric_box([1.0, 2.0, 3.0]))
         for fn in (vertices, outer_radius):
