@@ -15,7 +15,12 @@ that finishes, or ``ComputationError`` for a run that raises it (a
 numerical fault). The exit code is 1 when a seed's outcome differs from
 its pinned one; a change that moves an outcome on purpose restates it.
 
+``--wall`` runs instead the deeper runs pinned in ``WALL``, which stopped
+at the default facet cap (``FacetBudgetError``) while each single-input
+step combined every pair of its target's facets.
+
 Usage: sweep_5d.py [first_seed] [last_seed]
+       sweep_5d.py --wall
 """
 
 import sys
@@ -48,15 +53,22 @@ EXPECTED = {
     10: (10, 32, 86, 122),  # its faulting nesting LP is read off vertices (tests/data)
     11: (10, 36, 94, 186),
 }
+# (seed, steps): facet counts, past the 14,651 and 11,246 rows that step 4
+# of seed 1 and step 5 of seed 3 formed with every pair
+WALL = {
+    (1, 4): (10, 38, 106, 240, 476),
+    (3, 5): (10, 26, 50, 120, 210, 254),
+}
 
 
-def run(seed: int) -> tuple[str, bool]:
-    """The report line of one seed, and whether its outcome is the pinned one."""
+def run(seed: int, steps: int, expected) -> tuple[str, bool]:
+    """The report line of one seed's run of ``steps`` steps, and whether its
+    outcome is the pinned one, ``expected``."""
     A, B, x_half, u_half = random_controllable_system(np.random.default_rng(seed), N, M)
     sysr = SystemModel(A, B, validate_cset(symmetric_box(x_half)), validate_cset(symmetric_box(u_half)))
     start = time.perf_counter()
     try:
-        seq = iterate(sysr, RATE, sysr.X, STEPS, SeedLabel.FROM_STATE_SET)
+        seq = iterate(sysr, RATE, sysr.X, steps, SeedLabel.FROM_STATE_SET)
     except ComputationError as exc:
         outcome, text = FAULT, f"raised ComputationError: {exc}"
     except Exception as exc:  # reported, and never a pinned outcome
@@ -65,7 +77,6 @@ def run(seed: int) -> tuple[str, bool]:
         outcome = tuple(p.nfacets for p in seq.entries)
         text = "finished " + "/".join(map(str, outcome)) + " facets"
     seconds = time.perf_counter() - start
-    expected = EXPECTED.get(seed)
     pinned = outcome == expected
     if not pinned:
         shown = expected if isinstance(expected, str) or expected is None else "/".join(map(str, expected))
@@ -74,12 +85,17 @@ def run(seed: int) -> tuple[str, bool]:
 
 
 def main() -> int:
-    first = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    last = int(sys.argv[2]) if len(sys.argv) > 2 else 11
-    print(f"({N},{M},{STEPS}) iterate from X at rate {RATE}")
+    if sys.argv[1:] == ["--wall"]:
+        runs = [(seed, steps, facets) for (seed, steps), facets in WALL.items()]
+        print(f"({N},{M}) iterate from X at rate {RATE}, past the facet cap")
+    else:
+        first = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+        last = int(sys.argv[2]) if len(sys.argv) > 2 else 11
+        runs = [(seed, STEPS, EXPECTED.get(seed)) for seed in range(first, last + 1)]
+        print(f"({N},{M},{STEPS}) iterate from X at rate {RATE}")
     failed = False
-    for seed in range(first, last + 1):
-        line, pinned = run(seed)
+    for seed, steps, expected in runs:
+        line, pinned = run(seed, steps, expected)
         print(line, flush=True)
         failed |= not pinned
     return 1 if failed else 0

@@ -7,8 +7,10 @@ the state coordinates. Iterating the map from the state constraint set gives
 a nested outer approximation of the maximal contractive set; iterating from
 a contractive seed gives an expanding inner one. A set is tested for
 contractiveness the same way: it is ``lam``-contractive iff it lies in its
-own one-step set. Each system memoizes its map: the bits of a target are
-projected once per rate and tolerances, whoever asks.
+own one-step set. With one input, a step combines only the target's facets
+that may be adjacent, when the target carries the incidence to tell, and
+gives the set that every pair gives. Each system memoizes its map: the bits
+of a target are projected once per rate and tolerances, whoever asks.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .polytope import (
     _ZERO_ROW,
     CSetPolytope,
     HPolytope,
+    _adjacent_facets,
+    _eliminate,
     _facet_cap,
     _finite_norms,
     _first_exceeded,
@@ -40,6 +44,7 @@ from .polytope import (
     is_subset,
     outer_radius,
     project,
+    remove_redundancy,
     validate_cset,
 )
 
@@ -143,12 +148,22 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     (``0 <= lam * b_D``, as when ``A`` resets a state) is left to
     :func:`project`, which drops it.
 
+    With one input, ``B U`` is a segment, and the facets of ``lam * D (+)
+    (-B U)`` are D's, translated, and one per silhouette ridge of D: a pair
+    of adjacent facets. The Fourier-Motzkin row of two facets of D that are
+    not adjacent is then redundant, so when D carries the incidence of a
+    complete description (:func:`~contracta.polytope._adjacent_facets`),
+    two of its facets are combined only when they share ``n - 1`` vertices
+    or more; the rows formed keep their bits and order, and the facet cap
+    counts only them. Any other target, and any step with several inputs,
+    projects the lift with every pair (:func:`project`).
+
     No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
     and its offsets (those of X, U and ``lam * D``) must be positive, which
     makes the shadow's positive too (see :func:`project`). A target without
     the origin in its interior raises ``OriginNotInteriorError``. The C-set
-    carries the shadow's vertex list, when its reduction kept one, which
-    answers its supports with no LP.
+    carries the shadow's vertex incidence, when its reduction kept one,
+    which answers its supports with no LP and prunes its own next step.
 
     The result is memoized on ``sys``, keyed by everything the projection
     reads: ``lam``, the LP tolerances, the facet cap and the bits of ``D``'s
@@ -162,10 +177,30 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     if D.dim != sys.n:
         raise DimensionError("target set dimension mismatch")
     bits = (D.H.tobytes(), D.b.tobytes())
-    key = (lam, TOL.feas, TOL.opt, TOL.pivot, _facet_cap()) + bits
+    cap = _facet_cap()
+    key = (lam, TOL.feas, TOL.opt, TOL.pivot, cap) + bits
     q = sys._steps.get(key)
     if q is not None:
         return q
+    lifted = _lift(sys, lam, D)
+    adjacent = _adjacent_facets(D) if sys.m == 1 else None
+    if adjacent is None:
+        shadow = project(lifted, sys.n)
+    else:  # only D's adjacent facets make silhouette ridges: no other D x D pair
+        pairs = np.ones((lifted.nfacets, lifted.nfacets), dtype=bool)
+        pairs[-D.nfacets :, -D.nfacets :] = adjacent
+        shadow = remove_redundancy(_eliminate(lifted.H, lifted.b, sys.n, cap, pairs))
+    q = CSetPolytope._computed(shadow.H, shadow.b, incidence=shadow._incidence)
+    if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
+        q = D
+    sys._steps[key] = q
+    return q
+
+
+def _lift(sys: SystemModel, lam: float, D: CSetPolytope) -> HPolytope:
+    """The lifted polytope ``{(x, u) : x in X, u in U, H_D (A x + B u) <=
+    lam * b_D}`` of :func:`one_step_set`: X's rows, U's, then one row per
+    facet of D, in D's order."""
     X, U = sys.X, sys.U
     top = X.nfacets + U.nfacets
     lifted_H = np.zeros((top + D.nfacets, sys.n + sys.m))
@@ -182,12 +217,7 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     unit = norms > _ZERO_ROW
     made[unit] /= norms[unit, None]
     lifted_b[top:][unit] /= norms[unit]
-    shadow = project(HPolytope._computed(lifted_H, lifted_b), sys.n)
-    q = CSetPolytope._computed(shadow.H, shadow.b, vertices=shadow._vertices)
-    if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
-        q = D
-    sys._steps[key] = q
-    return q
+    return HPolytope._computed(lifted_H, lifted_b)
 
 
 def _verify(lam: float, prev: CSetPolytope, nxt: CSetPolytope, seed_label: SeedLabel, step: int):

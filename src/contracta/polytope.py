@@ -27,10 +27,13 @@ facet, a row that its own normal ray from the origin crosses first,
 clearly: the facet's offset, exact, at a point of the set on the facet,
 with no LP (:func:`_facet_supports`). Along any other direction, a set that
 carries its vertices answers with the largest ``d . v`` over them, at that
-vertex, and no LP: :func:`remove_redundancy` keeps them when its double
-description of the output is complete, solved when first read
-(:func:`_vertex_list`), and :func:`project`'s output and ``one_step_set``'s
-C-set carry them on. Any other set's outcome is the
+vertex, and no LP: :func:`remove_redundancy` keeps their incidence on its
+rows when its double description of the output is complete, the vertices
+are solved when first read (:func:`_vertex_list`), and :func:`project`'s
+output and ``one_step_set``'s C-set carry both on. The incidence stays
+beside the vertices: a single-input ``one_step_set`` reads it to combine
+only the target's facets that may be adjacent (:func:`_adjacent_facets`,
+:func:`_eliminate`). Any other set's outcome is the
 simplex's, a fault (``ComputationError``) included, filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
 polytopes (:func:`_support_lps`: the planner's steps and the distance
@@ -104,7 +107,7 @@ def _facet_cap() -> int:
 class HPolytope:
     """Inequality-form polytope ``{x | H x <= b}`` with unit facet normals."""
 
-    __slots__ = ("H", "b", "_memo", "_vertices")
+    __slots__ = ("H", "b", "_memo", "_incidence", "_vertices")
 
     def __init__(self, H, b):
         H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -122,24 +125,27 @@ class HPolytope:
 
     @classmethod
     def _computed(cls, H: np.ndarray, b: np.ndarray, memo: dict | None = None,
-                  vertices: np.ndarray | None = None):
+                  incidence: np.ndarray | None = None, vertices: np.ndarray | None = None):
         """A polytope on unit rows computed from checked ones (nonempty,
         finite, matching offsets), taken as they are: no check, no division.
         ``one_step_set``'s lift may also hold rows of norm at most
         ``_ZERO_ROW``, for :func:`project` to drop. A ``memo`` is that of a
-        polytope with these bits and these ``vertices``, shared; ``vertices``
-        are the set's vertices as :func:`remove_redundancy` describes them
-        (:func:`_vertex_list`), and answer its supports."""
+        polytope with these bits and this ``incidence``, shared; the
+        ``incidence`` of the set's vertices on its rows is that of
+        :func:`remove_redundancy`'s complete description, and ``vertices``
+        the points solved from it (:func:`_vertex_list`), which answer its
+        supports."""
         p = cls.__new__(cls)
-        p._set_rows(H, b, {} if memo is None else memo, vertices)
+        p._set_rows(H, b, {} if memo is None else memo, incidence, vertices)
         return p
 
     def _set_rows(self, H: np.ndarray, b: np.ndarray, memo: dict,
+                  incidence: np.ndarray | None = None,
                   vertices: np.ndarray | None = None) -> None:
         H.setflags(write=False)
         b.setflags(write=False)
         self.H, self.b, self._memo = H, b, memo  # the memo of support LPs, see _support_lps
-        self._vertices = vertices  # see _vertex_list
+        self._incidence, self._vertices = incidence, vertices  # see _vertex_list
 
     @property
     def dim(self) -> int:
@@ -218,7 +224,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
         raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
     if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
-    return CSetPolytope._computed(p.H, p.b, p._memo, p._vertices)  # the same outcomes
+    return CSetPolytope._computed(p.H, p.b, p._memo, p._incidence, p._vertices)  # the same outcomes
 
 
 def _unbounded_axis(p: HPolytope) -> int | None:
@@ -344,16 +350,43 @@ def _vertex_list(p: HPolytope) -> np.ndarray | None:
     carries none. A set that :func:`remove_redundancy` describes completely
     carries, from its making, the incidence of each vertex on its rows
     (booleans); the vertices are solved on their tight rows
-    (:func:`_vertex_points`) when a support first reads them, and kept in
-    its place, or None when one's rows do not span the space. Sets whose
-    supports all lie along certified facets solve none."""
-    v = p._vertices
-    if v is not None and v.dtype == bool:
-        v = _vertex_points(p.H, p.b, v)
-        if v is not None:
+    (:func:`_vertex_points`) when first read and kept beside it. When one's
+    rows do not span the space there are none, and the incidence goes too:
+    its description missed a vertex. A set that no support past its
+    certified facets and no single-input step reads solves none."""
+    v, incidence = p._vertices, p._incidence
+    if v is None and incidence is not None:
+        v = _vertex_points(p.H, p.b, incidence)
+        if v is None:
+            p._incidence = None
+        else:
             v.setflags(write=False)  # its rows are handed out as optimal points
-        p._vertices = v  # the same points whichever thread solves them
+            p._vertices = v  # the same points whichever thread solves them
     return v
+
+
+def _adjacent_facets(p: HPolytope) -> np.ndarray | None:
+    """Which pairs of ``p``'s facets may be adjacent, as a boolean matrix:
+    those that share ``n - 1`` vertices or more of the incidence ``p``
+    carries, or None when it carries none or its vertices do not solve
+    (:func:`_vertex_list`). Adjacent
+    facets meet in a face of dimension ``n - 2``, which holds ``n - 1``
+    affinely independent vertices, so no adjacent pair is left out.
+
+    Shared vertices are counted as integers: each vertex adds one to every
+    pair of the rows it lies on, one ``bincount`` per count of tight rows,
+    so the work grows with the vertices' tight pairs, not with the
+    incidence's size."""
+    incidence = p._incidence
+    if incidence is None or _vertex_list(p) is None:
+        return None
+    k = p.nfacets
+    counts = incidence.sum(axis=1)
+    shared = np.zeros(k * k, dtype=np.intp)
+    for count in np.unique(counts).tolist():
+        on = np.nonzero(incidence[counts == count])[1].reshape(-1, count)
+        shared += np.bincount((on[:, :, None] * k + on[:, None, :]).ravel(), minlength=k * k)
+    return shared.reshape(k, k) >= p.dim - 1
 
 
 def _vertex_supports(points: np.ndarray, directions: np.ndarray) -> list:
@@ -533,7 +566,7 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     break a row of the set by more than ``feas``.
     """
     keep, incidence = _irredundant_rows(p)
-    return HPolytope._computed(p.H[keep], p.b[keep], vertices=incidence)
+    return HPolytope._computed(p.H[keep], p.b[keep], incidence=incidence)
 
 
 def _irredundant_rows(p: HPolytope):
@@ -905,52 +938,19 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     dozen are facets; :func:`remove_redundancy` tests each row only against
     the facets found so far (Clarkson's algorithm), on their vertices.
 
-    An elimination lists first the rows with a zero coefficient on the
-    eliminated coordinate, in order, then, for each row ``i`` with a
-    positive coefficient ``c_i``, in order, its combination ``-c_j * row_i +
-    c_i * row_j`` with each row ``j`` of negative coefficient ``c_j``, in
-    order; all combinations are formed as one array. Rows whose normal
-    vanishes are dropped: one with an offset below ``-feas`` raises
-    ``EmptySetError``, and no row left raises ``UnboundedSetError``.
-
-    FM combines two unit rows with positive weights, and the combined
-    normal is no longer than the sum of the weights, so no normalized
-    offset falls below the smallest input offset. When every
-    offset of ``p`` exceeds ``feas`` (the lift of C-sets), the origin thus
-    serves as the interior point of every reduction with no LP. Otherwise
-    each reduction's rows get a Chebyshev-centre LP, and flat intermediate
-    sets fall back to testing each row against all rows.
+    Each elimination forms every pair (:func:`_eliminate`), and no offset
+    it makes falls below the smallest it is given. When every offset of
+    ``p`` exceeds ``feas`` (the lift of C-sets), the origin thus serves as
+    the interior point of every reduction with no LP. Otherwise each
+    reduction's rows get a Chebyshev-centre LP, and flat intermediate sets
+    fall back to testing each row against all rows.
     """
     if not 1 <= keep < p.dim:
         raise ValidationError(f"keep must be in [1, {p.dim - 1}]")
     cap = _facet_cap()
     H, b = p.H, p.b
     for col in range(p.dim - 1, keep - 1, -1):
-        coeff = H[:, col]
-        pos = coeff > _ZERO_ROW
-        neg = coeff < -_ZERO_ROW
-        zero = ~(pos | neg)
-        c_pos = coeff[pos]
-        c_neg = -coeff[neg]
-        n_zero = np.count_nonzero(zero)
-        n_new = n_zero + c_pos.size * c_neg.size
-        _check_facets(n_new, cap, "projection")
-        rows = np.concatenate((b[:, None], H[:, :col]), axis=1)  # offset, then kept coordinates
-        new = np.empty((n_new, col + 1))
-        new[:n_zero] = rows[zero]
-        # row i * c_neg.size + j: c_neg[j] * (positive row i) + c_pos[i] * (negative row j)
-        new[n_zero:] = (
-            c_neg[None, :, None] * rows[pos, None] + c_pos[:, None, None] * rows[None, neg]
-        ).reshape(-1, col + 1)
-        norms = _row_norms(new[:, 1:])
-        trivial = norms <= _ZERO_ROW
-        if trivial.any():
-            if (new[trivial, 0] < -TOL.feas).any():
-                raise EmptySetError("projection input is empty")
-            new, norms = new[~trivial], norms[~trivial]
-        if norms.size == 0:
-            raise UnboundedSetError("projection shadow is unconstrained")
-        shadow = HPolytope._computed(new[:, 1:] / norms[:, None], new[:, 0] / norms)
+        shadow = _eliminate(H, b, col, cap)
         H, b = shadow.H, shadow.b
         if col > keep:
             nxt = H[:, col - 1]
@@ -963,6 +963,60 @@ def project(p: HPolytope, keep: int) -> HPolytope:
         shadow = remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
     return shadow
+
+
+def _eliminate(H: np.ndarray, b: np.ndarray, col: int, cap: int,
+               pairs: np.ndarray | None = None) -> HPolytope:
+    """The Fourier-Motzkin shadow of ``{x | H x <= b}`` (unit rows) on its
+    coordinates before ``col``, the last one, with redundant rows kept.
+
+    It lists first the rows with a zero coefficient on ``col``, in order,
+    then, for each row ``i`` with a positive coefficient ``c_i``, in order,
+    its combination ``-c_j * row_i + c_i * row_j`` with each row ``j`` of
+    negative coefficient ``c_j``, in order, that ``pairs[i, j]`` allows (a
+    boolean matrix over the rows; None allows every pair); all combinations
+    are formed as one array, after the facet cap ``cap`` is checked against
+    their count. Rows whose normal vanishes are dropped: one with an offset below
+    ``-feas`` raises ``EmptySetError``, and no row left raises
+    ``UnboundedSetError``. Only a pair whose row is implied by the others
+    may be left out: the shadow is then the same set.
+
+    FM combines two unit rows with positive weights, and the combined
+    normal is no longer than the sum of the weights, so no normalized offset
+    falls below the smallest input offset.
+    """
+    coeff = H[:, col]
+    pos = coeff > _ZERO_ROW
+    neg = coeff < -_ZERO_ROW
+    zero = ~(pos | neg)
+    c_pos = coeff[pos]
+    c_neg = -coeff[neg]
+    n_zero = np.count_nonzero(zero)
+    if pairs is None:
+        n_new = n_zero + c_pos.size * c_neg.size
+    else:
+        i, j = pairs[np.ix_(pos, neg)].nonzero()
+        n_new = n_zero + i.size
+    _check_facets(n_new, cap, "projection")
+    rows = np.concatenate((b[:, None], H[:, :col]), axis=1)  # offset, then kept coordinates
+    new = np.empty((n_new, col + 1))
+    new[:n_zero] = rows[zero]
+    # c_neg[j] * (positive row i) + c_pos[i] * (negative row j), the same bits either way
+    if pairs is None:  # row i * c_neg.size + j
+        new[n_zero:] = (
+            c_neg[None, :, None] * rows[pos, None] + c_pos[:, None, None] * rows[None, neg]
+        ).reshape(-1, col + 1)
+    else:
+        new[n_zero:] = c_neg[j, None] * rows[pos][i] + c_pos[i, None] * rows[neg][j]
+    norms = _row_norms(new[:, 1:])
+    trivial = norms <= _ZERO_ROW
+    if trivial.any():
+        if (new[trivial, 0] < -TOL.feas).any():
+            raise EmptySetError("projection input is empty")
+        new, norms = new[~trivial], norms[~trivial]
+    if norms.size == 0:
+        raise UnboundedSetError("projection shadow is unconstrained")
+    return HPolytope._computed(new[:, 1:] / norms[:, None], new[:, 0] / norms)
 
 
 def _vertex_points(H: np.ndarray, b: np.ndarray, tight: np.ndarray) -> np.ndarray | None:

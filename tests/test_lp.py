@@ -609,6 +609,16 @@ def test_recorded_sweep_lp_still_faults():
         solve_lp(LinearProgram(c, A, b))
 
 
+def test_recorded_deeper_sweep_lp_still_faults():
+    # the nesting test of step 6 of the same sweep's seed 3, a run that
+    # reaches step 6 since single-input steps combine only adjacent target
+    # facets; the step-6 set carries no vertex list, so this support LP
+    # reaches the simplex, which ends it at an infeasible point
+    c, A, b = recorded_lp("sweep5d_seed3_step6_nesting_lp")
+    with pytest.raises(ComputationError, match=r"infeasible point \(residual 8\.239e-03\)"):
+        solve_lp(LinearProgram(c, A, b))
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("origin", ["inside", "outside"])
 def test_signed_zeros_of_an_objective_move_no_bit(seed, origin):

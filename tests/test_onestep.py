@@ -211,7 +211,8 @@ class TestOneStep:
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_output_is_certified_without_recertification(self, seed, shape):
         # the shadow is returned as a C-set with no LP; validate_cset accepts
-        # it, and its bits are those of validate_cset(shadow) and its own
+        # it, and its bits are those of validate_cset(shadow), the shadow
+        # that projects the lift with every pair, and its own
         rng = np.random.default_rng(seed)
         n, m, zero_column = shape
         sysr = random_controllable_system(rng, n, m)
@@ -219,22 +220,13 @@ class TestOneStep:
             B = sysr.B.copy()
             B[:, m - 1] = 0.0
             sysr = SystemModel(sysr.A, B, sysr.X, sysr.U)
-        project = onestep.project
-        shadows = []
-
-        def recording_project(p, keep):
-            shadows.append(project(p, keep))
-            return shadows[-1]
-
         for lam in (0.5, 1.0):
             step = one_step_set(sysr, lam, sysr.X)
             for D in (sysr.X, random_cset(rng, n), scale(step, 0.5), scale(step, 1.5)):
                 # a fresh system, whose memo holds no one-step set of X yet
                 fresh = SystemModel(sysr.A, sysr.B, sysr.X, sysr.U)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(onestep, "project", recording_project)
-                    q = one_step_set(fresh, lam, D)
-                reference = validate_cset(shadows[-1])
+                q = one_step_set(fresh, lam, D)
+                reference = validate_cset(project(onestep._lift(fresh, lam, D), n))
                 assert isinstance(q, CSetPolytope)
                 assert np.array_equal(q.H, reference.H) and np.array_equal(q.b, reference.b)
                 again = validate_cset(q)  # accepted, rows untouched
@@ -293,6 +285,98 @@ class TestDeferredReduction:
                 rhs = lifted.b - lifted.H[:, :keep] @ (mu * r * d)
                 out = solve_lp(LinearProgram(np.zeros(2), lifted.H[:, keep:], rhs))
                 assert (out.status is LpStatus.OPTIMAL) == inside
+
+
+def formed_rows(monkeypatch) -> list:
+    """From now on, record the count of rows each Fourier-Motzkin
+    elimination forms, as the facet cap checks it."""
+    check, counts = polytope_module._check_facets, []
+
+    def counted(count, cap, what):
+        counts.append(count)
+        return check(count, cap, what)
+
+    monkeypatch.setattr(polytope_module, "_check_facets", counted)
+    return counts
+
+
+def every_pair_rows(lifted, col):
+    """The rows an elimination of ``col`` forms from ``lifted`` with every
+    pair: those with a zero coefficient, and one per positive-negative pair."""
+    coeff = lifted.H[:, col]
+    pos = np.count_nonzero(coeff > polytope_module._ZERO_ROW)
+    neg = np.count_nonzero(coeff < -polytope_module._ZERO_ROW)
+    return len(coeff) - pos - neg + pos * neg
+
+
+class TestAdjacentPairs:
+    """A single-input step whose target carries a complete description's
+    incidence combines only the target facets that may be adjacent."""
+
+    @pytest.mark.parametrize("n,seeds", [(2, range(6)), (3, range(6)), (4, range(4)), (5, range(2))])
+    def test_pruned_steps_match_every_pair(self, monkeypatch, n, seeds):
+        # each step's bits are those of projecting its lift with every pair;
+        # from step 2 on the target is a one-step set with its incidence,
+        # and fewer rows are formed
+        counts = formed_rows(monkeypatch)
+        for seed in seeds:
+            sysr = random_controllable_system(np.random.default_rng(seed), n, 1)
+            D = sysr.X
+            for step in range(1, 4):
+                lifted = onestep._lift(sysr, 0.9, D)
+                counts.clear()
+                q = one_step_set(sysr, 0.9, D)
+                if not counts:  # the step after a fixed point is a memo hit
+                    assert q is D
+                    break
+                assert len(counts) == 1
+                full = project(lifted, n)
+                assert q.H.tobytes() == full.H.tobytes() and q.b.tobytes() == full.b.tobytes()
+                if step == 1:
+                    assert counts[0] == every_pair_rows(lifted, n)
+                else:
+                    assert D._incidence is not None
+                    assert counts[0] < every_pair_rows(lifted, n)
+                D = q
+
+    def test_targets_without_a_description_combine_every_pair(self, monkeypatch):
+        # the validated box X, a scaled set, a user set and a set whose
+        # vertex rank test fails form every pair, the rows of project
+        sysr = random_controllable_system(np.random.default_rng(1), 3, 1)
+        q = one_step_set(sysr, 0.9, sysr.X)
+        user = validate_cset(HPolytope(q.H, q.b))
+        failing = one_step_set(SystemModel(sysr.A, sysr.B, sysr.X, sysr.U), 0.9, sysr.X)
+        assert q._incidence is not None and failing._incidence is not None
+        counts, formed = formed_rows(monkeypatch), []
+        for D in (sysr.X, scale(q, 0.5), user, failing):
+            fresh = SystemModel(sysr.A, sysr.B, sysr.X, sysr.U)
+            lifted = onestep._lift(fresh, 0.9, D)
+            full = project(lifted, 3)
+            counts.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                if D is failing:  # as TestVertices::test_incomplete_description_raises[rank]
+                    patch.setattr(np.linalg, "det", lambda A: np.zeros(A.shape[:-2]))
+                    patch.setattr(
+                        np.linalg, "matrix_rank", lambda A: np.zeros(A.shape[:-2], dtype=int)
+                    )
+                step = one_step_set(fresh, 0.9, D)
+            assert counts == [every_pair_rows(lifted, 3)]
+            assert step.H.tobytes() == full.H.tobytes() and step.b.tobytes() == full.b.tobytes()
+            formed += counts
+        assert formed == [22, 55, 55, 55]
+        assert failing._incidence is None and polytope_module._vertex_list(failing) is None
+        # q, with its bits and its description, combines only its adjacent facets
+        counts.clear()
+        one_step_set(SystemModel(sysr.A, sysr.B, sysr.X, sysr.U), 0.9, q)
+        assert counts[0] < 55 and polytope_module._vertex_list(q) is not None
+
+    def test_incidence_stays_after_its_vertices_are_solved(self):
+        sysr = random_controllable_system(np.random.default_rng(0), 3, 1)
+        q = one_step_set(sysr, 0.9, sysr.X)
+        incidence = q._incidence
+        V = polytope_module._vertex_list(q)
+        assert V is not None and q._incidence is incidence
+        assert polytope_module._vertex_list(validate_cset(q)) is V
 
 
 def ladder_case(monkeypatch):
@@ -591,14 +675,17 @@ class TestSystemModel:
 
 
 def count_projections(monkeypatch) -> list:
-    """From now on, record every polytope ``one_step_set`` projects."""
-    project_once, projected = onestep.project, []
+    """From now on, record every lift ``one_step_set`` projects: the
+    polytope it gives ``project``, or the rows it gives ``_eliminate`` when
+    it combines only its target's adjacent facets."""
+    projected = []
+    for name in ("project", "_eliminate"):
 
-    def counted(p, keep):
-        projected.append(p)
-        return project_once(p, keep)
+        def counted(p, *args, once=getattr(onestep, name)):
+            projected.append(p)
+            return once(p, *args)
 
-    monkeypatch.setattr(onestep, "project", counted)
+        monkeypatch.setattr(onestep, name, counted)
     return projected
 
 

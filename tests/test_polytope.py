@@ -804,6 +804,22 @@ class TestVertexSupports:
                     assert out.value == pytest.approx(ref.value, abs=1e-12)
                     assert p.contains(out.x, tol=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_adjacent_facets_share_n_minus_1_vertices(self, dim):
+        # pairs sharing n - 1 vertices, counted per vertex, are those of the
+        # incidence's own integer product
+        described = 0
+        for seed in range(6):
+            p = random_rows(np.random.default_rng(seed), dim, "many-cuts")
+            p = remove_redundancy(p)
+            adjacent = polytope_module._adjacent_facets(p)
+            if adjacent is None:
+                continue
+            described += 1
+            Z = p._incidence.astype(np.int64)
+            assert np.array_equal(adjacent, Z.T @ Z >= dim - 1)
+        assert described >= 4
+
     def test_rank_deficient_rows_give_no_points(self):
         # a vertex marked tight on one row, on two parallel rows (a square
         # system) or on three rows along one line (least squares) is no vertex
@@ -826,6 +842,16 @@ class TestVertexSupports:
         p = remove_redundancy(HPolytope(A, b))
         assert p.nfacets == 122 and polytope_module._vertex_list(p) is not None
         assert support(p, c) == pytest.approx(1.7134244167570312, abs=1e-12)
+
+    def test_recorded_deeper_sweep_lp_read_off_vertices(self):
+        # the step-6 set of (5,1,6) seed 3 (tests/data) kept four redundant
+        # rows whose all-rows LPs faulted; reduced again, its rows keep 330
+        # facets and their vertices, which give the optimum
+        # 1.6165297350325298 (HiGHS) with no LP
+        c, A, b = recorded_lp("sweep5d_seed3_step6_nesting_lp")
+        p = remove_redundancy(HPolytope._computed(A, b))
+        assert p.nfacets == 330 and polytope_module._vertex_list(p) is not None
+        assert support(p, c) == pytest.approx(1.6165297350325298, abs=1e-12)
 
     def test_incomplete_descriptions_keep_no_list(self, monkeypatch):
         p = random_rows(np.random.default_rng(3), 3, "many-cuts")
