@@ -17,7 +17,8 @@ its pinned one; a change that moves an outcome on purpose restates it.
 
 ``--wall`` runs instead the deeper runs pinned in ``WALL``, which stopped
 at the default facet cap (``FacetBudgetError``) while each single-input
-step combined every pair of its target's facets.
+step combined every pair of its target's facets, or faulted while each
+step rebuilt its description from nothing.
 
 Usage: sweep_5d.py [first_seed] [last_seed]
        sweep_5d.py --wall
@@ -54,10 +55,13 @@ EXPECTED = {
     11: (10, 36, 94, 186),
 }
 # (seed, steps): facet counts, past the 14,651 and 11,246 rows that step 4
-# of seed 1 and step 5 of seed 3 formed with every pair
+# of seed 1 and step 5 of seed 3 formed with every pair; six steps of seed 3
+# once faulted at step 6, where redundancy removal fell back to all-rows LPs
 WALL = {
     (1, 4): (10, 38, 106, 240, 476),
     (3, 5): (10, 26, 50, 120, 210, 254),
+    (1, 6): (10, 38, 106, 240, 476, 672, 844),
+    (3, 6): (10, 26, 50, 120, 210, 254, 330),
 }
 
 

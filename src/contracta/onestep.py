@@ -9,8 +9,11 @@ a contractive seed gives an expanding inner one. A set is tested for
 contractiveness the same way: it is ``lam``-contractive iff it lies in its
 own one-step set. With one input, a step combines only the target's facets
 that may be adjacent, when the target carries the incidence to tell, and
-gives the set that every pair gives. Each system memoizes its map: the bits
-of a target are projected once per rate and tolerances, whoever asks.
+gives the set that every pair gives; it then reads its facets off a double
+description built from the target's vertices and incidence, cut by X's
+rows, instead of reducing its rows from nothing. Each system memoizes its
+map: the bits of a target are projected once per rate and tolerances,
+whoever asks.
 """
 
 from __future__ import annotations
@@ -32,14 +35,19 @@ from .errors import (
 from .lp import LinearProgram, LpStatus, solve_lp
 from .numerics import matrix_power, reachability_matrix, singular_extremes, spectral_norm
 from .polytope import (
+    _RAY_BLOCK,
     _ZERO_ROW,
     CSetPolytope,
     HPolytope,
     _adjacent_facets,
+    _collapse_parallel,
+    _Description,
     _eliminate,
     _facet_cap,
     _finite_norms,
     _first_exceeded,
+    _vertex_list,
+    _vertex_points,
     inradius_origin,
     is_subset,
     outer_radius,
@@ -158,12 +166,22 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     counts only them. Any other target, and any step with several inputs,
     projects the lift with every pair (:func:`project`).
 
+    Such a step then inherits D's description (:func:`_inherited`): the
+    vertices of ``lam * D (+) (-B U)`` and their incidence on the rows
+    formed follow from D's, and mapped by A's inverse and cut by X's rows
+    they describe the one-step set, so its facets are read off with 2n
+    inserts, no redundancy rounds and no LP, in :func:`remove_redundancy`'s
+    order and bits. A U that is not one interval, an ill-conditioned A, a
+    target facet parallel to B and a description that fails its checks
+    reduce the rows with :func:`remove_redundancy` instead.
+
     No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
     and its offsets (those of X, U and ``lam * D``) must be positive, which
     makes the shadow's positive too (see :func:`project`). A target without
     the origin in its interior raises ``OriginNotInteriorError``. The C-set
-    carries the shadow's vertex incidence, when its reduction kept one,
-    which answers its supports with no LP and prunes its own next step.
+    carries the shadow's vertex incidence, when its reduction kept one, and
+    the vertices an inherited description solved, which answer its
+    supports with no LP and prune and describe its own next step.
 
     The result is memoized on ``sys``, keyed by everything the projection
     reads: ``lam``, the LP tolerances, the facet cap and the bits of ``D``'s
@@ -189,12 +207,110 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     else:  # only D's adjacent facets make silhouette ridges: no other D x D pair
         pairs = np.ones((lifted.nfacets, lifted.nfacets), dtype=bool)
         pairs[-D.nfacets :, -D.nfacets :] = adjacent
-        shadow = remove_redundancy(_eliminate(lifted.H, lifted.b, sys.n, cap, pairs))
-    q = CSetPolytope._computed(shadow.H, shadow.b, incidence=shadow._incidence)
+        rows = _eliminate(lifted.H, lifted.b, sys.n, cap, pairs)
+        shadow = _inherited(sys, lam, D, lifted, pairs, rows)
+        if shadow is None:
+            shadow = remove_redundancy(rows)
+    q = CSetPolytope._computed(
+        shadow.H, shadow.b, incidence=shadow._incidence, vertices=shadow._vertices
+    )
     if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
         q = D
     sys._steps[key] = q
     return q
+
+
+# A single-input step inherits its target's description only through an A
+# whose singular values lie within this ratio: A's inverse maps the vertices
+_COND_LIMIT = 1e8
+# and only when no target facet normal h has |h . B| within this share of |B|
+_FLAT_INPUT = 1e-6
+
+
+def _inherited(sys: SystemModel, lam: float, D: CSetPolytope, lifted: HPolytope,
+               pairs: np.ndarray, rows: HPolytope) -> HPolytope | None:
+    """:func:`remove_redundancy` of ``rows``, the Fourier-Motzkin rows of a
+    single-input ``lifted`` polytope eliminated with ``pairs``, read off a
+    double description built from the target's, or None when it cannot be.
+
+    With ``U = [u_lo, u_hi]`` and ``g = B``, ``S = lam D (+) (-B U)`` has a
+    vertex ``lam v - B u_hi`` for each vertex ``v`` of D on a facet with
+    ``h . g < 0`` and ``lam v - B u_lo`` for each on a facet with ``h . g >
+    0``. Such a point lies on a row made from one facet of D iff ``v`` lies
+    on that facet and the row is the translate toward this end, and on a
+    row made from two facets iff ``v`` lies on both (Fukuda, "From the
+    zonotope construction to the Minkowski addition of convex polytopes",
+    2004). Mapped by ``numpy.linalg.solve(A, .)``, the points and that
+    incidence describe ``A^-1 S``, and X's rows are inserted into it
+    (:class:`~contracta.polytope._Description`). Its facets
+    (:meth:`~contracta.polytope._Description.facets`) are kept in
+    :func:`~contracta.polytope._collapse_parallel`'s order, with their
+    incidence and the vertices solved on it (:func:`_vertex_points`).
+
+    None, for :func:`remove_redundancy` to reduce the rows, when U is not
+    two rows, A's singular values are more than ``_COND_LIMIT`` apart, a
+    facet of D is within ``_FLAT_INPUT`` of parallel to B, the rows are
+    not those of this pairing, the description is not bounded, two facets
+    have the same vertices, the collapse of parallel rows drops a facet, a
+    vertex's facets do not span the space, or a vertex breaks one of the
+    rows by more than ``feas``.
+    """
+    n, X, U, A, g = sys.n, sys.X, sys.U, sys.A, sys.B[:, 0]
+    if U.nfacets != 2:  # a C-set's two rows bound it on either side
+        return None
+    lo, hi = singular_extremes(A)
+    slope = D.H @ g
+    if not lo * _COND_LIMIT > hi or (np.abs(slope) <= _FLAT_INPUT * np.linalg.norm(g)).any():
+        return None
+    coeff = lifted.H[:, n]
+    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
+    i, j = pairs[np.ix_(pos, neg)].nonzero()
+    top = X.nfacets + U.nfacets
+    first, second = pos.nonzero()[0][i] - top, neg.nonzero()[0][j] - top  # U's rows < 0
+    if np.count_nonzero(~(pos | neg)) != X.nfacets or rows.nfacets != X.nfacets + len(i) - 1:
+        return None  # a row without a normal besides U's own pair (the first)
+    first, second = first[1:], second[1:]
+    upper, lower = first < 0, second < 0  # a facet of D moved toward u_hi, toward u_lo
+    first, second = np.where(upper, second, first), np.where(lower, first, second)
+    T, V = D._incidence, _vertex_list(D)
+    ends = U.b / U.H[:, 0]
+    points, incidence = [], []
+    for u, moved, rows_on in ((ends.max(), slope < 0.0, ~lower), (ends.min(), slope > 0.0, ~upper)):
+        at = T[:, moved].any(axis=1)
+        points.append(lam * V[at] - u * g)
+        on = T[at]
+        incidence.append(on[:, first] & on[:, second] & rows_on)
+    x = np.linalg.solve(A, np.concatenate(points).T).T
+    rays = np.concatenate((x, np.ones((len(x), 1))), axis=1)
+    dd = _Description._of_polytope(rays / np.linalg.norm(rays, axis=1)[:, None],
+                                   np.concatenate(incidence))
+    for h, offset in zip(rows.H[: X.nfacets], rows.b[: X.nfacets]):
+        dd.insert(np.append(h, -offset))
+    if not (dd.rays[:, -1] > 0.0).all():
+        return None
+    facets = dd.facets()
+    if facets is None:
+        return None
+    columns = np.concatenate((np.arange(X.nfacets, rows.nfacets), np.arange(X.nfacets)))
+    kept = np.zeros(rows.nfacets, dtype=bool)
+    kept[columns[facets]] = True
+    order = _collapse_parallel(rows.H, rows.b)
+    out = order[kept[order]]
+    if len(out) != np.count_nonzero(kept):
+        return None
+    tight = np.empty((len(dd.rays), rows.nfacets), dtype=bool)
+    tight[:, columns] = dd.tight[:, 1:] == 1.0
+    tight = tight[:, out]
+    H, b = rows.H[out], rows.b[out]
+    points = _vertex_points(H, b, tight)
+    if points is None:
+        return None
+    for start in range(0, rows.nfacets, _RAY_BLOCK):
+        block = slice(start, start + _RAY_BLOCK)
+        if not ((rows.H[block] @ points.T).max(axis=1) <= rows.b[block] + TOL.feas).all():
+            return None
+    points.setflags(write=False)
+    return HPolytope._computed(H, b, incidence=tight, vertices=points)
 
 
 def _lift(sys: SystemModel, lam: float, D: CSetPolytope) -> HPolytope:

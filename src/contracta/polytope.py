@@ -33,7 +33,9 @@ are solved when first read (:func:`_vertex_list`), and :func:`project`'s
 output and ``one_step_set``'s C-set carry both on. The incidence stays
 beside the vertices: a single-input ``one_step_set`` reads it to combine
 only the target's facets that may be adjacent (:func:`_adjacent_facets`,
-:func:`_eliminate`). Any other set's outcome is the
+:func:`_eliminate`), and to seed its own set's description with the
+target's vertices (:meth:`_Description._of_polytope`,
+:meth:`_Description.facets`). Any other set's outcome is the
 simplex's, a fault (``ComputationError``) included, filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
 polytopes (:func:`_support_lps`: the planner's steps and the distance
@@ -53,7 +55,9 @@ reading its maximum off their vertices, which an incremental double
 description keeps as facets are found; a ray whose first crossing ties is
 settled by inserting the tied rows, and only rows this cannot decide with a
 clear margin, and flat sets, take an LP (:func:`remove_redundancy`).
-:func:`vertices` reads the same description, in any dimension.
+:func:`vertices` reads the vertex list a set carries, or else the same
+description, in any dimension. A description's incidence is bounded by the
+square of the facet cap (``FacetBudgetError``).
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ _ZERO_ROW = 1e-12
 _NEGATIVE_ZERO = np.float64(-0.0).tobytes()
 _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
 _PAIR_CELLS = 2**16  # largest pair-by-ray product of one adjacency test in _Description.insert
+_SHARED_CELLS = 2**20  # largest block of common-row counts in _Description.insert
+_MIN_CELLS = 2**20  # incidence cells a double description may always hold, whatever the cap
 
 
 def _check_facets(count: int, cap: int, what: str) -> None:
@@ -102,6 +108,22 @@ def _facet_cap() -> int:
     if cap < 1:
         raise ValidationError(f"{_FACET_CAP_ENV} must be a positive integer, not {raw!r}")
     return cap
+
+
+def _description_cells() -> int:
+    """The incidence cells a double description may hold (:class:`_Description`)."""
+    return max(_facet_cap() ** 2, _MIN_CELLS)
+
+
+def _check_cells(rays: int, columns: int) -> None:
+    """Raise ``FacetBudgetError`` when a double description of ``rays``
+    rays by ``columns`` incidence columns would pass its budget; the facet
+    cap is read only past ``_MIN_CELLS``."""
+    if rays * columns > _MIN_CELLS and rays * columns > (cells := _description_cells()):
+        raise FacetBudgetError(
+            f"a double description would hold {rays} rays by {columns} rows "
+            f"(cap {cells} from the facet cap; set {_FACET_CAP_ENV})"
+        )
 
 
 class HPolytope:
@@ -353,7 +375,9 @@ def _vertex_list(p: HPolytope) -> np.ndarray | None:
     (:func:`_vertex_points`) when first read and kept beside it. When one's
     rows do not span the space there are none, and the incidence goes too:
     its description missed a vertex. A set that no support past its
-    certified facets and no single-input step reads solves none."""
+    certified facets and no single-input step reads solves none; a
+    single-input one-step set built from its target's description carries
+    its vertices from its making."""
     v, incidence = p._vertices, p._incidence
     if v is None and incidence is not None:
         v = _vertex_points(p.H, p.b, incidence)
@@ -371,22 +395,28 @@ def _adjacent_facets(p: HPolytope) -> np.ndarray | None:
     carries, or None when it carries none or its vertices do not solve
     (:func:`_vertex_list`). Adjacent
     facets meet in a face of dimension ``n - 2``, which holds ``n - 1``
-    affinely independent vertices, so no adjacent pair is left out.
+    affinely independent vertices, so no adjacent pair is left out."""
+    incidence = p._incidence
+    if incidence is None or _vertex_list(p) is None:
+        return None
+    return _shared_counts(incidence) >= p.dim - 1
+
+
+def _shared_counts(incidence: np.ndarray) -> np.ndarray:
+    """How many vertices each pair of rows shares, as a square matrix over
+    the columns of ``incidence`` (vertices by rows, booleans).
 
     Shared vertices are counted as integers: each vertex adds one to every
     pair of the rows it lies on, one ``bincount`` per count of tight rows,
     so the work grows with the vertices' tight pairs, not with the
     incidence's size."""
-    incidence = p._incidence
-    if incidence is None or _vertex_list(p) is None:
-        return None
-    k = p.nfacets
+    k = incidence.shape[1]
     counts = incidence.sum(axis=1)
     shared = np.zeros(k * k, dtype=np.intp)
-    for count in np.unique(counts).tolist():
+    for count in np.unique(counts[counts > 0]).tolist():
         on = np.nonzero(incidence[counts == count])[1].reshape(-1, count)
         shared += np.bincount((on[:, :, None] * k + on[:, None, :]).ravel(), minlength=k * k)
-    return shared.reshape(k, k) >= p.dim - 1
+    return shared.reshape(k, k)
 
 
 def _vertex_supports(points: np.ndarray, directions: np.ndarray) -> list:
@@ -758,6 +788,11 @@ class _Description:
     traffic of float64. A ray with ``t > 0`` is the vertex ``y / t``; ``t``
     is exactly 0 on recession rays, which only combine rays and lines with
     ``t = 0``.
+
+    The incidence holds at most the square of the facet cap or
+    ``_MIN_CELLS`` entries (rays by columns), whichever is more: a
+    description that would grow past it raises ``FacetBudgetError`` before
+    it allocates the larger arrays (:func:`_check_cells`).
     """
 
     __slots__ = ("rays", "lines", "tight")
@@ -767,6 +802,18 @@ class _Description:
         self.lines = np.eye(n, n + 1)
         self.tight = np.zeros((1, 1), dtype=np.float32)
 
+    @classmethod
+    def _of_polytope(cls, rays: np.ndarray, tight: np.ndarray) -> "_Description":
+        """The description of a polytope given by its vertices, as unit rays
+        with ``t > 0``, and their incidence on its rows (booleans): no
+        lineality, and no ray tight at ``t >= 0``."""
+        dd = cls.__new__(cls)
+        dd.rays, dd.lines = rays, np.empty((0, rays.shape[1]))
+        _check_cells(len(rays), tight.shape[1] + 1)
+        dd.tight = np.zeros((len(rays), tight.shape[1] + 1), dtype=np.float32)
+        dd.tight[:, 1:] = tight
+        return dd
+
     def insert(self, a: np.ndarray) -> None:
         """Add the row ``a . (y, t) <= 0``, that is ``h y <= s`` for ``a = (h, -s)``.
 
@@ -775,6 +822,7 @@ class _Description:
         is gathered and grown in one new array, and numpy is called through
         its cheapest entries (``take``, ``nonzero``, ``add.reduce``): most
         descriptions hold a few dozen rays, where call overhead dominates.
+        The rays the row cuts are paired in blocks (:meth:`_pairs`).
         """
         tol = _DD_TIGHT * math.hypot(1.0, a[-1])
         R, Z = self.rays, self.tight
@@ -798,34 +846,14 @@ class _Description:
         w = R @ a
         cut, below = w > tol, w < -tol
         (pos,) = cut.nonzero()
-        Zp = Z.take(pos, axis=0)
-        shared = Zp @ Z.T  # tight rows each ray above the row shares with each ray
-        # adjacent pairs, one ray on either side: at least d - 2 common tight rows,
-        # held by no third ray, which must share them all with both rays of the pair
-        least = R.shape[1] - len(self.lines) - 2
-        near_p, near = (shared >= least).nonzero()
-        pair = below[near]
-        p, q = near_p[pair], near[pair]
-        counts = shared[p, q]
-        common = Zp.take(p, axis=0) * Z.take(q, axis=0)
-        if len(p) * m <= _PAIR_CELLS:
-            adjacent = np.add.reduce(common @ Z.T == counts[:, None], axis=1) == 2
-        else:  # the pairs of each ray above, against the rays near it only
-            rows, counts = Z.take(near, axis=0), counts[:, None]
-            ends = np.searchsorted(near_p, np.arange(len(pos) + 1)).tolist()
-            starts = np.searchsorted(p, np.arange(len(pos) + 1)).tolist()
-            adjacent = np.empty(len(p), dtype=bool)
-            for i in range(len(pos)):
-                s, e = starts[i], starts[i + 1]
-                if s < e:  # only the columns tight at the ray above can be common
-                    (cols,) = Zp[i].nonzero()
-                    near_rows = rows[ends[i] : ends[i + 1]].take(cols, axis=1)
-                    third = common[s:e].take(cols, axis=1) @ near_rows.T == counts[s:e]
-                    adjacent[s:e] = np.add.reduce(third, axis=1) == 2
-        common = common[adjacent]
-        p, q = pos[p[adjacent]], q[adjacent]
         (keep,) = (~cut).nonzero()
         k = len(keep)
+        try:
+            with np.errstate(invalid="raise"):
+                p, q, common = self._pairs(Z, pos, below, k)
+        except FloatingPointError:  # BLAS's flag on 0/1 entries: count again in float64
+            p, q, common = self._pairs(Z.astype(float), pos, below, k)
+        _check_cells(k + len(p), c + 1)
         tight = np.empty((k + len(p), c + 1), dtype=np.float32)
         tight[:k, :c] = Z.take(keep, axis=0)
         tight[:k, c] = w.take(keep) >= -tol
@@ -836,6 +864,54 @@ class _Description:
         new = w.take(p)[:, None] * R.take(q, axis=0) - w.take(q)[:, None] * R.take(p, axis=0)
         np.divide(new, _row_norms(new)[:, None], out=rays[k:])  # on the row
         self.rays, self.tight = rays, tight
+
+    def _pairs(self, Z: np.ndarray, pos: np.ndarray, below: np.ndarray, kept: int):
+        """The adjacent pairs of a ray above a row (the rays ``pos``) and
+        one below it (the mask ``below``), as ray indices ``p`` and ``q``,
+        and the incidence their new rays share, for a description that keeps
+        ``kept`` rays. The rays above are paired in blocks of
+        ``_SHARED_CELLS`` common-row counts (:meth:`_block_pairs`), and
+        ``FacetBudgetError`` is raised as soon as the pairs found would grow
+        the incidence past its budget."""
+        m, c = Z.shape
+        step = max(1, _SHARED_CELLS // m)
+        if len(pos) <= step:
+            return self._block_pairs(Z, pos, below)
+        found, total = [], kept
+        for start in range(0, len(pos), step):
+            found.append(self._block_pairs(Z, pos[start : start + step], below))
+            total += len(found[-1][0])
+            _check_cells(total, c + 1)
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+
+    def _block_pairs(self, Z: np.ndarray, pos: np.ndarray, below: np.ndarray):
+        """:meth:`_pairs` of the rays above ``pos``, all at once."""
+        m = len(Z)
+        Zp = Z.take(pos, axis=0)
+        shared = Zp @ Z.T  # tight rows each ray above the row shares with each ray
+        # adjacent pairs, one ray on either side: at least d - 2 common tight rows,
+        # held by no third ray, which must share them all with both rays of the pair
+        least = self.rays.shape[1] - len(self.lines) - 2
+        near_p, near = (shared >= least).nonzero()
+        pair = below[near]
+        p, q = near_p[pair], near[pair]
+        counts = shared[p, q]
+        common = Zp.take(p, axis=0) * Z.take(q, axis=0)
+        if len(p) * m <= _PAIR_CELLS:
+            adjacent = np.add.reduce(common @ Z.T == counts[:, None], axis=1) == 2
+        else:  # the pairs of each ray above, against the rays near it only
+            counts = counts[:, None]
+            ends = np.searchsorted(near_p, np.arange(len(pos) + 1)).tolist()
+            starts = np.searchsorted(p, np.arange(len(pos) + 1)).tolist()
+            adjacent = np.empty(len(p), dtype=bool)
+            for i in range(len(pos)):
+                s, e = starts[i], starts[i + 1]
+                if s < e:  # only the columns tight at the ray above can be common
+                    (cols,) = Zp[i].nonzero()
+                    near_rows = Z.take(near[ends[i] : ends[i + 1]], axis=0).take(cols, axis=1)
+                    third = common[s:e].take(cols, axis=1) @ near_rows.T == counts[s:e]
+                    adjacent[s:e] = np.add.reduce(third, axis=1) == 2
+        return pos[p[adjacent]], q[adjacent], common[adjacent]
 
     def maxima(self, H: np.ndarray):
         """Maximum of each row of ``H`` over the set (+inf when unbounded),
@@ -856,6 +932,42 @@ class _Description:
         n = self.rays.shape[1] - 1
         return (self.lines.size == 0 and (self.rays[:, -1] > 0.0).all()
                 and (self.tight[:, 1:].sum(axis=0) >= n).all())
+
+    def facets(self) -> np.ndarray | None:
+        """Which inserted rows are facets of a bounded description, as a
+        mask over its columns after the first: a row tight at ``n`` vertices
+        or more whose tight vertices are not a proper subset of another such
+        row's, and have rank ``n`` by ``matrix_rank``'s rule. The exact face
+        test drops the rows tight only along a ridge, whose rounded vertices
+        the rank rule may count as spanning a facet. The rank test takes one
+        batched SVD per power of two of the counts of tight vertices, each
+        row's vertices padded with zero rows, which change no singular
+        value. None when two facets have the same tight vertices: which one
+        the redundancy rule keeps is not read off the description."""
+        n = self.rays.shape[1] - 1
+        tight = self.tight[:, 1:] == 1.0
+        counts = np.add.reduce(tight, axis=0)
+        (cols,) = (counts >= n).nonzero()
+        counts = counts[cols]
+        within = _shared_counts(tight[:, cols]) == counts[:, None]  # row i's vertices in row j's
+        np.fill_diagonal(within, False)
+        kept = ~(within & (counts[:, None] < counts)).any(axis=1)
+        if (within & (counts[:, None] == counts) & kept[:, None] & kept).any():
+            return None
+        cols, counts = cols[kept], counts[kept]
+        row, vertex = tight[:, cols].T.nonzero()  # each row's vertices, in order
+        slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+        bucket = np.frexp(counts - 1)[1]  # rows of 2**(b - 1) + 1 to 2**b vertices
+        facet = np.zeros(tight.shape[1], dtype=bool)
+        for b in np.unique(bucket).tolist():
+            group = bucket == b
+            ours = group[row]
+            stacked = np.zeros((np.count_nonzero(group), 1 << b, n + 1))
+            stacked[(np.cumsum(group) - 1)[row[ours]], slot[ours]] = self.rays[vertex[ours]]
+            s = np.linalg.svd(stacked, compute_uv=False)
+            limit = s[:, 0] * np.maximum(counts[group], n + 1) * np.finfo(float).eps
+            facet[cols[group]] = np.add.reduce(s > limit[:, None], axis=1) >= n
+        return facet
 
 
 def _interior_slack(H: np.ndarray, b: np.ndarray):
@@ -1059,7 +1171,8 @@ def _vertex_points(H: np.ndarray, b: np.ndarray, tight: np.ndarray) -> np.ndarra
 
 def vertices(p: HPolytope) -> list[np.ndarray]:
     """All vertices of a C-set, in any dimension (other input goes through
-    :func:`validate_cset`), each solved on its tight facets in the double
+    :func:`validate_cset`): the list the set carries (:func:`_vertex_list`),
+    or else each vertex solved on its tight facets in the double
     description of :func:`remove_redundancy`'s facets (:func:`_vertex_points`).
     A description that is not bounded with every facet tight at ``n``
     vertices, or a vertex whose facets have rank below ``n``, raises
@@ -1067,6 +1180,9 @@ def vertices(p: HPolytope) -> list[np.ndarray]:
     too small."""
     if not isinstance(p, CSetPolytope):
         p = validate_cset(p)
+    carried = _vertex_list(p)
+    if carried is not None:
+        return list(carried.copy())
     rows = np.sort(_irredundant_rows(p)[0])  # solved in the order of p's rows
     H, b = p.H[rows], p.b[rows]
     dd = _Description(p.dim)

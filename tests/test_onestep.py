@@ -379,6 +379,142 @@ class TestAdjacentPairs:
         assert polytope_module._vertex_list(validate_cset(q)) is V
 
 
+def inherited_steps(monkeypatch) -> list:
+    """From now on, record each single-input step that reads its target's
+    description: the target, the rows ``_eliminate`` formed and what
+    ``onestep._inherited`` returned (None when the step fell back)."""
+    inherit, steps = onestep._inherited, []
+
+    def recorded(sysr, lam, D, lifted, pairs, rows):
+        out = inherit(sysr, lam, D, lifted, pairs, rows)
+        steps.append((D, rows, out))
+        return out
+
+    monkeypatch.setattr(onestep, "_inherited", recorded)
+    return steps
+
+
+def rows_of(incidence) -> set:
+    """An incidence as a set of rows: its vertices' order aside."""
+    return {tuple(row) for row in np.asarray(incidence).tolist()}
+
+
+def same_bits(p, q) -> bool:
+    return p.H.tobytes() == q.H.tobytes() and p.b.tobytes() == q.b.tobytes()
+
+
+class TestInheritedDescription:
+    """A single-input step whose target carries its incidence builds its
+    set's description from the target's: the points of ``lam D (+) (-B U)``
+    mapped by A's inverse, cut by X's rows, with no redundancy rounds."""
+
+    @pytest.mark.parametrize("n,seeds,steps", [(2, range(8), 4), (3, range(8), 4),
+                                               (4, range(6), 4), (5, range(3), 3)])
+    def test_matches_redundancy_removal(self, monkeypatch, n, seeds, steps):
+        # each inherited set has the bits of reducing the same rows, and the
+        # same incidence as a set of rows
+        record = inherited_steps(monkeypatch)
+        for seed in seeds:
+            sysr = random_controllable_system(np.random.default_rng(seed), n, 1)
+            iterate(sysr, 0.9, sysr.X, steps)
+        assert record
+        for D, rows, out in record:
+            assert out is not None
+            ref = polytope_module.remove_redundancy(rows)
+            assert same_bits(out, ref)
+            assert ref._incidence is not None
+            assert rows_of(out._incidence) == rows_of(ref._incidence)
+            assert len(rows_of(out._incidence)) == len(out._incidence)
+            assert not out._vertices.flags.writeable
+            assert np.array_equal(
+                out._vertices, polytope_module._vertex_points(out.H, out.b, out._incidence)
+            )
+
+    def test_target_without_incidence_projects(self, monkeypatch):
+        # the box X and a user set with a one-step set's bits carry none
+        record = inherited_steps(monkeypatch)
+        sysr = random_controllable_system(np.random.default_rng(2), 3, 1)
+        q = one_step_set(sysr, 0.9, sysr.X)
+        user = validate_cset(HPolytope._computed(q.H, q.b))
+        for D in (sysr.X, user):
+            fresh = SystemModel(sysr.A, sysr.B, sysr.X, sysr.U)
+            assert same_bits(one_step_set(fresh, 0.9, D), project(onestep._lift(fresh, 0.9, D), 3))
+        assert record == []
+
+    @pytest.mark.parametrize("case", ["singular", "flat", "vertex-check"])
+    def test_fallbacks_reduce_the_same_rows(self, monkeypatch, case):
+        # a singular A, a target facet parallel to B (h . B = 0) and a vertex
+        # that breaks a row: the step reduces its rows as before
+        rng = np.random.default_rng(4)
+        sysr = random_controllable_system(rng, 3, 1)
+        D = one_step_set(sysr, 0.9, sysr.X)
+        if case == "singular":
+            A = np.array(sysr.A)
+            A[:, 2] = A[:, 0]
+            sysr = SystemModel(A, sysr.B, sysr.X, sysr.U)
+        elif case == "flat":  # B along the third axis, orthogonal to D's first facet normal
+            h = D.H[0]
+            B = np.cross(h, np.cross(h, [0.0, 0.0, 1.0]))[:, None]
+            sysr = SystemModel(sysr.A, B, sysr.X, sysr.U)
+            assert abs(D.H[0] @ B[:, 0]) <= 1e-15
+        else:
+            solve = onestep._vertex_points
+
+            def outward(H, b, tight):
+                return solve(H, b, tight) * (1.0 + 1e-6)
+
+            monkeypatch.setattr(onestep, "_vertex_points", outward)
+        assert D._incidence is not None and polytope_module._adjacent_facets(D) is not None
+        record = inherited_steps(monkeypatch)
+        q = one_step_set(sysr, 0.9, D)
+        (_, rows, out), = record
+        assert out is None
+        assert same_bits(q, polytope_module.remove_redundancy(rows))
+        full = project(onestep._lift(sysr, 0.9, D), 3)
+        assert q.nfacets == full.nfacets and is_subset(q, full) and is_subset(full, q)
+
+    def test_weakly_redundant_rows_go(self, monkeypatch):
+        # (5, 1) seed 1, step 3: two rows are tight only along ridges whose
+        # rounded vertices pass the rank rule; the face test drops them
+        record = inherited_steps(monkeypatch)
+        sysr = random_controllable_system(np.random.default_rng(1), 5, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 3)
+        assert [p.nfacets for p in seq.entries] == [10, 38, 106, 240]
+        assert [out.nfacets for _, _, out in record] == [106, 240]
+
+    def test_dropped_rows_are_weakly_redundant(self, monkeypatch):
+        # (5, 1) seed 0, step 4: redundancy removal falls back to all-rows
+        # LPs and keeps 783 rows, the inherited description 714 of them. The
+        # 714 rows bound the set that every Fourier-Motzkin row bounds: on
+        # the vertices of a description built anew from them, no row is
+        # broken, and each of the 69 rows dropped besides only touches it
+        record = inherited_steps(monkeypatch)
+        sysr = random_controllable_system(np.random.default_rng(0), 5, 1)
+        seq = iterate(sysr, 0.9, sysr.X, 4)
+        assert [p.nfacets for p in seq.entries] == [10, 38, 142, 378, 714]
+        _, rows, out = record[-1]
+        V = np.array(vertices(validate_cset(HPolytope._computed(out.H, out.b))))
+        assert len(V) == len(out._vertices)
+        assert ((rows.H @ V.T).max(axis=1) <= rows.b + 1e-12).all()
+        ref = polytope_module.remove_redundancy(rows)
+        kept = {(h.tobytes(), c.tobytes()) for h, c in zip(out.H, out.b)}
+        extra = [(h.tobytes(), c.tobytes()) not in kept for h, c in zip(ref.H, ref.b)]
+        assert ref.nfacets == 783 and sum(extra) == 69
+        excess = (ref.H[extra] @ V.T).max(axis=1) - ref.b[extra]
+        assert np.abs(excess).max() <= 1e-12
+
+    def test_each_step_inserts_only_the_state_rows(self, monkeypatch):
+        # the ladder's (3, 1, 4) seed-7 case: 2n inserts per inherited step
+        inserts = mock.Mock(wraps=polytope_module._Description.insert)
+        monkeypatch.setattr(polytope_module._Description, "insert",
+                            lambda dd, a: inserts(dd, a))
+        sysr = random_controllable_system(np.random.default_rng(7), 3, 1)
+        one_step_set(sysr, 0.9, sysr.X)
+        before = inserts.call_count
+        iterate(sysr, 0.9, sysr.X, 4)
+        assert inserts.call_count - before == 3 * 6
+
+
 def ladder_case(monkeypatch):
     """The ladder benchmark's (3, 1, 4) seed-7 case from X at rate 0.9, its
     sets' facet counts and row bits checked, and the LPs it solved

@@ -772,7 +772,7 @@ class TestVertexSupports:
                 slack = p.b - V @ p.H.T
                 assert slack.min() >= -1e-12
                 assert ((np.abs(slack) <= 1e-9).sum(axis=1) >= dim).all()
-                public = np.array(vertices(validate_cset(p)))
+                public = np.array(vertices(validate_cset(HPolytope._computed(p.H, p.b))))
                 assert len(public) == len(V)
                 assert max(np.abs(V - v).max(axis=1).min() for v in public) <= 1e-9
         assert kept == 0 if kind == "origin-outside" else kept >= 20
@@ -1181,6 +1181,83 @@ class TestDescription:
         assert np.array_equal(r.H, H[keep]) and np.array_equal(r.b, b[keep])
 
 
+    def rows_case(self, kind, seed):
+        """Rows in collapse order, each with a normal of its own: random
+        cuts, a corner-cut cube or a cross-polytope with weakly redundant
+        rows through its vertices, and which of them are facets."""
+        if kind == "corner-cut":
+            p = cube_with_corner_cut(3 + seed % 2)
+        elif kind == "vertex-rows":
+            p = crosspolytope_with_vertex_rows(3, seed)
+        else:
+            p = random_rows(np.random.default_rng(seed), 2 + seed % 3, kind)
+        return brute_force_kept_rows(p)
+
+    @pytest.mark.parametrize("kind", ["c-set", "many-cuts", "corner-cut", "vertex-rows"])
+    def test_facets_are_the_kept_rows(self, kind):
+        # a row is a facet when its vertices span a facet and lie in no
+        # other row's larger vertex set: the rows redundancy removal keeps
+        for seed in range(6):
+            H, b, keep = self.rows_case(kind, seed)
+            if (b <= 0.0).any():
+                continue
+            dd = describe(H, b)
+            assert np.array_equal(dd.facets(), keep)
+
+    def test_same_vertices_on_two_rows_give_no_facets(self):
+        # two rows through the same facet, 1e-13 apart: which one stays is
+        # not read off the description
+        H = np.vstack([np.eye(2), -np.eye(2), [[1.0, 1e-13]]])
+        dd = describe(H / np.linalg.norm(H, axis=1)[:, None], np.ones(5))
+        assert dd.facets() is None
+
+    @pytest.mark.parametrize("kind", ["cross", "corner-cut", "many-cuts"])
+    def test_blocked_pairs_keep_their_bits(self, monkeypatch, kind):
+        # pairing the cut rays one at a time gives the rays and incidence
+        # of pairing them all at once
+        if kind == "cross":
+            p = cross_polytope(4)
+        elif kind == "corner-cut":
+            p = cube_with_corner_cut(4)
+        else:
+            p = random_rows(np.random.default_rng(3), 3, kind)
+        whole = describe(p.H, p.b)
+        monkeypatch.setattr(polytope_module, "_SHARED_CELLS", 1)
+        blocked = describe(p.H, p.b)
+        assert whole.rays.tobytes() == blocked.rays.tobytes()
+        assert whole.tight.tobytes() == blocked.tight.tobytes()
+
+    def test_growth_past_the_cell_budget_raises(self, monkeypatch):
+        # the 4-cube ends with 16 rays by 9 incidence columns, its largest
+        # size; the budget is the square of the facet cap
+        cube = symmetric_box(np.ones(4))
+        assert describe(cube.H, cube.b).tight.size == 16 * 9
+        monkeypatch.setattr(polytope_module, "_MIN_CELLS", 0)
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "12")
+        assert describe(cube.H, cube.b).tight.size == 144
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "11")
+        with pytest.raises(FacetBudgetError, match="would hold 16 rays by 9 rows .cap 121"):
+            describe(cube.H, cube.b)
+
+    def test_invalid_flag_counts_again_in_float64(self, monkeypatch):
+        # a single-precision product that raises the invalid-operation flag
+        # is formed again in double precision, with the same pairs
+        p = cube_with_corner_cut(4)
+        whole = describe(p.H, p.b)
+        pairs, flagged = polytope_module._Description._pairs, []
+
+        def flagging(dd, Z, *args):
+            if Z.dtype == np.float32:
+                flagged.append(len(Z))
+                np.float64(0.0) / np.float64(0.0)  # raises under errstate(invalid="raise")
+            return pairs(dd, Z, *args)
+
+        monkeypatch.setattr(polytope_module._Description, "_pairs", flagging)
+        again = describe(p.H, p.b)
+        assert flagged and whole.rays.tobytes() == again.rays.tobytes()
+        assert np.array_equal(whole.tight, again.tight) and again.tight.dtype == np.float32
+
+
 class TestProjection:
     def test_one_variable_elimination_by_hand(self):
         # {(x,u): x - u <= 0, u <= 1, -u <= 1, -x <= 2} projects to [-2, 1]
@@ -1433,6 +1510,22 @@ class TestVertices:
         verts = vertices(validate_cset(symmetric_box([1.0, 2.0, 3.0, 4.0, 5.0])))
         got = sorted(tuple(v) for v in verts)  # box corners are exact
         assert got == sorted(itertools.product(*[(-w, w) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]))
+
+    def test_carried_list_is_read(self, monkeypatch):
+        # a set that carries its vertices builds no description for them
+        p = remove_redundancy(random_rows(np.random.default_rng(3), 3, "many-cuts"))
+        V = polytope_module._vertex_list(p)
+        assert V is not None
+
+        def fail(*args):
+            raise AssertionError("built a description")
+
+        monkeypatch.setattr(polytope_module._Description, "insert", fail)
+        monkeypatch.setattr(polytope_module, "_irredundant_rows", fail)
+        got = vertices(validate_cset(p))
+        assert np.array_equal(np.array(got), V) and got[0].flags.writeable
+        with pytest.raises(AssertionError, match="built a description"):
+            vertices(validate_cset(HPolytope._computed(p.H, p.b)))
 
     def test_unbounded_guard(self):
         with pytest.raises(UnboundedSetError):
