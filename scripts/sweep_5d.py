@@ -15,10 +15,11 @@ that finishes, or ``ComputationError`` for a run that raises it (a
 numerical fault). The exit code is 1 when a seed's outcome differs from
 its pinned one; a change that moves an outcome on purpose restates it.
 
-``--wall`` runs instead the deeper runs pinned in ``WALL``, which stopped
-at the default facet cap (``FacetBudgetError``) while each single-input
-step combined every pair of its target's facets, or faulted while each
-step rebuilt its description from nothing.
+``--wall`` runs instead the runs pinned in ``WALL``, keyed by (n, m, seed,
+steps), which stopped at the default facet cap (``FacetBudgetError``)
+while each step combined every pair of its target's facets, or faulted
+while each step rebuilt its description from nothing: deeper 5-D
+single-input runs, and 4-D runs with two and three inputs.
 
 Usage: sweep_5d.py [first_seed] [last_seed]
        sweep_5d.py --wall
@@ -54,21 +55,28 @@ EXPECTED = {
     10: (10, 32, 86, 122),  # its faulting nesting LP is read off vertices (tests/data)
     11: (10, 36, 94, 186),
 }
-# (seed, steps): facet counts, past the 14,651 and 11,246 rows that step 4
-# of seed 1 and step 5 of seed 3 formed with every pair; six steps of seed 3
-# once faulted at step 6, where redundancy removal fell back to all-rows LPs
+# (n, m, seed, steps): facet counts. The (5,1) runs pass the 14,651 and
+# 11,246 rows that step 4 of seed 1 and step 5 of seed 3 formed with every
+# pair; six steps of seed 3 once faulted at step 6, where redundancy removal
+# fell back to all-rows LPs. The multi-input runs stopped at the cap while
+# their steps projected the lift with every pair, (4,2) seed 0 at step 3
+# with 19,600 rows
 WALL = {
-    (1, 4): (10, 38, 106, 240, 476),
-    (3, 5): (10, 26, 50, 120, 210, 254),
-    (1, 6): (10, 38, 106, 240, 476, 672, 844),
-    (3, 6): (10, 26, 50, 120, 210, 254, 330),
+    (5, 1, 1, 4): (10, 38, 106, 240, 476),
+    (5, 1, 3, 5): (10, 26, 50, 120, 210, 254),
+    (5, 1, 1, 6): (10, 38, 106, 240, 476, 672, 844),
+    (5, 1, 3, 6): (10, 26, 50, 120, 210, 254, 330),
+    (4, 2, 0, 3): (8, 46, 180, 392),
+    (4, 2, 10, 3): (8, 40, 142, 294),
+    (4, 2, 11, 3): (8, 40, 182, 450),
+    (4, 3, 0, 2): (8, 76, 390),
 }
 
 
-def run(seed: int, steps: int, expected) -> tuple[str, bool]:
-    """The report line of one seed's run of ``steps`` steps, and whether its
-    outcome is the pinned one, ``expected``."""
-    A, B, x_half, u_half = random_controllable_system(np.random.default_rng(seed), N, M)
+def run(n: int, m: int, seed: int, steps: int, expected) -> tuple[str, bool]:
+    """The report line of one run of ``steps`` steps on the (n, m) system
+    of ``seed``, and whether its outcome is the pinned one, ``expected``."""
+    A, B, x_half, u_half = random_controllable_system(np.random.default_rng(seed), n, m)
     sysr = SystemModel(A, B, validate_cset(symmetric_box(x_half)), validate_cset(symmetric_box(u_half)))
     start = time.perf_counter()
     try:
@@ -85,21 +93,21 @@ def run(seed: int, steps: int, expected) -> tuple[str, bool]:
     if not pinned:
         shown = expected if isinstance(expected, str) or expected is None else "/".join(map(str, expected))
         text += f"  MISMATCH: pinned {shown}"
-    return f"seed {seed:2d}  {seconds:7.2f} s  {text}", pinned
+    return f"({n},{m}) seed {seed:2d}  {seconds:7.2f} s  {text}", pinned
 
 
 def main() -> int:
     if sys.argv[1:] == ["--wall"]:
-        runs = [(seed, steps, facets) for (seed, steps), facets in WALL.items()]
-        print(f"({N},{M}) iterate from X at rate {RATE}, past the facet cap")
+        runs = [key + (facets,) for key, facets in WALL.items()]
+        print(f"iterate from X at rate {RATE}, past the facet cap")
     else:
         first = int(sys.argv[1]) if len(sys.argv) > 1 else 0
         last = int(sys.argv[2]) if len(sys.argv) > 2 else 11
-        runs = [(seed, STEPS, EXPECTED.get(seed)) for seed in range(first, last + 1)]
+        runs = [(N, M, seed, STEPS, EXPECTED.get(seed)) for seed in range(first, last + 1)]
         print(f"({N},{M},{STEPS}) iterate from X at rate {RATE}")
     failed = False
-    for seed, steps, expected in runs:
-        line, pinned = run(seed, steps, expected)
+    for n, m, seed, steps, expected in runs:
+        line, pinned = run(n, m, seed, steps, expected)
         print(line, flush=True)
         failed |= not pinned
     return 1 if failed else 0

@@ -7,11 +7,13 @@ the state coordinates. Iterating the map from the state constraint set gives
 a nested outer approximation of the maximal contractive set; iterating from
 a contractive seed gives an expanding inner one. A set is tested for
 contractiveness the same way: it is ``lam``-contractive iff it lies in its
-own one-step set. With one input, a step combines only the target's facets
-that may be adjacent, when the target carries the incidence to tell, and
-gives the set that every pair gives; it then reads its facets off a double
-description built from the target's vertices and incidence, cut by X's
-rows, instead of reducing its rows from nothing. Each system memoizes its
+own one-step set. With a box U, a step eliminates the inputs one at a time,
+a chain of segment sums: when the target carries the incidence to tell,
+each link combines only the facets that may be adjacent and gives the set
+that every pair gives, and carries the sum's vertices and incidence on to
+the next. The step then reads its facets off a double description built
+from them, cut by X's rows, instead of reducing its rows from nothing.
+Each system memoizes its
 map: the bits of a target are projected once per rate and tolerances,
 whoever asks.
 """
@@ -40,12 +42,14 @@ from .polytope import (
     CSetPolytope,
     HPolytope,
     _adjacent_facets,
+    _box_bounds,
     _collapse_parallel,
     _Description,
     _eliminate,
     _facet_cap,
     _finite_norms,
     _first_exceeded,
+    _shared_counts,
     _vertex_list,
     _vertex_points,
     inradius_origin,
@@ -116,6 +120,11 @@ class SystemModel:
         return singular_extremes(self.reachability)
 
     @cached_property
+    def a_extremes(self) -> tuple[float, float]:
+        """Smallest and largest singular values of A."""
+        return singular_extremes(self.A)
+
+    @cached_property
     def alpha(self) -> float:
         """The largest spectral norm of ``A^j`` over j = 1..n, at least 1."""
         return max(1.0, *(spectral_norm(matrix_power(self.A, j)) for j in range(1, self.n + 1)))
@@ -156,24 +165,29 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     (``0 <= lam * b_D``, as when ``A`` resets a state) is left to
     :func:`project`, which drops it.
 
-    With one input, ``B U`` is a segment, and the facets of ``lam * D (+)
-    (-B U)`` are D's, translated, and one per silhouette ridge of D: a pair
-    of adjacent facets. The Fourier-Motzkin row of two facets of D that are
-    not adjacent is then redundant, so when D carries the incidence of a
-    complete description (:func:`~contracta.polytope._adjacent_facets`),
-    two of its facets are combined only when they share ``n - 1`` vertices
-    or more; the rows formed keep their bits and order, and the facet cap
-    counts only them. Any other target, and any step with several inputs,
-    projects the lift with every pair (:func:`project`).
+    With a box U, ``B U`` is a sum of segments, one per input column, and
+    ``lam * D (+) (-B U)`` a chain of segment sums. The facets of a sum
+    with a segment are the sum's, translated, and one per silhouette ridge:
+    a pair of adjacent facets. The Fourier-Motzkin row of two facets that
+    are not adjacent is then redundant, so when D carries the incidence of
+    a complete description (:func:`~contracta.polytope._adjacent_facets`),
+    each elimination, last input first as in :func:`project`, combines two
+    facets of the sum so far only when they share ``n - 1`` of its
+    vertices or more; the rows formed keep their bits and order, and the
+    facet cap counts only them. Any other target projects the lift with
+    every pair (:func:`project`), and so does a U that is no box, unless it
+    is one interval.
 
-    Such a step then inherits D's description (:func:`_inherited`): the
-    vertices of ``lam * D (+) (-B U)`` and their incidence on the rows
-    formed follow from D's, and mapped by A's inverse and cut by X's rows
-    they describe the one-step set, so its facets are read off with 2n
-    inserts, no redundancy rounds and no LP, in :func:`remove_redundancy`'s
-    order and bits. A U that is not one interval, an ill-conditioned A, a
-    target facet parallel to B and a description that fails its checks
-    reduce the rows with :func:`remove_redundancy` instead.
+    Such a step inherits D's description (:func:`_inherited`): the
+    vertices of each sum and their incidence on the rows formed follow from
+    the sum before, and those of ``lam * D (+) (-B U)``, mapped by A's
+    inverse and cut by X's rows, describe the one-step set, so its facets
+    are read off with 2n inserts, no redundancy rounds and no LP, in
+    :func:`project`'s order and bits. A U that is no box, an
+    ill-conditioned A, a facet of a sum parallel to its segment and a
+    description that fails its checks fall back: with one input the step
+    reduces the rows it formed with :func:`remove_redundancy`, with
+    several it projects the lift.
 
     No LP re-certifies the shadow: the lift keeps X's rows, which bound it,
     and its offsets (those of X, U and ``lam * D``) must be positive, which
@@ -201,16 +215,11 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     if q is not None:
         return q
     lifted = _lift(sys, lam, D)
-    adjacent = _adjacent_facets(D) if sys.m == 1 else None
-    if adjacent is None:
+    rows, shadow = _inherited(sys, lam, D, lifted, cap)
+    if shadow is None and rows is not None and sys.m == 1:  # one link's rows are the lift's
+        shadow = remove_redundancy(rows)
+    elif shadow is None:  # a longer chain's rows are not project's: project anew
         shadow = project(lifted, sys.n)
-    else:  # only D's adjacent facets make silhouette ridges: no other D x D pair
-        pairs = np.ones((lifted.nfacets, lifted.nfacets), dtype=bool)
-        pairs[-D.nfacets :, -D.nfacets :] = adjacent
-        rows = _eliminate(lifted.H, lifted.b, sys.n, cap, pairs)
-        shadow = _inherited(sys, lam, D, lifted, pairs, rows)
-        if shadow is None:
-            shadow = remove_redundancy(rows)
     q = CSetPolytope._computed(
         shadow.H, shadow.b, incidence=shadow._incidence, vertices=shadow._vertices
     )
@@ -220,78 +229,134 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     return q
 
 
-# A single-input step inherits its target's description only through an A
-# whose singular values lie within this ratio: A's inverse maps the vertices
+# A step inherits its target's description only through an A whose
+# singular values lie within this ratio: A's inverse maps the vertices
 _COND_LIMIT = 1e8
-# and only when no target facet normal h has |h . B| within this share of |B|
+# and only when no facet normal h of a sum has |h . g| within this share of
+# |g|, g the column of B that the sum's next segment moves along
 _FLAT_INPUT = 1e-6
 
 
 def _inherited(sys: SystemModel, lam: float, D: CSetPolytope, lifted: HPolytope,
-               pairs: np.ndarray, rows: HPolytope) -> HPolytope | None:
-    """:func:`remove_redundancy` of ``rows``, the Fourier-Motzkin rows of a
-    single-input ``lifted`` polytope eliminated with ``pairs``, read off a
-    double description built from the target's, or None when it cannot be.
+               cap: int) -> tuple[HPolytope | None, HPolytope | None]:
+    """The Fourier-Motzkin rows of ``lifted``'s last elimination, formed
+    with only the pairs of facets that may be adjacent, and
+    :func:`remove_redundancy` of them read off a double description built
+    from the target's, or None for either when it cannot be.
 
-    With ``U = [u_lo, u_hi]`` and ``g = B``, ``S = lam D (+) (-B U)`` has a
-    vertex ``lam v - B u_hi`` for each vertex ``v`` of D on a facet with
-    ``h . g < 0`` and ``lam v - B u_lo`` for each on a facet with ``h . g >
-    0``. Such a point lies on a row made from one facet of D iff ``v`` lies
-    on that facet and the row is the translate toward this end, and on a
-    row made from two facets iff ``v`` lies on both (Fukuda, "From the
-    zonotope construction to the Minkowski addition of convex polytopes",
-    2004). Mapped by ``numpy.linalg.solve(A, .)``, the points and that
-    incidence describe ``A^-1 S``, and X's rows are inserted into it
+    With a box U, ``S = lam D (+) (-B U)`` is a chain of segment sums, one
+    link per input column, eliminated as :func:`project` eliminates them,
+    last column first (Fukuda, "From the zonotope construction to the
+    Minkowski addition of convex polytopes", 2004; Weibel, EPFL thesis,
+    2007). Each link combines two facets of the sum so far only when they
+    share ``n - 1`` of its vertices or more (:func:`_eliminate`, whose rows
+    keep their bits and order), and reads the next sum's vertices and their
+    incidence off the current ones (:func:`_segment`). After the last link
+    the vertices, mapped by ``numpy.linalg.solve(A, .)``, and that incidence
+    describe ``A^-1 S``, cut by X's rows (:func:`_described`).
+
+    Both are None when D carries no incidence or its vertices do not solve,
+    and when U is no box and has several columns: :func:`one_step_set` then
+    projects the lift. The description is None when U is no box, A's
+    singular values are more than ``_COND_LIMIT`` apart, a facet of a sum
+    is within ``_FLAT_INPUT`` of parallel to its link's column of B, the
+    rows are not those of a segment sum, or :func:`_described` fails; with
+    several links :func:`one_step_set` then projects the lift, whose rows
+    the chain's are not, and with one it reduces the rows.
+    """
+    n, m = sys.n, sys.m
+    adjacent = _adjacent_facets(D)
+    if adjacent is None:
+        return None, None
+    bounds = _box_bounds(sys.U)
+    if bounds is None and m > 1:  # a 1-D U is an interval: its pairs prune
+        return None, None
+    s_min, s_max = sys.a_extremes
+    H, b, T, W, normals = lifted.H, lifted.b, D._incidence, lam * _vertex_list(D), D.H
+    for col in range(n + m - 1, n - 1, -1):
+        if col < n + m - 1:  # the sum so far: its pairs that may be adjacent, its normals
+            adjacent = _shared_counts(T) >= n - 1
+            normals = np.linalg.solve(sys.A.T, H[-T.shape[1] :, :n].T).T
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
+        pairs = np.ones((len(H), len(H)), dtype=bool)
+        pairs[-len(adjacent) :, -len(adjacent) :] = adjacent
+        rows = _eliminate(H, b, col, cap, pairs)
+        g = sys.B[:, col - n]
+        if (bounds is None or not s_min * _COND_LIMIT > s_max
+                or (np.abs(normals @ g) <= _FLAT_INPUT * np.linalg.norm(g)).any()):
+            return rows, None
+        link = _segment(H[:, col], pairs, rows.nfacets, T, W, g,
+                        bounds[0][col - n], bounds[1][col - n])
+        if link is None:
+            return rows, None
+        W, T = link
+        H, b = rows.H, rows.b
+    return rows, _described(sys, rows, W, T)
+
+
+def _segment(coeff: np.ndarray, pairs: np.ndarray, formed: int, T: np.ndarray,
+             W: np.ndarray, g: np.ndarray, u_lo: float, u_hi: float):
+    """The vertices of ``S (+) (-g [u_lo, u_hi])`` and their incidence on
+    the rows :func:`_eliminate` formed with ``pairs`` (``formed`` of them),
+    from the vertices ``W`` of the sum S and their incidence ``T`` on its
+    rows, the last of the rows whose coefficients on the eliminated column
+    are ``coeff``; None when the rows are not a segment sum's.
+
+    A vertex ``w`` of S on a row with ``coeff < 0`` gives ``w - g u_hi``,
+    and on a row with ``coeff > 0`` gives ``w - g u_lo``. Such a point lies
+    on a translate of one row iff ``w`` lies on that row and the translate
+    moves toward this end, and on a row made from two rows iff ``w`` lies on
+    both. The rows before S's pass through (X's, and the other columns' U
+    rows), but for the column's own U pair, which combines into the one
+    trivial row that :func:`_eliminate` drops.
+    """
+    k = T.shape[1]
+    top = len(coeff) - k  # the rows before S's
+    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
+    i, j = pairs[np.ix_(pos, neg)].nonzero()
+    first, second = pos.nonzero()[0][i] - top, neg.nonzero()[0][j] - top  # U's rows < 0
+    if np.count_nonzero(~(pos | neg)) != top - 2 or formed != top - 2 + len(i) - 1:
+        return None  # a row without a normal besides the U pair's (the first)
+    first, second = first[1:], second[1:]
+    upper, lower = first < 0, second < 0  # a row of S moved toward u_hi, toward u_lo
+    first, second = np.where(upper, second, first), np.where(lower, first, second)
+    points, incidence = [], []
+    for u, moved, rows_on in ((u_hi, neg[top:], ~lower), (u_lo, pos[top:], ~upper)):
+        at = T[:, moved].any(axis=1)
+        points.append(W[at] - u * g)
+        on = T[at]
+        incidence.append(on[:, first] & on[:, second] & rows_on)
+    return np.concatenate(points), np.concatenate(incidence)
+
+
+def _described(sys: SystemModel, rows: HPolytope, W: np.ndarray, T: np.ndarray) -> HPolytope | None:
+    """:func:`remove_redundancy` of the one-step set's Fourier-Motzkin
+    ``rows`` (X's first), read off a double description, or None when it
+    cannot be: the vertices ``W`` of ``S = lam D (+) (-B U)``, mapped by
+    ``numpy.linalg.solve(A, .)``, with their incidence ``T`` on the rows
+    after X's, describe ``A^-1 S``, and X's rows are inserted into it
     (:class:`~contracta.polytope._Description`). Its facets
     (:meth:`~contracta.polytope._Description.facets`) are kept in
     :func:`~contracta.polytope._collapse_parallel`'s order, with their
     incidence and the vertices solved on it (:func:`_vertex_points`).
 
-    None, for :func:`remove_redundancy` to reduce the rows, when U is not
-    two rows, A's singular values are more than ``_COND_LIMIT`` apart, a
-    facet of D is within ``_FLAT_INPUT`` of parallel to B, the rows are
-    not those of this pairing, the description is not bounded, two facets
-    have the same vertices, the collapse of parallel rows drops a facet, a
-    vertex's facets do not span the space, or a vertex breaks one of the
-    rows by more than ``feas``.
+    None when the description is not bounded, two facets have the same
+    vertices, the collapse of parallel rows drops a facet, a vertex's facets
+    do not span the space, or a vertex breaks one of the rows by more than
+    ``feas``.
     """
-    n, X, U, A, g = sys.n, sys.X, sys.U, sys.A, sys.B[:, 0]
-    if U.nfacets != 2:  # a C-set's two rows bound it on either side
-        return None
-    lo, hi = singular_extremes(A)
-    slope = D.H @ g
-    if not lo * _COND_LIMIT > hi or (np.abs(slope) <= _FLAT_INPUT * np.linalg.norm(g)).any():
-        return None
-    coeff = lifted.H[:, n]
-    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
-    i, j = pairs[np.ix_(pos, neg)].nonzero()
-    top = X.nfacets + U.nfacets
-    first, second = pos.nonzero()[0][i] - top, neg.nonzero()[0][j] - top  # U's rows < 0
-    if np.count_nonzero(~(pos | neg)) != X.nfacets or rows.nfacets != X.nfacets + len(i) - 1:
-        return None  # a row without a normal besides U's own pair (the first)
-    first, second = first[1:], second[1:]
-    upper, lower = first < 0, second < 0  # a facet of D moved toward u_hi, toward u_lo
-    first, second = np.where(upper, second, first), np.where(lower, first, second)
-    T, V = D._incidence, _vertex_list(D)
-    ends = U.b / U.H[:, 0]
-    points, incidence = [], []
-    for u, moved, rows_on in ((ends.max(), slope < 0.0, ~lower), (ends.min(), slope > 0.0, ~upper)):
-        at = T[:, moved].any(axis=1)
-        points.append(lam * V[at] - u * g)
-        on = T[at]
-        incidence.append(on[:, first] & on[:, second] & rows_on)
-    x = np.linalg.solve(A, np.concatenate(points).T).T
+    x_rows = sys.X.nfacets
+    x = np.linalg.solve(sys.A, W.T).T
     rays = np.concatenate((x, np.ones((len(x), 1))), axis=1)
-    dd = _Description._of_polytope(rays / np.linalg.norm(rays, axis=1)[:, None],
-                                   np.concatenate(incidence))
-    for h, offset in zip(rows.H[: X.nfacets], rows.b[: X.nfacets]):
+    dd = _Description._of_polytope(rays / np.linalg.norm(rays, axis=1)[:, None], T)
+    for h, offset in zip(rows.H[:x_rows], rows.b[:x_rows]):
         dd.insert(np.append(h, -offset))
     if not (dd.rays[:, -1] > 0.0).all():
         return None
     facets = dd.facets()
     if facets is None:
         return None
-    columns = np.concatenate((np.arange(X.nfacets, rows.nfacets), np.arange(X.nfacets)))
+    columns = np.concatenate((np.arange(x_rows, rows.nfacets), np.arange(x_rows)))
     kept = np.zeros(rows.nfacets, dtype=bool)
     kept[columns[facets]] = True
     order = _collapse_parallel(rows.H, rows.b)

@@ -31,11 +31,13 @@ vertex, and no LP: :func:`remove_redundancy` keeps their incidence on its
 rows when its double description of the output is complete, the vertices
 are solved when first read (:func:`_vertex_list`), and :func:`project`'s
 output and ``one_step_set``'s C-set carry both on. The incidence stays
-beside the vertices: a single-input ``one_step_set`` reads it to combine
-only the target's facets that may be adjacent (:func:`_adjacent_facets`,
-:func:`_eliminate`), and to seed its own set's description with the
-target's vertices (:meth:`_Description._of_polytope`,
-:meth:`_Description.facets`). Any other set's outcome is the
+beside the vertices: with a box U, ``one_step_set`` reads it to combine
+only the facets that may be adjacent, of the target and of each segment
+sum it makes from it (:func:`_adjacent_facets`, :func:`_eliminate`), and
+to seed its own set's description with the vertices it carries through
+the sums (:meth:`_Description._of_polytope`, :meth:`_Description.facets`).
+:func:`validate_cset` gives a box its vertices in closed form, with no
+incidence (:func:`_box_bounds`). Any other set's outcome is the
 simplex's, a fault (``ComputationError``) included, filled by whichever
 batch solved the LP: the polytope's own, or one pooled over several
 polytopes (:func:`_support_lps`: the planner's steps and the distance
@@ -90,6 +92,7 @@ _RAY_BLOCK = 256  # rays per block in _first_hits, rows in _Description.maxima
 _PAIR_CELLS = 2**16  # largest pair-by-ray product of one adjacency test in _Description.insert
 _SHARED_CELLS = 2**20  # largest block of common-row counts in _Description.insert
 _MIN_CELLS = 2**20  # incidence cells a double description may always hold, whatever the cap
+_BOX_DIM = 10  # the largest box that validate_cset gives its 2**n vertices
 
 
 def _check_facets(count: int, cap: int, what: str) -> None:
@@ -235,6 +238,12 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     A coordinate direction that is the normal of a certified facet, as on
     a box, is a memo entry with no LP (:func:`_facet_supports`). The C-set
     shares ``p``'s ``H`` and ``b`` arrays, its memo and its vertex list.
+    A box (:func:`_box_bounds`) of at most ``_BOX_DIM`` dimensions that
+    carries neither a vertex list nor an incidence gets instead its 2^n
+    vertices in closed form, read-only, and no incidence: one per sign
+    pattern, each coordinate the bound its sign picks, the bits that
+    solving the pattern's n rows gives (:func:`vertices`). It gets a memo
+    of its own, whose outcomes its vertices answer.
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
@@ -246,7 +255,32 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
         raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
     if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
+    if p._vertices is None and p._incidence is None and p.dim <= _BOX_DIM:
+        bounds = _box_bounds(p)
+        if bounds is not None:
+            upper = (np.arange(1 << p.dim)[:, None] >> np.arange(p.dim)) & 1
+            points = np.where(upper == 1, bounds[1], bounds[0])
+            points.setflags(write=False)
+            return CSetPolytope._computed(p.H, p.b, vertices=points)
     return CSetPolytope._computed(p.H, p.b, p._memo, p._incidence, p._vertices)  # the same outcomes
+
+
+def _box_bounds(p: HPolytope) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lower and upper bound of each coordinate of ``p`` when its rows
+    are a box's, else None: 2n unit rows, each a signed coordinate vector,
+    one row per sign and axis."""
+    H, n = p.H, p.dim
+    if H.shape[0] != 2 * n or np.count_nonzero(H) != 2 * n:
+        return None
+    rows = np.arange(2 * n)
+    axis = np.abs(H).argmax(axis=1)
+    sign = H[rows, axis]
+    slot = axis + n * (sign < 0.0)
+    if not ((np.abs(sign) == 1.0).all() and (np.sort(slot) == rows).all()):
+        return None
+    bounds = np.empty(2 * n)
+    bounds[slot] = sign * p.b  # the upper bounds, then the lower ones
+    return bounds[n:], bounds[:n]
 
 
 def _unbounded_axis(p: HPolytope) -> int | None:
@@ -375,9 +409,9 @@ def _vertex_list(p: HPolytope) -> np.ndarray | None:
     (:func:`_vertex_points`) when first read and kept beside it. When one's
     rows do not span the space there are none, and the incidence goes too:
     its description missed a vertex. A set that no support past its
-    certified facets and no single-input step reads solves none; a
-    single-input one-step set built from its target's description carries
-    its vertices from its making."""
+    certified facets and no one-step set reads solves none; a one-step set
+    built from its target's description, and a validated box
+    (:func:`validate_cset`), carry their vertices from their making."""
     v, incidence = p._vertices, p._incidence
     if v is None and incidence is not None:
         v = _vertex_points(p.H, p.b, incidence)

@@ -24,6 +24,7 @@ from contracta import (
     radial,
     scale,
     set_distance,
+    singular_extremes,
     solve_lp,
     support,
     symmetric_box,
@@ -150,13 +151,13 @@ class TestOneStep:
         base = random_controllable_system(rng, 3, 2)
         sysr = SystemModel(base.A, base.B, random_cset(rng, 3), base.U)
         D = random_cset(rng, 3)
-        project, lifts = onestep.project, []
+        lift_of, lifts = onestep._lift, []
 
-        def recording_project(p, keep):
-            lifts.append(p)
-            return project(p, keep)
+        def recording_lift(*args):
+            lifts.append(lift_of(*args))
+            return lifts[-1]
 
-        monkeypatch.setattr(onestep, "project", recording_project)
+        monkeypatch.setattr(onestep, "_lift", recording_lift)
         one_step_set(sysr, 0.7, D)
         (lift,) = lifts
         nx, top = sysr.X.nfacets, sysr.X.nfacets + sysr.U.nfacets
@@ -380,15 +381,17 @@ class TestAdjacentPairs:
 
 
 def inherited_steps(monkeypatch) -> list:
-    """From now on, record each single-input step that reads its target's
-    description: the target, the rows ``_eliminate`` formed and what
-    ``onestep._inherited`` returned (None when the step fell back)."""
+    """From now on, record each step that combines its target's adjacent
+    facets: the target, the rows the last ``_eliminate`` formed and the
+    set ``onestep._inherited`` read off its description (None when the
+    step fell back)."""
     inherit, steps = onestep._inherited, []
 
-    def recorded(sysr, lam, D, lifted, pairs, rows):
-        out = inherit(sysr, lam, D, lifted, pairs, rows)
-        steps.append((D, rows, out))
-        return out
+    def recorded(sysr, lam, D, lifted, cap):
+        rows, out = inherit(sysr, lam, D, lifted, cap)
+        if rows is not None:
+            steps.append((D, rows, out))
+        return rows, out
 
     monkeypatch.setattr(onestep, "_inherited", recorded)
     return steps
@@ -513,6 +516,73 @@ class TestInheritedDescription:
         before = inserts.call_count
         iterate(sysr, 0.9, sysr.X, 4)
         assert inserts.call_count - before == 3 * 6
+
+
+class TestChainedDescription:
+    """With a box U of several columns, ``lam D (+) (-B U)`` is a chain of
+    segment sums, one link per column: each link combines only the facets
+    of the sum so far that may be adjacent and reads the next sum's vertices
+    off its own, and the last is cut by X's rows, as with one input."""
+
+    @pytest.mark.parametrize("n,m,seeds,steps", [(2, 2, range(6), 4), (3, 2, range(6), 3),
+                                                 (3, 3, range(3), 3), (4, 2, range(1, 4), 3),
+                                                 (4, 3, range(1, 3), 2), (5, 2, [1], 2)])
+    def test_matches_projection(self, monkeypatch, n, m, seeds, steps):
+        # every chained set has project's bits and, as a set of rows, the
+        # incidence of project's last reduction
+        record, chained = inherited_steps(monkeypatch), 0
+        for seed in seeds:
+            sysr = random_controllable_system(np.random.default_rng(seed), n, m)
+            D = sysr.X
+            for _ in range(steps):
+                record.clear()
+                q = one_step_set(sysr, 0.9, D)
+                ref = project(onestep._lift(sysr, 0.9, D), n)
+                assert same_bits(q, ref)
+                if record and record[0][2] is not None:
+                    chained += 1
+                    assert rows_of(q._incidence) == rows_of(ref._incidence)
+                    assert not q._vertices.flags.writeable
+                if q is D:
+                    break
+                D = q
+        assert chained
+
+    @pytest.mark.parametrize("case", ["not-a-box", "flat", "no-incidence", "no-facets"])
+    def test_fallbacks_project(self, monkeypatch, case):
+        # a U that is no box, a target facet parallel to the first link's
+        # column of B, a target without incidence and a description whose
+        # facets cannot be read: the step projects its lift, bit for bit
+        sysr = random_controllable_system(np.random.default_rng(3), 3, 2)
+        D = one_step_set(sysr, 0.9, sysr.X)
+        assert D._incidence is not None
+        if case == "not-a-box":
+            U = validate_cset(HPolytope(np.vstack((np.eye(2), -np.eye(2), [[1.0, 1.0]])),
+                                        [1.0, 1.0, 1.0, 1.0, 1.5]))
+            sysr = SystemModel(sysr.A, sysr.B, sysr.X, U)
+        elif case == "flat":  # the last column of B orthogonal to D's first facet normal
+            h, B = D.H[0], np.array(sysr.B)
+            B[:, 1] = np.cross(h, np.cross(h, [0.0, 0.0, 1.0]))
+            sysr = SystemModel(sysr.A, B, sysr.X, sysr.U)
+        elif case == "no-incidence":
+            D = validate_cset(HPolytope._computed(D.H, D.b))
+        else:
+            monkeypatch.setattr(polytope_module._Description, "facets", lambda dd: None)
+        record = inherited_steps(monkeypatch)
+        q = one_step_set(sysr, 0.9, D)
+        assert same_bits(q, project(onestep._lift(sysr, 0.9, D), 3))
+        outs = [out for _, _, out in record]
+        assert outs == ([None] if case in ("flat", "no-facets") else [])
+
+    def test_wall_run_finishes(self, monkeypatch):
+        # (4, 2) seed 0 from X at 0.9: projecting step 3's lift forms 19,600
+        # rows, past the default facet cap; the chain combines only adjacent
+        # facets, and every step reads its facets off its target's description
+        record = inherited_steps(monkeypatch)
+        sysr = random_controllable_system(np.random.default_rng(0), 4, 2)
+        seq = iterate(sysr, 0.9, sysr.X, 3, SeedLabel.FROM_STATE_SET)
+        assert [p.nfacets for p in seq.entries] == [8, 46, 180, 392]
+        assert [out.nfacets for _, _, out in record] == [180, 392]
 
 
 def ladder_case(monkeypatch):
@@ -802,6 +872,11 @@ class TestSystemModel:
         assert not (sysr.A.flags.writeable or sysr.B.flags.writeable)
         assert not sysr.reachability.flags.writeable
 
+    def test_singular_values_of_A_are_kept(self):
+        sysr = random_controllable_system(np.random.default_rng(0), 3, 2)
+        assert sysr.a_extremes == singular_extremes(sysr.A)
+        assert sysr.a_extremes is sysr.a_extremes
+
     def test_frozen(self):
         sysr = scalar_system(1)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -811,17 +886,15 @@ class TestSystemModel:
 
 
 def count_projections(monkeypatch) -> list:
-    """From now on, record every lift ``one_step_set`` projects: the
-    polytope it gives ``project``, or the rows it gives ``_eliminate`` when
-    it combines only its target's adjacent facets."""
-    projected = []
-    for name in ("project", "_eliminate"):
+    """From now on, record every lift ``one_step_set`` projects, one per
+    step that is no memo hit, however many eliminations it takes."""
+    lift, projected = onestep._lift, []
 
-        def counted(p, *args, once=getattr(onestep, name)):
-            projected.append(p)
-            return once(p, *args)
+    def counted(*args):
+        projected.append(lift(*args))
+        return projected[-1]
 
-        monkeypatch.setattr(onestep, name, counted)
+    monkeypatch.setattr(onestep, "_lift", counted)
     return projected
 
 

@@ -734,15 +734,14 @@ class TestCertifiedFacets:
 
     def test_noncontractive_witness_on_a_shared_axis_facet(self, monkeypatch):
         # the box seed exceeds its one-step set along +-e_1, a normal of its
-        # own: the witness is the certified point of the seed's parent box,
-        # whose memo the seed shares, and it lies in the seed
+        # own: the witness is the certified point of the seed's memo (a
+        # validated box's own, beside its vertices), and it lies in the seed
         sys1 = scalar_system(1)
-        parent = symmetric_box([2.0])
-        C = validate_cset(parent)
+        C = validate_cset(symmetric_box([2.0]))
         lps = count_lps(monkeypatch)
         point = noncontractive_point(sys1, 0.5, C)
         assert lps[0] == 0
-        memo = parent._memo[(TOL.feas, TOL.opt, TOL.pivot)]
+        memo = C._memo[(TOL.feas, TOL.opt, TOL.pivot)]
         assert any(point is out.x for out in memo.values())
         assert C.contains(point) and abs(point[0]) == 2.0
         ref = solve_lp(LinearProgram(np.sign(point), C.H, C.b))
@@ -1527,6 +1526,44 @@ class TestVertices:
         with pytest.raises(AssertionError, match="built a description"):
             vertices(validate_cset(HPolytope._computed(p.H, p.b)))
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_validated_box_carries_its_vertices(self, dim):
+        # a box, its rows in any order, gets its 2^n vertices in closed form
+        # and no incidence: the bits of each vertex solved on its tight rows.
+        # Its memo is its own: none of its input's LP outcomes is read
+        rng = np.random.default_rng(dim)
+        p = box(-rng.uniform(0.5, 3.0, dim), rng.uniform(0.5, 3.0, dim))
+        order = rng.permutation(2 * dim)
+        p = HPolytope._computed(p.H[order], p.b[order])
+        q = validate_cset(p)
+        V = polytope_module._vertex_list(q)
+        assert V is not None and not V.flags.writeable and q._incidence is None
+        assert q._memo is not p._memo and q.H is p.H
+        described = vertices(polytope_module.CSetPolytope._computed(q.H, q.b))
+        assert len(V) == len(described) == 2**dim
+        assert {v.tobytes() for v in V} == {v.tobytes() for v in described}
+
+    def test_other_sets_get_no_closed_form(self):
+        # an extra row, an oblique square, and a box past _BOX_DIM dimensions
+        square = symmetric_box([1.0, 2.0])
+        turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+        big = polytope_module._BOX_DIM + 1
+        for p in (HPolytope(np.vstack((square.H, [[1.0, 1.0]])), np.append(square.b, 2.5)),
+                  HPolytope(square.H @ turn, square.b), symmetric_box(np.ones(big))):
+            q = validate_cset(p)
+            assert polytope_module._vertex_list(q) is None and q._memo is p._memo
+
+    @pytest.mark.parametrize("read_vertices", [True, False])
+    def test_box_supports(self, request, monkeypatch, read_vertices):
+        # an oblique support of a validated box is read off its vertices, and
+        # with the lp_supports fixture it reaches the simplex
+        if not read_vertices:
+            request.getfixturevalue("lp_supports")
+        p = validate_cset(symmetric_box([1.0, 2.0, 3.0]))
+        lps = count_lps(monkeypatch)
+        assert support(p, [1.0, -1.0, 0.5]) == pytest.approx(4.5, abs=1e-12)
+        assert lps[0] == (0 if read_vertices else 1)
+
     def test_unbounded_guard(self):
         with pytest.raises(UnboundedSetError):
             vertices(HPolytope([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0]))
@@ -1539,7 +1576,8 @@ class TestVertices:
         else:  # no determinant clears a square system, and matrix_rank finds rank 0
             monkeypatch.setattr(np.linalg, "det", lambda M: np.zeros(len(M)))
             monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: np.zeros(len(M), dtype=int))
-        p = validate_cset(symmetric_box([1.0, 2.0, 3.0]))
+        box = validate_cset(symmetric_box([1.0, 2.0, 3.0]))
+        p = polytope_module.CSetPolytope._computed(box.H, box.b)  # no vertex list: the description
         for fn in (vertices, outer_radius):
             with pytest.raises(ComputationError):
                 fn(p)
