@@ -7,7 +7,7 @@ approximation accuracy of the maximal controlled invariant set.
 
 from .certificate import ContractionCertificate, compute_certificate
 from .config import TOL, Tolerances, set_feasibility_tolerance
-from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp, solve_lp_batch
+from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp
 from .metric import (
     DistanceResult,
     check_inclusion_equivalence,

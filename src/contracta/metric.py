@@ -6,12 +6,11 @@ scaling: ``d(C, D) = ln max(mu_out, mu_in)`` where ``D <= mu_out * C`` and
 this reduces to the one-sided factor, and ``D <= exp(delta) * C`` holds
 exactly when ``d(C, D) <= delta``.
 
-The factors are read from support LPs, which each polytope memoizes.
-:func:`set_distances` solves the support LPs of both sides of every pair it
-is given as one batch: the reproduction tables of distances between two
-sequences (one call per rate) and the distances between consecutive
-iterates of an ``iterate`` task use it. A single :func:`set_distance`, as
-in the planner's steps, batches its own two sides.
+The factors are read from the supports of each set along the other's
+facets, which each polytope memoizes. :func:`set_distances` maps
+:func:`set_distance` over a table of pairs (the reproduction tables of
+distances between two sequences, and the distances between consecutive
+iterates of an ``iterate`` task) after checking every pair.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .polytope import (
-    CSetPolytope,
-    _support_lps,
-    _support_values,
-    is_subset,
-    scale,
-    support_many,
-)
+from .polytope import CSetPolytope, is_subset, scale, support_many
 
 
 @dataclass
@@ -46,8 +38,14 @@ def inclusion_factor(C: CSetPolytope, D: CSetPolytope) -> float:
     return _inclusion_factor(support_many(D, C.H), C.b)
 
 
+def _check_pair(C: CSetPolytope, D: CSetPolytope) -> None:
+    if C.dim != D.dim:
+        raise DimensionError("distance across different dimensions")
+    _check_origin_interior(C, D)
+
+
 def _check_origin_interior(C: CSetPolytope, D: CSetPolytope) -> None:
-    if np.min(C.b) <= 0.0 or np.min(D.b) <= 0.0:
+    if C.b.min() <= 0.0 or D.b.min() <= 0.0:
         raise ValidationError("inclusion factors need origin-interior sets")
 
 
@@ -58,33 +56,26 @@ def _inclusion_factor(supports: np.ndarray, b: np.ndarray) -> float:
 
 
 def set_distance(C: CSetPolytope, D: CSetPolytope) -> DistanceResult:
-    return set_distances([(C, D)])[0]
+    """The distance between ``C`` and ``D``; ``D``'s supports along ``C``'s
+    facets are read before ``C``'s along ``D``'s, so the first error in that
+    order raises."""
+    _check_pair(C, D)
+    out = _inclusion_factor(support_many(D, C.H), C.b)
+    inn = _inclusion_factor(support_many(C, D.H), D.b)
+    distance = float(np.log(max(out, inn)))
+    return DistanceResult(distance=distance, mu_out=max(1.0, out), mu_in=max(1.0, inn))
 
 
 def set_distances(pairs) -> list[DistanceResult]:
     """:func:`set_distance` of every ``(C, D)`` of ``pairs``, in order.
 
     Every pair is checked first (dimensions, then origin-interior sets), so
-    a pair that fails a check raises before any LP is solved. The support
-    LPs of all pairs then run as one batch (:func:`polytope._support_lps`),
-    and the sides are read pair by pair, ``D`` along ``C``'s facets before
-    ``C`` along ``D``'s, so the first error in that order raises, as it does
-    when the pairs are taken one at a time.
+    a pair that fails a check raises before any support is read.
     """
     pairs = list(pairs)
     for C, D in pairs:
-        if C.dim != D.dim:
-            raise DimensionError("distance across different dimensions")
-        _check_origin_interior(C, D)
-    sides = [side for C, D in pairs for side in ((D, C.H), (C, D.H))]
-    supports = map(_support_values, _support_lps(sides))
-    results = []
-    for C, D in pairs:
-        out = _inclusion_factor(next(supports), C.b)
-        inn = _inclusion_factor(next(supports), D.b)
-        distance = float(np.log(max(out, inn)))
-        results.append(DistanceResult(distance=distance, mu_out=max(1.0, out), mu_in=max(1.0, inn)))
-    return results
+        _check_pair(C, D)
+    return [set_distance(C, D) for C, D in pairs]
 
 
 def check_inclusion_equivalence(C: CSetPolytope, D: CSetPolytope, delta: float) -> bool:

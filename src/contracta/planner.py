@@ -14,9 +14,7 @@ Two planning entry points:
 ``approximate_cmax1`` then executes a plan either by running the full
 a-priori budget or by stopping at the first iteration where the inclusion
 is observed geometrically. The seed's first step is its contractiveness
-gate. The a-priori budget is known before any set is computed, so that
-strategy projects a window of steps ahead and checks the whole window on
-one pooled batch of support LPs; errors still raise in step order.
+gate.
 """
 
 from __future__ import annotations
@@ -44,13 +42,9 @@ from .onestep import (
     is_lambda_contractive,
     one_step_set,
 )
-from .polytope import CSetPolytope, _support_lps, support_many
+from .polytope import CSetPolytope, support_many
 
 _CEIL_NUDGE = 1e-12
-# A-priori steps per window (approximate_cmax1). A seeded benchmark pass (Xeon,
-# one thread) took 1.02-1.22 s at 4-32 steps, 1.46 s at 1; a whole run as one
-# window was no faster but raised peak RSS 38.9 -> 41.1 MB.
-_APRIORI_WINDOW = 16
 
 
 class Purpose(Enum):
@@ -225,67 +219,43 @@ def approximate_cmax1(
     between the seed and state iterates and the inclusion slack of the state
     iterate inside ``(1 + eps)`` times the seed iterate.
 
-    Steps run in windows: the walk projects both iterates of every step of
-    a window, then every support LP the window needs that is not memoized
-    yet runs as one batch (``polytope._support_lps``): each step's two
-    verifications, its slack (``state_j`` along ``seed_j``'s facets, which
-    is also one side of the distance) and the other side of its distance.
-    The checks then read the memos step by step, in the order of steps taken
-    one LP at a time, so a window raises what that order raises: an earlier
-    step's errors before a later one's, the seed's before the state's. A
-    projection that raises ends the walk; the steps before it are read, then
-    the seed's verification of its step if it was the state's projection,
-    then it raises. The adaptive strategy stops at the first step where the
-    inclusion is observed (never later than ``plan.k``), so its windows are
-    one step: a longer one would project steps past it. The a-priori
-    strategy runs exactly ``plan.k`` steps in windows of ``_APRIORI_WINDOW``.
-    The terminal set's contractiveness is re-verified.
+    Each step projects both iterates, then verifies the seed's before the
+    state's. When the state's projection raises, the seed's verification of
+    that step runs first, so a seed that fails it raises before the
+    projection's error. The adaptive strategy stops at the first step where
+    the inclusion is observed (never later than ``plan.k``); the a-priori
+    strategy runs exactly ``plan.k`` steps. The terminal set's
+    contractiveness is re-verified.
     """
     lam = plan.lam
     one_plus_eps = 1.0 + plan.epsilon
-    gate = one_step_set(sys, lam, C)
-    _support_lps([(C, np.concatenate((gate.H, sys.X.H))), (sys.X, C.H)])
-    _verify(lam, C, gate, SeedLabel.CONTRACTIVE, 1)
-    window = _APRIORI_WINDOW if strategy is Strategy.APRIORI_BOUND else 1
-    seeds, states, records, done = [C], [sys.X], [], False
-    while not done:
-        first, fault = len(records), None
-        try:  # walk: project the window's steps
-            while len(seeds) < min(first + window, plan.k + 1):
-                seeds.append(one_step_set(sys, lam, seeds[-1]))
-                states.append(one_step_set(sys, lam, states[-1]))
-        except ContractaError as error:
-            fault = error
-        pairs = []  # pool: both verifications, the slack and the distance of each step
-        for j in range(max(first, 1), len(states)):
-            rows = np.concatenate((states[j - 1].H, seeds[j].H))  # state verification, slack
-            pairs += [(seeds[j - 1], seeds[j].H), (states[j], rows), (seeds[j], states[j].H)]
-        _support_lps(pairs)
-        for j in range(first, len(states)):  # read: the checks in step order
-            seed_j, state_j = seeds[j], states[j]
-            if j > 0:
-                _verify(lam, seeds[j - 1], seed_j, SeedLabel.CONTRACTIVE, j)
-                _verify(lam, states[j - 1], state_j, SeedLabel.FROM_STATE_SET, j)
-            slack = float(np.max(support_many(state_j, seed_j.H) - one_plus_eps * seed_j.b))
-            distance = set_distance(seed_j, state_j)
-            records.append(
-                {
-                    "step": j,
-                    "seed_facets": seed_j.nfacets,
-                    "state_facets": state_j.nfacets,
-                    "distance": distance.distance,
-                    "inclusion_slack": slack,
-                }
-            )
-            done = j == plan.k or (strategy is Strategy.ADAPTIVE_INCLUSION and slack <= TOL.feas)
-            if done:
-                break
-        if fault is not None:  # a projection raised, after the steps before it read
-            if len(seeds) > len(states):  # the state's: its step's seed is verified first
-                _verify(lam, seeds[-2], seeds[-1], SeedLabel.CONTRACTIVE, len(states))
-            raise fault
+    _verify(lam, C, one_step_set(sys, lam, C), SeedLabel.CONTRACTIVE, 1)
+    seed_j, state_j, records = C, sys.X, []
+    for j in range(plan.k + 1):
+        if j > 0:
+            seed_prev, state_prev = seed_j, state_j
+            seed_j = one_step_set(sys, lam, seed_prev)
+            try:
+                state_j = one_step_set(sys, lam, state_prev)
+            except ContractaError:
+                _verify(lam, seed_prev, seed_j, SeedLabel.CONTRACTIVE, j)
+                raise
+            _verify(lam, seed_prev, seed_j, SeedLabel.CONTRACTIVE, j)
+            _verify(lam, state_prev, state_j, SeedLabel.FROM_STATE_SET, j)
+        slack = float(np.max(support_many(state_j, seed_j.H) - one_plus_eps * seed_j.b))
+        records.append(
+            {
+                "step": j,
+                "seed_facets": seed_j.nfacets,
+                "state_facets": state_j.nfacets,
+                "distance": set_distance(seed_j, state_j).distance,
+                "inclusion_slack": slack,
+            }
+        )
+        if strategy is Strategy.ADAPTIVE_INCLUSION and slack <= TOL.feas:
+            break
     stop = len(records) - 1
-    terminal = seeds[stop]
+    terminal = seed_j
     if slack > TOL.feas:
         if strategy is Strategy.ADAPTIVE_INCLUSION:
             raise IterationBudgetError(

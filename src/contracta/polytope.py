@@ -38,16 +38,14 @@ to seed its own set's description with the vertices it carries through
 the sums (:meth:`_Description._of_polytope`, :meth:`_Description.facets`).
 :func:`validate_cset` gives a box its vertices in closed form, with no
 incidence (:func:`_box_bounds`). Any other set's outcome is the
-simplex's, a fault (``ComputationError``) included, filled by whichever
-batch solved the LP: the polytope's own, or one pooled over several
-polytopes (:func:`_support_lps`: the planner's steps and the distance
-tables). An outcome depends only on the polytope's bits, the vertex list it
-carries from its making, the direction's bits and the tolerances, so memo
-writes are idempotent, equal bits carry equal outcomes however a polytope
-was queried (and, with no vertex list, however it was built), and a
-polytope is safe to share across threads. A fault raises where it is read
-(:func:`_checked`). :func:`validate_cset` shares its input's arrays, memo
-and vertex list.
+simplex's, a fault (``ComputationError``) included, one LP per direction
+(:func:`_support_lps`). An outcome depends only on the polytope's bits,
+the vertex list it carries from its making, the direction's bits and the
+tolerances, so memo writes are idempotent, equal bits carry equal outcomes
+however a polytope was queried (and, with no vertex list, however it was
+built), and a polytope is safe to share across threads. A fault raises
+where it is read (:func:`_checked`). :func:`validate_cset` shares its
+input's arrays, memo and vertex list.
 A system's one-step memo is keyed by bits: a target with an earlier
 target's bits gets that target's one-step set, memo included, which is the
 earlier target itself when they are equal.
@@ -64,7 +62,6 @@ square of the facet cap (``FacetBudgetError``).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 
@@ -82,7 +79,7 @@ from .errors import (
     UnboundedSetError,
     ValidationError,
 )
-from .lp import LinearProgram, LpOutcome, LpStatus, _solve_batch, _solve_or_fault, solve_lp
+from .lp import LinearProgram, LpOutcome, LpStatus, _solve_or_fault, solve_lp
 
 _FACET_CAP_ENV = "CONTRACTA_MAX_FACETS"
 _DEFAULT_FACET_CAP = 10000
@@ -234,7 +231,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     """Certify that ``p`` is compact with the origin in its interior.
 
     When every offset is positive the origin is feasible and no probe LP is
-    needed; the 2n coordinate LPs that test boundedness run as one batch.
+    needed; the 2n coordinate LPs then test boundedness.
     A coordinate direction that is the normal of a certified facet, as on
     a box, is a memo entry with no LP (:func:`_facet_supports`). The C-set
     shares ``p``'s ``H`` and ``b`` arrays, its memo and its vertex list.
@@ -247,7 +244,7 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
-        probe = _checked(_support_lps([(p, np.zeros((1, p.dim)))])[0][0])
+        probe = _checked(_support_lps(p, np.zeros((1, p.dim)))[0])
         if probe.status is LpStatus.INFEASIBLE:
             raise EmptyInteriorError("polytope is empty")
     axis = _unbounded_axis(p)
@@ -286,7 +283,7 @@ def _box_bounds(p: HPolytope) -> tuple[np.ndarray, np.ndarray] | None:
 def _unbounded_axis(p: HPolytope) -> int | None:
     """First coordinate along which ``p`` is unbounded, in either sign."""
     eye = np.eye(p.dim)
-    (outcomes,) = _support_lps([(p, np.concatenate((eye, -eye)))])
+    outcomes = _support_lps(p, np.concatenate((eye, -eye)))
     unbounded = [_checked(out).status is LpStatus.UNBOUNDED for out in outcomes]
     axes = np.flatnonzero(np.logical_or(unbounded[: p.dim], unbounded[p.dim :]))
     return int(axes[0]) if axes.size else None
@@ -297,23 +294,22 @@ def support(p: HPolytope, direction) -> float:
     a = np.asarray(direction, dtype=float).ravel()
     if a.size != p.dim:
         raise DimensionError("direction dimension mismatch")
-    return _support_value(_support_lps([(p, a[None, :])])[0][0])
+    return _support_value(_support_lps(p, a[None, :])[0])
 
 
 def support_many(p: HPolytope, directions) -> np.ndarray:
     """Support values of ``p`` along each row of ``directions``.
 
     Equal to :func:`support` per row, and raises its error for the first
-    row whose LP is unbounded, infeasible or faults; LPs not in the memo run
-    as one batch.
+    row whose LP is unbounded, infeasible or faults; every LP not in the
+    memo is solved first.
     """
-    return _support_values(_support_lps([(p, directions)])[0])
+    return _support_values(_support_lps(p, directions))
 
 
-def _support_lps(pairs) -> list:
-    """Support LP outcomes of each polytope ``p`` along each row of its
-    ``directions``, for every ``(p, directions)`` of ``pairs``, as one list
-    per pair, from the polytopes' memos.
+def _support_lps(p: HPolytope, directions) -> list:
+    """Support LP outcomes of ``p`` along each row of ``directions``, from
+    its memo.
 
     A memo is keyed by the LP tolerances in force, then by the direction's
     bytes (its zeros as ``+0``), sliced once from the directions' buffer.
@@ -321,41 +317,31 @@ def _support_lps(pairs) -> list:
     its offset (:func:`_memo`). Along any other direction it holds, on a
     polytope that carries its vertices, the largest ``d . v`` over them, at
     that vertex (:func:`_vertex_supports`), and otherwise the simplex's
-    outcome. The LPs of all pairs are solved in one batch
-    (:func:`_solve_misses`), each direction once per polytope however many
-    pairs ask for it, as part of the first pair that asks. Every outcome is
-    stored, a fault's ``ComputationError`` too, and none raises here: a
-    reader raises it (:func:`_checked`). A fault is stored without its
-    traceback, whose frames hold the simplex tableau. Optimal points are
-    read-only, as callers hand them out as witnesses.
+    outcome, each LP solved once, on its own (:func:`lp._solve_or_fault`).
+    Every outcome is stored, a fault's ``ComputationError`` too, and none
+    raises here: a reader raises it (:func:`_checked`). A fault is stored
+    without its traceback, whose frames hold the simplex tableau. Optimal
+    points are read-only, as callers hand them out as witnesses.
     """
-    keyed, todos, misses, queued = [], [], [], {}
-    for p, directions in pairs:
-        directions = np.asarray(directions, dtype=float)
-        if directions.ndim != 2 or directions.shape[1] != p.dim:
-            raise DimensionError("direction dimension mismatch")
-        keys, memo = _row_keys(directions), _memo(p)
-        keyed.append((memo, keys))
-        pending = queued.setdefault(id(p), set())  # keys an earlier pair of p sends
-        todo = {key: i for i, key in enumerate(keys) if key not in memo and key not in pending}
-        if not todo:
-            continue
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != p.dim:
+        raise DimensionError("direction dimension mismatch")
+    keys, memo = _row_keys(directions), _memo(p)
+    todo = {key: i for i, key in enumerate(keys) if key not in memo}
+    if todo:
         rows = directions[list(todo.values())]  # a row per new key
         points = _vertex_list(p)
         if points is not None:
             memo.update(zip(todo, _vertex_supports(points, rows)))
         else:
-            pending.update(todo)
-            todos.append((memo, todo))
-            misses.append((p, rows))
-    for (memo, todo), outs in zip(todos, _solve_misses(misses)):
-        for key, out in zip(todo, outs):
-            if isinstance(out, ComputationError):
-                out.__traceback__ = None
-            elif out.x is not None:
-                out.x.setflags(write=False)
-            memo[key] = out
-    return [[memo[key] for key in keys] for memo, keys in keyed]
+            for key, d in zip(todo, rows):
+                out = _solve_or_fault(d, p.H, p.b)
+                if isinstance(out, ComputationError):
+                    out.__traceback__ = None
+                elif out.x is not None:
+                    out.x.setflags(write=False)
+                memo[key] = out
+    return [memo[key] for key in keys]
 
 
 def _memo(p: HPolytope) -> dict:
@@ -465,30 +451,6 @@ def _vertex_supports(points: np.ndarray, directions: np.ndarray) -> list:
     ]
 
 
-def _solve_misses(misses) -> list:
-    """``lp._solve_batch``'s outcomes of the support LPs of each ``(p,
-    directions)`` of ``misses``, one list per pair.
-
-    With a single pair or polytopes of different dimensions, each pair's
-    LPs run on its polytope's own rows. Otherwise
-    all run as one stack, each polytope's rows padded to the longest with
-    zero rows of offset 0: a zero row never passes the ratio test, so its
-    slack stays basic at 0, and the padding changes no outcome's bits.
-    """
-    counts = [len(d) for _, d in misses]
-    if len(misses) < 2 or len({p.dim for p, _ in misses}) > 1:
-        return [_solve_batch(d, p.H, p.b) for p, d in misses]
-    ends = list(itertools.accumulate(counts))
-    k = max(p.nfacets for p, _ in misses)
-    A = np.zeros((ends[-1], k, misses[0][0].dim))
-    b = np.zeros((ends[-1], k))
-    for (p, _), end, count in zip(misses, ends, counts):
-        A[end - count : end, : p.nfacets] = p.H
-        b[end - count : end, : p.nfacets] = p.b
-    outs = _solve_batch(np.concatenate([d for _, d in misses]), A, b)
-    return [outs[end - count : end] for end, count in zip(ends, counts)]
-
-
 def _support_values(outcomes) -> np.ndarray:
     return np.array([_support_value(out) for out in outcomes])
 
@@ -552,13 +514,13 @@ def _first_exceeded(inner: HPolytope, outer: HPolytope):
     that it exceeds by more than ``feas``, or None when ``inner`` lies in
     ``outer``.
 
-    The facets are checked in order, on the supports of one batch; an
+    The facets are checked in order, every support solved first; an
     unbounded, infeasible or faulting support LP before the first exceeded
     facet raises as :func:`support` does.
     """
     if inner.dim != outer.dim:
         raise DimensionError("inclusion test across different dimensions")
-    (outcomes,) = _support_lps([(inner, outer.H)])
+    outcomes = _support_lps(inner, outer.H)
     for out, offset in zip(outcomes, outer.b):
         if _support_value(out) > offset + TOL.feas:
             return out

@@ -69,29 +69,18 @@ def admits_input(sys, lam, C, x) -> bool:
 
 
 def count_lps(monkeypatch) -> list:
-    """From now on, count one LP per LP the simplex kernel ``lp._lockstep``
-    solves. The returned list holds the total, then the LPs of ``solve_lp``
-    calls and those of batches apart."""
-    counter = [0, 0, 0]
-    solve, lockstep = lp_module.solve_lp, lp_module._lockstep
-    single = []  # not empty while a solve_lp call runs
+    """From now on, count the ``solve_lp`` calls, each one LP, in the
+    returned one-entry list."""
+    counter = [0]
+    solve = lp_module.solve_lp
 
-    def counted_solve(prob):
-        single.append(prob)
-        try:
-            return solve(prob)
-        finally:
-            single.pop()
-
-    def counted_lockstep(C, A, b):
-        counter[0] += len(C)
-        counter[1 if single else 2] += len(C)
-        return lockstep(C, A, b)
+    def counted(prob):
+        counter[0] += 1
+        return solve(prob)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("contracta") and getattr(module, "solve_lp", None) is solve:
-            monkeypatch.setattr(module, "solve_lp", counted_solve)
-    monkeypatch.setattr(lp_module, "_lockstep", counted_lockstep)
+            monkeypatch.setattr(module, "solve_lp", counted)
     return counter
 
 

@@ -311,12 +311,9 @@ class TestCliProcess:
         # a faulting support LP is a computation error wherever it is read;
         # the seed is a diamond in a 2-D box system, so its supports along the
         # boxes' axis normals are no facet's own and take LPs
-        solve = polytope_module._solve_batch
-
-        def faulty(C, A, b):
-            return [ComputationError("injected fault") for _ in solve(C, A, b)]
-
-        monkeypatch.setattr(polytope_module, "_solve_batch", faulty)
+        monkeypatch.setattr(
+            polytope_module, "_solve_or_fault", lambda c, A, b: ComputationError("injected fault")
+        )
         task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98}}
         square = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
         diamond = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]

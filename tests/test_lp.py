@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contracta import LinearProgram, LpStatus, solve_lp, solve_lp_batch, symmetric_box
+from contracta import LinearProgram, LpStatus, solve_lp, symmetric_box
 from contracta import lp as lp_module
 from contracta.config import TOL
 from contracta.errors import ComputationError, DimensionError
@@ -332,116 +332,11 @@ def test_kernel_bit_identical_to_reference(mode, n, k, seed):
         assert np.array_equal(np.signbit(out.x), np.signbit(ref_x))  # signed zeros too
 
 
-# --- the batched entry against solve_lp --------------------------------------
-
-
-def _batch_case(mode, n, k, count, seed):
-    """A batch of LPs with nonnegative offsets; ``A``/``b`` are shared by all
-    LPs (``shared``) or stacked per LP."""
-    rng = np.random.default_rng(seed)
-    C = rng.normal(size=(count, n))
-    A = rng.normal(size=(count, k, n))
-    b = np.abs(rng.normal(size=(count, k)))
-    if mode == "rounded":
-        # small integers: ratio ties, zero offsets, zero costs, repeated rows
-        C = np.round(2.0 * C)
-        A = np.round(2.0 * A)
-        b = np.round(b)
-    elif mode == "unbounded":
-        # about half the LPs recede along their objective
-        recede = rng.random(count) < 0.5
-        Cn = C / np.maximum((C * C).sum(axis=1), 1e-300)[:, None]
-        along = np.einsum("lkn,ln->lk", A, C)
-        A[recede] -= (np.maximum(along, 0.0)[:, :, None] * Cn[:, None, :])[recede]
-    elif mode == "shared":
-        A, b = A[0], b[0]
-    return C, A, b
-
-
-def _lockstep_calls(C, A, b):
-    """``solve_lp_batch(C, A, b)`` and the size of each ``_lockstep`` call it made."""
-    sizes = []
-    lockstep = lp_module._lockstep
-
-    def counted(C, A, b):
-        sizes.append(len(C))
-        return lockstep(C, A, b)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp_module, "_lockstep", counted)
-        return solve_lp_batch(C, A, b), sizes
-
-
-def _assert_batch_matches_solve_lp(outs, C, A, b):
-    assert len(outs) == len(C)
-    for l, out in enumerate(outs):
-        ref = solve_lp(LinearProgram(C[l], A if A.ndim == 2 else A[l], b if b.ndim == 1 else b[l]))
-        assert out.status is ref.status
-        assert out.value == ref.value
-        if ref.x is None:
-            assert out.x is None
-        else:
-            assert np.array_equal(out.x, ref.x)
-            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
-
-
-@pytest.mark.parametrize("mode", ["random", "rounded", "unbounded", "shared", "chunked"])
-@given(
-    n=st.integers(1, 4),
-    k=st.integers(1, 40),
-    extra=st.integers(0, 39),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
-    count = 1 + extra  # a batch of any size runs in lockstep
-    if mode == "chunked":  # tall LPs: more than one lockstep chunk
-        k += 40
-        count = lp_module._BATCH_BYTES // (8 * (k + 1) * (2 * n + 1)) + 1 + extra
-    C, A, b = _batch_case(mode, n, k, count, seed)
-    outs, sizes = _lockstep_calls(C, A, b)
-    assert sum(sizes) == count
-    assert len(sizes) >= 2 if mode == "chunked" else len(sizes) == 1
-    _assert_batch_matches_solve_lp(outs, C, A, b)
-
-
-@pytest.mark.parametrize("mode", ["random", "rounded", "unbounded", "signed"])
-@given(
-    n=st.integers(1, 4),
-    k=st.integers(1, 40),
-    extra=st.integers(0, 39),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_padded_batch_bit_identical_to_solve_lp(mode, n, k, extra, seed):
-    # LP l has its first rows[l] rows, then zero rows of offset 0 up to k, as
-    # polytope._support_lps stacks the LPs of polytopes with fewer facets;
-    # an offset of LP 0 is negative in "signed", so the stack runs phase 1
-    count = 1 + extra
-    C, A, b = _batch_case("random" if mode == "signed" else mode, n, k, count, seed)
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(1, k + 1, size=count)
-    rows[0] = k
-    if mode == "signed":
-        b[0, rng.integers(0, k)] *= -1.0
-    padding = np.arange(k)[None, :] >= rows[:, None]
-    A[padding] = 0.0
-    b[padding] = 0.0
-    outs, sizes = _lockstep_calls(C, A, b)
-    assert sizes == [count]
-    unpadded = [solve_lp(LinearProgram(c, a[:r], o[:r])) for c, a, o, r in zip(C, A, b, rows)]
-    for out, ref in zip(outs, unpadded):
-        assert out.status is ref.status
-        assert out.value == ref.value
-        if ref.x is None:
-            assert out.x is None
-        else:
-            assert np.array_equal(out.x, ref.x)
-            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))  # signed zeros too
+# --- tall and budget-bound LPs against the reference kernel -----------------
 
 
 def _clarkson_case(n, k, count, seed):
-    """Redundancy tests of Clarkson's form, tall stacks of small LPs: LP ``l``
+    """Redundancy tests of Clarkson's form, tall small LPs: LP ``l``
     maximizes row ``h_l`` over ``k - 1`` shared unit facet rows and ``h_l``
     itself, capped at its slack + 1. Some facets are near-parallel copies or
     power-of-two multiples of others, and some tested rows repeat a facet,
@@ -473,6 +368,27 @@ def _clarkson_case(n, k, count, seed):
     return tested, A, rhs
 
 
+def _assert_matches_reference(prob):
+    """``solve_lp`` on ``prob`` gives the reference kernel's outcome, bit for
+    bit, or raises where the reference's optimal point misses a row by more
+    than the feasibility tolerance."""
+    status, value, x = _ref_solve(prob)
+    try:
+        out = solve_lp(prob)
+    except ComputationError as exc:
+        assert status is LpStatus.OPTIMAL and "infeasible point" in str(exc)
+        residual = (prob.A @ x - prob.b).max()
+        assert residual > TOL.feas * max(1.0, np.abs(prob.b).max())
+        return False
+    assert out.status is status and out.value == value
+    if x is None:
+        assert out.x is None
+    else:
+        assert np.array_equal(out.x, x)
+        assert np.array_equal(np.signbit(out.x), np.signbit(x))  # signed zeros too
+    return True
+
+
 @given(
     n=st.sampled_from([3, 4]),
     k=st.integers(40, 160),
@@ -480,123 +396,36 @@ def _clarkson_case(n, k, count, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_batch_clarkson_shaped_bit_identical_to_solve_lp(n, k, extra, seed):
+def test_clarkson_shaped_bit_identical_to_reference(n, k, extra, seed):
+    # a 1e-9 near-parallel pair can make the simplex return a point that
+    # misses a row by more than the feasibility tolerance; solve_lp raises then
     C, A, b = _clarkson_case(n, k, 9 + extra, seed)
-    # A 1e-9 near-parallel pair can make the simplex return a point that
-    # misses a row by more than the feasibility tolerance; solve_lp raises
-    # then, and so must a lockstep chunk holding that LP.
-    fails = np.zeros(len(C), dtype=bool)
-    for l in range(len(C)):
-        try:
-            solve_lp(LinearProgram(C[l], A[l], b[l]))
-        except ComputationError:
-            fails[l] = True
-    if fails.any():
-        with pytest.raises(ComputationError):
-            solve_lp_batch(C, A, b)
-        C, A, b = C[~fails], A[~fails], b[~fails]
-    outs, sizes = _lockstep_calls(C, A, b)
-    assert sum(sizes) == len(C)
-    assert all(out.status is LpStatus.OPTIMAL for out in outs)  # the cap bounds every LP
-    _assert_batch_matches_solve_lp(outs, C, A, b)
-
-
-@pytest.mark.parametrize("seed", [16, 38])  # batches with three faulting LPs each
-def test_lockstep_faults_are_per_lp(seed):
-    # a faulting LP gets solve_lp's error in its place, the others keep their
-    # lockstep outcomes, and solve_lp_batch raises the first fault in order
-    C, A, b = _clarkson_case(3, 60, 24, seed)
-    refs = []
     for c, a, r in zip(C, A, b):
-        try:
-            refs.append(solve_lp(LinearProgram(c, a, r)))
-        except ComputationError as exc:
-            refs.append(str(exc))
-    faults = [l for l, ref in enumerate(refs) if isinstance(ref, str)]
-    assert len(faults) == 3
-    sizes = []
-    lockstep = lp_module._lockstep
-
-    def counted(C, A, b):
-        sizes.append(len(C))
-        return lockstep(C, A, b)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp_module, "_lockstep", counted)
-        outs = lp_module._solve_batch(C, A, b)
-        with pytest.raises(ComputationError) as raised:
-            solve_lp_batch(C, A, b)
-    assert sizes == [len(C), len(C)]  # no LP solved again one at a time
-    assert str(raised.value) == refs[faults[0]]
-    for out, ref in zip(outs, refs):
-        if isinstance(ref, str):
-            assert isinstance(out, ComputationError) and str(out) == ref
-        else:
-            assert out.status is ref.status and out.value == ref.value
-            assert np.array_equal(out.x, ref.x)
-            assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))
+        _assert_matches_reference(LinearProgram(c, a, r))
 
 
 @pytest.mark.parametrize("budget", [4, 6])
-def test_lockstep_pivot_budget_is_per_lp(budget):
-    # under a small pivot budget, the LPs that finish in time keep solve_lp's
-    # outcomes, the others get its budget error, and solve_lp_batch raises
-    # the first of those errors in input order
-    C, A, b = _batch_case("random", 3, 30, 24, 7)
-    returned = []
-    lockstep = lp_module._lockstep
-
-    def kept(C, A, b):
-        returned.append(lockstep(C, A, b))
-        return returned[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp_module, "_MAX_PIVOTS", budget)
-        refs = []
-        for c, a, r in zip(C, A, b):
-            try:
-                refs.append(solve_lp(LinearProgram(c, a, r)))
-            except ComputationError as exc:
-                refs.append(str(exc))
-        patch.setattr(lp_module, "_lockstep", kept)
-        with pytest.raises(ComputationError) as raised:
-            solve_lp_batch(C, A, b)
-    faults = [l for l, ref in enumerate(refs) if isinstance(ref, str)]
-    assert 0 < len(faults) < len(C)
-    assert len(returned) == 1
-    outs = returned[0]
-    assert raised.value is outs[faults[0]]
-    for out, ref in zip(outs, refs):
-        if isinstance(ref, str):
-            assert ref == "simplex exceeded the pivot budget"
-            assert isinstance(out, ComputationError) and str(out) == ref
+def test_pivot_budget_matches_reference(monkeypatch, budget):
+    # under a small pivot budget, the LPs that finish in time keep the
+    # reference's outcomes and the others raise the budget error
+    rng = np.random.default_rng(7)
+    C = rng.normal(size=(24, 3))
+    A = rng.normal(size=(24, 30, 3))
+    b = np.abs(rng.normal(size=(24, 30)))
+    monkeypatch.setattr(lp_module, "_MAX_PIVOTS", budget)
+    monkeypatch.setitem(globals(), "_REF_MAX_PIVOTS", budget)
+    faults = 0
+    for c, a, r in zip(C, A, b):
+        prob = LinearProgram(c, a, r)
+        try:
+            _ref_solve(prob)
+        except AssertionError:  # the reference's budget
+            faults += 1
+            with pytest.raises(ComputationError, match="^simplex exceeded the pivot budget$"):
+                solve_lp(prob)
         else:
-            assert out.status is ref.status and out.value == ref.value
-            if ref.x is None:
-                assert out.x is None
-            else:
-                assert np.array_equal(out.x, ref.x)
-                assert np.array_equal(np.signbit(out.x), np.signbit(ref.x))
-
-
-def test_batch_small_or_negative_offsets_match_solve_lp():
-    # a few LPs, or offsets that need phase 1: one lockstep stack either way
-    rng = np.random.default_rng(9)
-    A = rng.normal(size=(6, 2))
-    for count, b in ((3, np.abs(rng.normal(size=6))), (12, rng.normal(size=6))):
-        C = rng.normal(size=(count, 2))
-        for out, c in zip(solve_lp_batch(C, A, b), C):
-            ref = solve_lp(LinearProgram(c, A, b))
-            assert out.status is ref.status and out.value == ref.value
-
-
-def test_batch_shape_errors():
-    with pytest.raises(DimensionError):
-        solve_lp_batch(np.ones((9, 2)), np.ones((9, 3, 3)), np.ones((9, 3)))
-    with pytest.raises(DimensionError):
-        solve_lp_batch(np.ones((9, 2)), np.ones((8, 3, 2)), np.ones((8, 3)))
-    with pytest.raises(DimensionError):
-        solve_lp_batch(np.ones((9, 2)), np.ones((3, 2)), np.ones(4))
+            assert _assert_matches_reference(prob)
+    assert 0 < faults < len(C)
 
 
 def test_recorded_sweep_lp_still_faults():
@@ -624,7 +453,7 @@ def test_recorded_deeper_sweep_lp_still_faults():
 def test_signed_zeros_of_an_objective_move_no_bit(seed, origin):
     # support memos key a direction on its bits with every zero made +0:
     # an objective whose zeros are -0 must give its +0 twin's outcome, bit
-    # for bit, alone and in a batch, through phase 1 too (origin outside)
+    # for bit, through phase 1 too (origin outside)
     rng = np.random.default_rng(seed)
     n = 2 + seed % 3
     eye = np.eye(n)
@@ -646,6 +475,3 @@ def test_signed_zeros_of_an_objective_move_no_bit(seed, origin):
 
     for c_plus, c_minus in zip(plus, minus):
         assert bits(solve_lp(LinearProgram(c_minus, A, b))) == bits(solve_lp(LinearProgram(c_plus, A, b)))
-    assert [bits(out) for out in solve_lp_batch(minus, A, b)] == [
-        bits(out) for out in solve_lp_batch(plus, A, b)
-    ]

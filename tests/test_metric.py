@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import contracta.lp as lp_module
 import contracta.polytope as polytope_module
 from contracta import (
     CSetPolytope,
@@ -203,51 +202,31 @@ class TestSetDistances:
         + [(stabilizable_pairs, lam) for lam in (0.5, 0.8)]
         + [(unequal_pairs, seed) for seed in range(4)],
     )
-    def test_bit_identical_to_sides_one_at_a_time(self, request, monkeypatch, make, arg):
-        if make is unequal_pairs:  # reduced sets: with no vertex list, their supports pool
+    def test_bit_identical_to_sides_one_at_a_time(self, request, make, arg):
+        if make is unequal_pairs:  # reduced sets: with no vertex list, their supports take LPs
             request.getfixturevalue("lp_supports")
         pairs, cold = make(arg), make(arg)
-        shapes = []
-        lockstep = lp_module._lockstep
-
-        def recorded(C, A, b):
-            shapes.append(A.shape)
-            return lockstep(C, A, b)
-
-        monkeypatch.setattr(lp_module, "_lockstep", recorded)
-        pooled = set_distances(pairs)
-        if make is unequal_pairs:
-            # one stack, every polytope's rows padded to the longest with zero rows
-            rows = {p.nfacets for pair in pairs for p in pair}
-            assert len(rows) > 1 and len(shapes) == 1 and shapes[0][1] == max(rows)
-        assert [_bits(r) for r in pooled] == [_bits(reference_distance(C, D)) for C, D in cold]
+        assert [_bits(r) for r in set_distances(pairs)] == [
+            _bits(reference_distance(C, D)) for C, D in cold
+        ]
 
     def test_set_distance_is_the_one_pair_table(self):
-        # a table may mix dimensions: each polytope then runs on its own rows
+        # a table may mix dimensions
         pairs, cold = unequal_pairs(8) + unequal_pairs(9), unequal_pairs(8) + unequal_pairs(9)
         assert [_bits(set_distance(C, D)) for C, D in pairs] == [
             _bits(r) for r in set_distances(cold)
         ]
 
     @pytest.mark.parametrize("lam", [0.5, 0.9, 1.0])
-    def test_one_lockstep_call_per_rotation_table(self, monkeypatch, lam):
-        # at most one, and none: every support the table reads is along a
-        # certified facet normal of its own polytope, in its memo from its
-        # making, so no LP runs (at rate 1 four of them are normals whose
-        # zeros are -0 in one set and +0 in the other, one memo key)
+    def test_rotation_table_solves_no_lp(self, monkeypatch, lam):
+        # every support the table reads is along a certified facet normal of
+        # its own polytope, in its memo from its making, so no LP runs (at
+        # rate 1 four of them are normals whose zeros are -0 in one set and
+        # +0 in the other, one memo key)
         pairs = rotation_pairs(lam)
         lps = count_lps(monkeypatch)
-        calls = []
-        lockstep = lp_module._lockstep
-
-        def counted(C, A, b):
-            calls.append(len(C))
-            return lockstep(C, A, b)
-
-        monkeypatch.setattr(lp_module, "_lockstep", counted)
         set_distances(pairs)
-        assert calls == []
-        assert lps[1] == 0 and lps[2] == sum(calls)
+        assert lps[0] == 0
 
     def test_empty_table(self, monkeypatch):
         lps = count_lps(monkeypatch)
@@ -285,32 +264,25 @@ class TestSetDistancesErrors:
     )
     def test_first_faulting_side_in_pair_order_raises(self, monkeypatch, lp_supports, faulty):
         # side 0 of pair i is D_i along C_i's facets, side 1 is C_i along
-        # D_i's; the faults are injected as the planner's pooled faults are
+        # D_i's
         pairs = unequal_pairs(11)[:3]
-        solve = polytope_module._solve_batch
+        solve = polytope_module._solve_or_fault
 
-        def over(p, rows):
-            k = p.nfacets
-            return rows.shape[0] >= k and np.array_equal(rows[:k], p.H) and not rows[k:].any()
+        def injected(c, A, b):
+            for i, side in faulty:
+                inner, outer = pairs[i][::-1] if side == 0 else pairs[i]
+                if np.array_equal(A, inner.H) and (outer.H == c).all(axis=1).any():
+                    return ComputationError(f"fault {i} {side}")
+            return solve(c, A, b)
 
-        def injected(C, A, b):
-            outs = solve(C, A, b)
-            for l, c in enumerate(np.asarray(C)):
-                rows = A if A.ndim == 2 else A[l]
-                for i, side in faulty:
-                    inner, outer = pairs[i][::-1] if side == 0 else pairs[i]
-                    if over(inner, rows) and (outer.H == c).all(axis=1).any():
-                        outs[l] = ComputationError(f"fault {i} {side}")
-            return outs
-
-        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", injected)
         first = min(faulty)
         with pytest.raises(ComputationError, match=f"^fault {first[0]} {first[1]}$"):
             set_distances(pairs)
         with pytest.raises(ComputationError, match=f"^fault {first[0]} {first[1]}$"):
             for C, D in pairs:  # one side at a time, on the memos just filled
                 reference_distance(C, D)
-        monkeypatch.setattr(polytope_module, "_solve_batch", solve)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", solve)
         with pytest.raises(ComputationError, match=f"^fault {first[0]} {first[1]}$"):
             set_distances(pairs)  # the memos hold the faults: a fault is deterministic
         fresh = unequal_pairs(11)[:3]  # the same rows, on new polytopes with cold memos

@@ -25,7 +25,6 @@ from contracta import (
     symmetric_box,
     validate_cset,
 )
-from contracta import lp as lp_module
 from contracta import onestep, planner
 from contracta import polytope as polytope_module
 from contracta.benchmarks import scalar_seed, scalar_system
@@ -143,15 +142,30 @@ class TestEpsilonPlan:
     def test_cross_polytope_plan_takes_no_all_rows_lp(self, monkeypatch):
         # scripts/cross5_plan_scenario.json: the one-step sets of X = {|x|_1 <= 5}
         # are degenerate shadows whose ray hits tie on 1,340 rows; the rounds
-        # settle every tie with no all-rows LP
+        # settle every tie with no all-rows LP; every LP the plan solves is a
+        # support LP
         scenario = json.loads((SCRIPTS / "cross5_plan_scenario.json").read_text())
-        solved = []
-        solve = polytope_module._solve_or_fault
-        monkeypatch.setattr(
-            polytope_module, "_solve_or_fault", lambda *lp: solved.append(lp) or solve(*lp)
-        )
+        lps = count_lps(monkeypatch)
+        reading, solved = [], []
+        supports, solve = polytope_module._support_lps, polytope_module._solve_or_fault
+
+        def read(p, directions):
+            reading.append(p)
+            try:
+                return supports(p, directions)
+            finally:
+                reading.pop()
+
+        def solving(*lp):
+            if not reading:
+                solved.append(lp)
+            return solve(*lp)
+
+        monkeypatch.setattr(polytope_module, "_support_lps", read)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", solving)
         plan = run_scenario_dict(scenario).results["plan"]
         assert solved == []
+        assert lps[0] == 172
         assert plan["k"] == 120
         assert plan["eta"] == 0.9089056137473465
 
@@ -357,13 +371,14 @@ class TestApproximation:
 
     @pytest.mark.parametrize("faulty", [("seed", "state"), ("state",)])
     def test_pooled_lp_faults_raise_in_step_order(self, monkeypatch, lp_supports, faulty):
-        # at step 2 the seed's and the state's verification LPs run in one
-        # pooled batch; when both fault, the seed's fault is raised
+        # step 2 projects both iterates before it verifies either; when the
+        # seed's and the state's verification LPs both fault, the seed's
+        # fault is raised
         sys3, seed = scalar_system(3), oblique_seed()
         plan = epsilon_plan(sys3, 0.9, seed, 0.5)  # below rate 1 the state set shrinks
         assert approximate_cmax1(sys3, plan, seed, Strategy.ADAPTIVE_INCLUSION).k_star >= 2
         made = []  # one-step sets in projection order: seed_1, state_1, seed_2, state_2, ...
-        original, solve = onestep.one_step_set, polytope_module._solve_batch
+        original, solve = onestep.one_step_set, polytope_module._solve_or_fault
 
         def recorded(sys, lam, D):
             q = original(sys, lam, D)
@@ -371,26 +386,19 @@ class TestApproximation:
                 made.append(q)
             return q
 
-        def over(p, rows):
-            k = p.nfacets
-            return rows.shape[0] >= k and np.array_equal(rows[:k], p.H) and not rows[k:].any()
-
-        def injected(C, A, b):
-            outs = solve(C, A, b)
-            if len(made) < 4:
-                return outs
-            seed_1, seed_2, state_2 = made[0], made[2], made[3]
-            for l, c in enumerate(np.asarray(C)):
-                rows = A if A.ndim == 2 else A[l]
-                if "seed" in faulty and over(seed_1, rows) and (seed_2.H == c).all(axis=1).any():
-                    outs[l] = ComputationError("seed fault")
-                elif "state" in faulty and over(state_2, rows):
-                    outs[l] = ComputationError("state fault")
-            return outs
+        def injected(c, A, b):
+            if len(made) >= 4:
+                seed_1, seed_2, state_2 = made[0], made[2], made[3]
+                along_seed_2 = (seed_2.H == c).all(axis=1).any()
+                if "seed" in faulty and np.array_equal(A, seed_1.H) and along_seed_2:
+                    return ComputationError("seed fault")
+                if "state" in faulty and np.array_equal(A, state_2.H):
+                    return ComputationError("state fault")
+            return solve(c, A, b)
 
         monkeypatch.setattr(onestep, "one_step_set", recorded)
         monkeypatch.setattr(planner, "one_step_set", recorded)
-        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", injected)
         fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)  # sys3's memo holds the steps
         with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
             approximate_cmax1(fresh, plan, seed, Strategy.ADAPTIVE_INCLUSION)
@@ -398,13 +406,13 @@ class TestApproximation:
 
     @pytest.mark.parametrize("faulty", [("seed", "state"), ("state",)])
     def test_window_lp_faults_raise_in_step_order(self, monkeypatch, lp_supports, faulty):
-        # an a-priori window pools the LPs of steps 1 to 15 in one batch; a
-        # seed fault at step 2 raises before a state fault at step 5
+        # an a-priori run raises a seed fault at step 2 before a state fault
+        # at step 5
         sys3, seed = scalar_system(3), oblique_seed()
         plan = epsilon_plan(sys3, 0.9, seed, 0.5)
-        assert plan.k > planner._APRIORI_WINDOW
+        assert plan.k > 5
         made = []  # one-step sets in projection order: seed_1, state_1, seed_2, state_2, ...
-        original, solve = onestep.one_step_set, polytope_module._solve_batch
+        original, solve = onestep.one_step_set, polytope_module._solve_or_fault
 
         def recorded(sys, lam, D):
             q = original(sys, lam, D)
@@ -412,39 +420,31 @@ class TestApproximation:
                 made.append(q)
             return q
 
-        def over(p, rows, offsets):  # the state iterates share their normals
-            k = p.nfacets
-            same = np.array_equal(rows[:k], p.H) and np.array_equal(offsets[:k], p.b)
-            return rows.shape[0] >= k and same and not rows[k:].any()
+        def over(p, A, b):  # the state iterates share their normals
+            return np.array_equal(A, p.H) and np.array_equal(b, p.b)
 
         def along(p, c):  # a facet normal of p: seed_1 along seed_2's is step 2
             return (p.H == c).all(axis=1).any()
 
-        def injected(C, A, b):
-            outs = solve(C, A, b)
-            if len(made) < 10:
-                return outs
-            seed_1, state_1, seed_2, state_5 = made[0], made[1], made[2], made[9]
-            for l, c in enumerate(np.asarray(C)):
-                rows, offsets = (A, b) if A.ndim == 2 else (A[l], b[l])
-                step_2 = over(seed_1, rows, offsets) and along(seed_2, c) and not along(state_1, c)
-                if "seed" in faulty and step_2:
-                    outs[l] = ComputationError("seed fault")
-                elif "state" in faulty and over(state_5, rows, offsets):
-                    outs[l] = ComputationError("state fault")
-            return outs
+        def injected(c, A, b):
+            if "seed" in faulty and len(made) >= 4:
+                seed_1, state_1, seed_2 = made[0], made[1], made[2]
+                if over(seed_1, A, b) and along(seed_2, c) and not along(state_1, c):
+                    return ComputationError("seed fault")
+            if "state" in faulty and len(made) >= 10 and over(made[9], A, b):
+                return ComputationError("state fault")
+            return solve(c, A, b)
 
         monkeypatch.setattr(onestep, "one_step_set", recorded)
         monkeypatch.setattr(planner, "one_step_set", recorded)
-        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", injected)
         fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)
         with pytest.raises(ComputationError, match=f"^{faulty[0]} fault$"):
             approximate_cmax1(fresh, plan, seed, Strategy.APRIORI_BOUND)
-        assert len(made) == 2 * (planner._APRIORI_WINDOW - 1)  # the first window's steps
 
     @pytest.mark.parametrize("oblique", [False, True])
     def test_apriori_records_match_adaptive_bits(self, oblique):
-        # windows pool other batches than single steps; no record moves a bit
+        # both strategies take the same steps; no record moves a bit
         def case():
             if oblique:
                 sys3, seed = scalar_system(3), oblique_seed()
@@ -460,25 +460,16 @@ class TestApproximation:
         assert repr(full.per_iteration[: k_star + 1]) == repr(adaptive.per_iteration)
         assert len(full.per_iteration) == plan.k + 1
 
-    def test_apriori_lockstep_calls(self, monkeypatch):
-        # steps 0-15, 16-31, 32-47 and 48-63 pool a batch each, step 64 one
-        # more, where steps taken one at a time make 64 kernel calls. Every
-        # support is along a set's own facet normal, certified in its memo
-        # with no LP, so no batch reaches the kernel: the seed's normals -e_1
-        # and -e_2, whose zeros are -0, share their memo keys with the +0
-        # rows of the sets asked
+    def test_apriori_run_solves_no_lp(self, monkeypatch):
+        # every support is along a set's own facet normal, certified in its
+        # memo with no LP: the seed's normals -e_1 and -e_2, whose zeros are
+        # -0, share their memo keys with the +0 rows of the sets asked
         sys2, seed = scalar_system(2), scalar_seed(2)
         plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
         assert plan.k == 64
-        calls, lockstep = [], lp_module._lockstep
-
-        def counted(C, A, b):
-            calls.append(len(C))
-            return lockstep(C, A, b)
-
-        monkeypatch.setattr(lp_module, "_lockstep", counted)
+        lps = count_lps(monkeypatch)
         approximate_cmax1(sys2, plan, seed, Strategy.APRIORI_BOUND)
-        assert calls == []
+        assert lps[0] == 0
 
     def test_slack_and_distance_on_oblique_facets(self):
         sys3, seed = scalar_system(3), oblique_seed()

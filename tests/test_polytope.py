@@ -36,7 +36,6 @@ from contracta import (
 )
 from unittest import mock
 
-import contracta.lp as lp_module
 import contracta.polytope as polytope_module
 from contracta.errors import (
     ComputationError,
@@ -310,7 +309,7 @@ class TestSupportMany:
     def test_matches_row_by_row_loop(self, seed, dim, kind):
         rng = np.random.default_rng(seed)
         inner = random_inner(rng, dim, kind)
-        outer = random_rows(rng, dim, "c-set")  # 7-21 facets: small and batched
+        outer = random_rows(rng, dim, "c-set")  # 7-21 facets
         values, error = _result_or_error(support_many, inner, outer.H)
         ref_values, ref_error = _result_or_error(_loop_supports, inner, outer.H)
         assert error is ref_error
@@ -377,8 +376,7 @@ def _bits(out):
 
 
 def support_lps(p, directions):
-    """``polytope._support_lps`` for the one pair ``(p, directions)``."""
-    return polytope_module._support_lps([(p, directions)])[0]
+    return polytope_module._support_lps(p, directions)
 
 
 def _memo_results(fn, p, outer):
@@ -427,103 +425,58 @@ class TestSupportMemo:
         if kind == "exceeded-then-unbounded":
             assert is_subset(inner, outer) is False
 
-    def test_pooled_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch, lp_supports):
+    def test_unbounded_lp_before_exceeded_facet_raises(self, monkeypatch, lp_supports):
         # the inner set is unbounded along facet 0 of the outer one and
-        # exceeds facet 1; its memo is filled by one stacked lockstep batch
-        # with a polytope of more facets, so its LPs carry padding rows; the
-        # other polytope's memo holds its coordinate LPs, so it is asked along
-        # the diagonals
+        # exceeds facet 1
         inner = HPolytope([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], [1.0, 1.0, 5.0])
         diagonals = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         outer = HPolytope(np.vstack([np.eye(2), -np.eye(2), diagonals]), 2.0 * np.ones(8))
-        other = random_cset(np.random.default_rng(5), 2)
-        assert other.nfacets > inner.nfacets
-        sizes = []
-        lockstep = lp_module._lockstep
-
-        def counted(C, A, b):
-            sizes.append(A.shape)
-            return lockstep(C, A, b)
-
-        monkeypatch.setattr(lp_module, "_lockstep", counted)
-        pooled = polytope_module._support_lps([(inner, outer.H), (other, outer.H[4:7])])
-        # 8 LPs of inner and 3 of other, less those along inner's facets
-        # e_2, -e_1 and -e_2, certified in its memo whatever their zeros' signs
-        assert sizes == [(8, other.nfacets, 2)]
-        assert pooled[0][0].status is LpStatus.UNBOUNDED
+        lps = count_lps(monkeypatch)
+        outcomes = support_lps(inner, outer.H)
+        # 8 LPs less those along inner's facets e_2, -e_1 and -e_2, certified
+        # in its memo whatever their zeros' signs
+        assert lps[0] == 5
+        assert outcomes[0].status is LpStatus.UNBOUNDED
         with pytest.raises(UnboundedDirectionError):
             polytope_module._first_exceeded(inner, outer)
         with pytest.raises(UnboundedDirectionError):
             is_subset(inner, outer)
-        assert sizes == [(8, other.nfacets, 2)]  # both read the memo
-        cold = HPolytope(inner.H, inner.b)
-        direct = [_bits(out) for out in support_lps(cold, outer.H)]
-        assert [_bits(out) for out in pooled[0]] == direct
+        assert lps[0] == 5  # both read the memo
+        direct = [_bits(solve_lp(LinearProgram(d, inner.H, inner.b))) for d in outer.H]
+        assert [_bits(out) for out in outcomes] == direct
 
-    def test_pairs_of_one_polytope_solve_each_direction_once(self, monkeypatch, lp_supports):
-        # two pairs ask one polytope for overlapping directions, as a distance
-        # table asks an iterate that two consecutive pairs share
-        rng = np.random.default_rng(7)
-        p, q = random_cset(rng, 3), random_cset(rng, 3)
-        directions = rng.normal(size=(9, 3))
-        lps = count_lps(monkeypatch)
-        first, other, second = polytope_module._support_lps(
-            [(p, directions[:6]), (q, directions[:4]), (p, directions[3:])]
-        )
-        assert lps == [13, 0, 13]  # one lockstep stack
-        assert all(a is b for a, b in zip(first[3:], second[:3]))
-        direct = [_bits(solve_lp(LinearProgram(d, p.H, p.b))) for d in directions]
-        assert [_bits(out) for out in first + second[3:]] == direct
-        assert [_bits(out) for out in other] == [
-            _bits(solve_lp(LinearProgram(d, q.H, q.b))) for d in directions[:4]
-        ]
-
-    def test_pooled_faults_raise_in_pair_order(self, monkeypatch, lp_supports):
-        # both faults are in one pooled batch, and q's pair asks before the
-        # pair of p whose row faults
+    def test_faults_are_stored_and_raise_in_row_order(self, monkeypatch, lp_supports):
+        # every outcome is stored, the faults too, and a reader raises the
+        # first fault in row order
         rng = np.random.default_rng(9)
-        p, q = random_cset(rng, 2), random_cset(rng, 2)
+        p = random_cset(rng, 2)
         directions = rng.normal(size=(8, 2))
-        faulty = {
-            (id(q), directions[1].tobytes()): "q fault",
-            (id(p), directions[6].tobytes()): "p fault",
-        }
-        solve = polytope_module._solve_batch
+        faulty = {directions[1].tobytes(): "first fault", directions[6].tobytes(): "second fault"}
+        solve = polytope_module._solve_or_fault
 
-        def raised(message):  # a fault as _solve_or_fault catches it, with its traceback
+        def injected(c, A, b):  # a fault as _solve_or_fault catches it, with its traceback
+            if c.tobytes() not in faulty:
+                return solve(c, A, b)
             try:
-                raise ComputationError(message)
+                raise ComputationError(faulty[c.tobytes()])
             except ComputationError as exc:
                 return exc
 
-        def injected(C, A, b):
-            outs = solve(C, A, b)
-            for l, c in enumerate(np.asarray(C)):
-                rows = A if A.ndim == 2 else A[l]
-                for r in (p, q):
-                    key = (id(r), c.tobytes())
-                    k = r.nfacets
-                    if key in faulty and np.array_equal(rows[:k], r.H) and not rows[k:].any():
-                        outs[l] = raised(faulty[key])
-            return outs
-
-        monkeypatch.setattr(polytope_module, "_solve_batch", injected)
-        pairs = [(p, directions[:4]), (q, directions[:4]), (p, directions[4:])]
-        pooled = polytope_module._support_lps(pairs)  # stores every outcome, raises none
-        with pytest.raises(ComputationError, match="^q fault$"):
-            for outcomes in pooled:  # the first fault in pair order
-                polytope_module._support_values(outcomes)
+        monkeypatch.setattr(polytope_module, "_solve_or_fault", injected)
+        outcomes = support_lps(p, directions)  # stores every outcome, raises none
+        with pytest.raises(ComputationError, match="^first fault$"):
+            polytope_module._support_values(outcomes)
         # the 8 directions, validate_cset's 4 coordinate LPs and the 3
         # certified facets the memo was made with
         memo = p._memo[(TOL.feas, TOL.opt, TOL.pivot)]
-        assert len(memo) == 15 and memo[directions[6].tobytes()] is pooled[2][2]
-        assert pooled[2][2].__traceback__ is None  # no frame of the solve stays alive
+        assert len(memo) == 15 and memo[directions[6].tobytes()] is outcomes[6]
+        assert outcomes[6].__traceback__ is None  # no frame of the solve stays alive
 
     def test_stationary_table_solves_no_direction_twice(self, monkeypatch, lp_supports):
         # a dead input and A = 0.8 I make the sequences stationary at rate
         # 0.8, so the distance table repeats one pair of objects; per rate the
-        # pooled table makes no more LPs than the sides of its pairs taken one
-        # at a time. The seeds are a square and a diamond, so every direction
+        # table makes no more LPs than the sides of its pairs taken one at a
+        # time. The seeds are a square and a diamond, so every direction
         # asked is a facet normal of the other set, not of the set asked
         def sequences():
             sysr = SystemModel(
@@ -539,15 +492,15 @@ class TestSupportMemo:
                 for lam in (0.5, 0.8)
             ]
 
-        pooled, single = sequences(), sequences()
-        assert pooled[1][-1][0] is pooled[1][1][0]  # stationary at rate 0.8
+        tables, single = sequences(), sequences()
+        assert tables[1][-1][0] is tables[1][1][0]  # stationary at rate 0.8
         lps = count_lps(monkeypatch)
         for table in single:
             for C, D in table:
                 support_many(D, C.H)
                 support_many(C, D.H)
         one_at_a_time, lps[0] = lps[0], 0
-        for table in pooled:
+        for table in tables:
             set_distances(table)
         # rate 0.5: 4 for the seeds (the diamond's coordinate LPs from its
         # validation are memo hits) and 8 for each of 4 steps; rate 0.8: the
@@ -585,7 +538,7 @@ class TestSupportMemo:
         assert lps[0] == solved + 1  # only the row of ones
         assert all(a is b for a, b in zip(first, again[1:]))
 
-    @pytest.mark.parametrize("count", [1, 12])  # one at a time and in lockstep
+    @pytest.mark.parametrize("count", [1, 12])  # one direction and many
     def test_memoized_points_are_read_only(self, count):
         p = validate_cset(symmetric_box([1.0, 2.0]))
         directions = np.random.default_rng(count).normal(size=(count, 2))
@@ -627,21 +580,14 @@ class TestCertifiedFacets:
     is a facet: its support is its offset, in the memo from its making."""
 
     def test_box_validates_and_reads_axis_supports_with_no_lp(self, monkeypatch):
-        calls = []
-        lockstep = lp_module._lockstep
-
-        def counted(C, A, b):
-            calls.append(len(C))
-            return lockstep(C, A, b)
-
-        monkeypatch.setattr(lp_module, "_lockstep", counted)
+        lps = count_lps(monkeypatch)
         parent = box([-1.0, -2.0, -0.5], [3.0, 2.0, 0.25])
         p = validate_cset(parent)
         eye = np.eye(3)
         directions = np.concatenate((eye, -eye))
         values = support_many(p, directions)
         outcomes = support_lps(p, directions)
-        assert calls == []
+        assert lps[0] == 0
         for d, value, out in zip(directions, values, outcomes):
             ref = solve_lp(LinearProgram(d, p.H, p.b))
             assert _bits(out) == _bits(ref) and value == ref.value
@@ -1033,27 +979,16 @@ def crosspolytope_with_vertex_rows(n, seed):
 
 def _inject_faults(monkeypatch, rows):
     """Make every LP that maximizes one of ``rows`` fault in ``polytope``, a
-    redundancy test or a support LP: alone or in a batch, it gives
+    redundancy test or a support LP: it gives
     ``ComputationError("injected fault")`` in place of its outcome."""
-    solve, batch = polytope_module._solve_or_fault, polytope_module._solve_batch
-
-    def faults(objectives):
-        objectives = np.asarray(objectives)
-        if objectives.shape[1] != rows.shape[1]:  # not a redundancy test
-            return False
-        return (objectives[:, None, :] == rows[None]).all(axis=2).any()
+    solve = polytope_module._solve_or_fault
 
     def faulty_solve(c, A, b):
-        return ComputationError("injected fault") if faults(np.atleast_2d(c)) else solve(c, A, b)
-
-    def faulty_batch(C, A, b):
-        return [
-            ComputationError("injected fault") if faults(c[None]) else out
-            for c, out in zip(np.asarray(C), batch(C, A, b))
-        ]
+        if c.size == rows.shape[1] and (rows == c).all(axis=1).any():
+            return ComputationError("injected fault")
+        return solve(c, A, b)
 
     monkeypatch.setattr(polytope_module, "_solve_or_fault", faulty_solve)
-    monkeypatch.setattr(polytope_module, "_solve_batch", faulty_batch)
 
 
 def brute_force_vertices(H, b):
