@@ -49,13 +49,13 @@ from .polytope import (
     _facet_cap,
     _finite_norms,
     _first_exceeded,
+    _project,
     _shared_counts,
     _vertex_list,
     _vertex_points,
     inradius_origin,
     is_subset,
     outer_radius,
-    project,
     remove_redundancy,
     validate_cset,
 )
@@ -71,8 +71,9 @@ class SystemModel:
     """Linear system ``x+ = A x + B u`` with compact constraint sets X, U.
 
     Immutable: ``A`` and ``B`` are read-only copies of the caller's arrays.
-    Its certificate constants are kept from their first use, its one-step
-    sets in a memo that lives and dies with it (:func:`one_step_set`).
+    Its certificate constants and the constant rows of its one-step lifts
+    are kept from their first use, its one-step sets in a memo that lives
+    and dies with it (:func:`one_step_set`).
     """
 
     A: np.ndarray
@@ -134,6 +135,19 @@ class SystemModel:
         """Exact inscribed and circumscribed radii of X, inscribed radius of U."""
         return inradius_origin(self.X), outer_radius(self.X), inradius_origin(self.U)
 
+    @cached_property
+    def _lift_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and offsets that open every one-step lift (:func:`_lift`),
+        read-only: X's on the state coordinates, then U's on the inputs'."""
+        X, U = self.X, self.U
+        H = np.zeros((X.nfacets + U.nfacets, self.n + self.m))
+        H[: X.nfacets, : self.n] = X.H
+        H[X.nfacets :, self.n :] = U.H
+        b = np.concatenate((X.b, U.b))
+        H.setflags(write=False)
+        b.setflags(write=False)
+        return H, b
+
     @property
     def controllable(self) -> bool:
         return self.sigma_extremes[0] > TOL.ctrb
@@ -193,9 +207,10 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     and its offsets (those of X, U and ``lam * D``) must be positive, which
     makes the shadow's positive too (see :func:`project`). A target without
     the origin in its interior raises ``OriginNotInteriorError``. The C-set
-    carries the shadow's vertex incidence, when its reduction kept one, and
-    the vertices an inherited description solved, which answer its
-    supports with no LP and prune and describe its own next step.
+    carries the shadow's support memo, its vertex incidence, when its
+    reduction kept one, and the vertices an inherited description solved,
+    which answer its supports with no LP and prune and describe its own
+    next step. The facet cap is read once, for the key and the projection.
 
     The result is memoized on ``sys``, keyed by everything the projection
     reads: ``lam``, the LP tolerances, the facet cap and the bits of ``D``'s
@@ -219,10 +234,9 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     if shadow is None and rows is not None and sys.m == 1:  # one link's rows are the lift's
         shadow = remove_redundancy(rows)
     elif shadow is None:  # a longer chain's rows are not project's: project anew
-        shadow = project(lifted, sys.n)
-    q = CSetPolytope._computed(
-        shadow.H, shadow.b, incidence=shadow._incidence, vertices=shadow._vertices
-    )
+        shadow = _project(lifted, sys.n, cap)
+    q = CSetPolytope._computed(shadow.H, shadow.b, shadow._memo, shadow._incidence,
+                               shadow._vertices)
     if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
         q = D
     sys._steps[key] = q
@@ -381,24 +395,19 @@ def _described(sys: SystemModel, rows: HPolytope, W: np.ndarray, T: np.ndarray) 
 def _lift(sys: SystemModel, lam: float, D: CSetPolytope) -> HPolytope:
     """The lifted polytope ``{(x, u) : x in X, u in U, H_D (A x + B u) <=
     lam * b_D}`` of :func:`one_step_set`: X's rows, U's, then one row per
-    facet of D, in D's order."""
-    X, U = sys.X, sys.U
-    top = X.nfacets + U.nfacets
-    lifted_H = np.zeros((top + D.nfacets, sys.n + sys.m))
-    lifted_H[: X.nfacets, : sys.n] = X.H
-    lifted_H[X.nfacets : top, sys.n :] = U.H
-    made = lifted_H[top:]  # a view
+    facet of D, in D's order; the rows before D's are copied from
+    ``SystemModel._lift_rows``."""
+    fixed_H, fixed_b = sys._lift_rows
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        made[:, : sys.n] = D.H @ sys.A
-        made[:, sys.n :] = D.H @ sys.B
-    lifted_b = np.concatenate((X.b, U.b, lam * D.b))
+        made = np.concatenate((D.H @ sys.A, D.H @ sys.B), axis=1)
+    lifted_b = np.concatenate((fixed_b, lam * D.b))
     if not np.all(lifted_b > 0.0):
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
     norms = _finite_norms(made)
     unit = norms > _ZERO_ROW
-    made[unit] /= norms[unit, None]
-    lifted_b[top:][unit] /= norms[unit]
-    return HPolytope._computed(lifted_H, lifted_b)
+    np.divide(made, norms[:, None], out=made, where=unit[:, None])
+    np.divide(lifted_b[len(fixed_b) :], norms, out=lifted_b[len(fixed_b) :], where=unit)
+    return HPolytope._computed(np.concatenate((fixed_H, made)), lifted_b)
 
 
 def _verify(lam: float, prev: CSetPolytope, nxt: CSetPolytope, seed_label: SeedLabel, step: int):

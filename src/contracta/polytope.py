@@ -25,7 +25,8 @@ support LP outcomes by the LP tolerances in force and then by direction
 those tolerances, holding the outcome along the normal of each certified
 facet, a row that its own normal ray from the origin crosses first,
 clearly: the facet's offset, exact, at a point of the set on the facet,
-with no LP (:func:`_facet_supports`). Along any other direction, a set that
+with no LP (:func:`_facet_supports`); validated boxes and reduced sets that
+ran no redundancy round are born with it. Along any other direction, a set that
 carries its vertices answers with the largest ``d . v`` over them, at that
 vertex, and no LP: :func:`remove_redundancy` keeps their incidence on its
 rows when its double description of the output is complete, the vertices
@@ -239,8 +240,9 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     carries neither a vertex list nor an incidence gets instead its 2^n
     vertices in closed form, read-only, and no incidence: one per sign
     pattern, each coordinate the bound its sign picks, the bits that
-    solving the pattern's n rows gives (:func:`vertices`). It gets a memo
-    of its own, whose outcomes its vertices answer.
+    solving the pattern's n rows gives (:func:`vertices`). It is born with
+    a memo of its own holding its 2n certified facets, since each row's own
+    ray crosses it alone; its vertices answer the other directions.
     """
     interior = bool(np.all(p.b > 0.0))
     if not interior:
@@ -258,7 +260,9 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
             upper = (np.arange(1 << p.dim)[:, None] >> np.arange(p.dim)) & 1
             points = np.where(upper == 1, bounds[1], bounds[0])
             points.setflags(write=False)
-            return CSetPolytope._computed(p.H, p.b, vertices=points)
+            q = CSetPolytope._computed(p.H, p.b, vertices=points)
+            _memo(q, np.ones(p.nfacets, dtype=bool))  # each row's own ray crosses it alone
+            return q
     return CSetPolytope._computed(p.H, p.b, p._memo, p._incidence, p._vertices)  # the same outcomes
 
 
@@ -292,9 +296,7 @@ def _unbounded_axis(p: HPolytope) -> int | None:
 def support(p: HPolytope, direction) -> float:
     """Support value ``max a.x`` over the polytope."""
     a = np.asarray(direction, dtype=float).ravel()
-    if a.size != p.dim:
-        raise DimensionError("direction dimension mismatch")
-    return _support_value(_support_lps(p, a[None, :])[0])
+    return _support_value(_support_lps(p, a[None, :])[0])  # which checks the dimension
 
 
 def support_many(p: HPolytope, directions) -> np.ndarray:
@@ -344,14 +346,15 @@ def _support_lps(p: HPolytope, directions) -> list:
     return [memo[key] for key in keys]
 
 
-def _memo(p: HPolytope) -> dict:
-    """``p``'s support memo under the LP tolerances in force, made on its
-    first query under them holding the supports along ``p``'s certified
-    facets (:func:`_facet_supports`)."""
+def _memo(p: HPolytope, facets: np.ndarray | None = None) -> dict:
+    """``p``'s support memo under the LP tolerances in force, made when
+    first asked for under them holding the supports along ``p``'s certified
+    facets (:func:`_facet_supports`, given their mask ``facets`` if known):
+    at birth for a validated box and some reduced sets, else on a query."""
     tol = (TOL.feas, TOL.opt, TOL.pivot)
     memo = p._memo.get(tol)
     if memo is None:
-        memo = p._memo.setdefault(tol, _facet_supports(p.H, p.b))
+        memo = p._memo.setdefault(tol, _facet_supports(p.H, p.b, facets))
     return memo
 
 
@@ -366,18 +369,21 @@ def _row_keys(rows: np.ndarray) -> list:
     return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
-def _facet_supports(H: np.ndarray, b: np.ndarray) -> dict:
+def _facet_supports(H: np.ndarray, b: np.ndarray, facets: np.ndarray | None = None) -> dict:
     """The support outcomes of ``{x | H x <= b}`` along the normal ``h_i``
     of each certified facet, keyed as in its memo. When every offset
     exceeds ``feas``, a row that the ray from the origin along its own
     normal crosses first, clearly (:func:`_first_hits`), is a facet: its
     support is its offset ``b_i``, exactly, attained at the point ``b_i
     h_i`` of the set (``+ 0.0`` turns ``-0`` into the simplex's ``+0``, so
-    an axis-aligned facet's outcome is ``solve_lp``'s, bit for bit)."""
+    an axis-aligned facet's outcome is ``solve_lp``'s, bit for bit). A
+    caller that traced those rays already, under the tolerances in force,
+    passes their verdict as the mask ``facets``."""
     if not (b > TOL.feas).all():
         return {}
-    first, clear = _first_hits(H, H, b, np.zeros(len(b), dtype=bool))
-    facets = clear & (first == np.arange(len(b)))
+    if facets is None:
+        first, clear = _first_hits(H, H, b, np.zeros(len(b), dtype=bool))
+        facets = clear & (first == np.arange(len(b)))
     H, b = H[facets], b[facets]
     points = b[:, None] * H + 0.0
     points.setflags(write=False)  # read-only, as every memoized optimal point
@@ -589,27 +595,32 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     (:func:`_support_lps`): each solved on its tight rows when first read
     (:func:`_vertex_list`), and none kept when a vertex's tight rows do not
     span the space. A ray's own quotient ``y / t`` is not kept: it can
-    break a row of the set by more than ``feas``.
+    break a row of the set by more than ``feas``. When no round runs, the
+    normal rays were the memo's, and the output is born with its memo.
     """
-    keep, incidence = _irredundant_rows(p)
-    return HPolytope._computed(p.H[keep], p.b[keep], incidence=incidence)
+    keep, incidence, facets = _irredundant_rows(p)
+    out = HPolytope._computed(p.H[keep], p.b[keep], incidence=incidence)
+    if facets is not None:  # the ray pass traced the memo's rays
+        _memo(out, facets)
+    return out
 
 
 def _irredundant_rows(p: HPolytope):
     """Indices of the rows of ``p`` that :func:`remove_redundancy` keeps, in
-    its order, and, when the redundancy rounds end with the complete double
+    its order; when the redundancy rounds end with the complete double
     description of the set they bound about the origin, the incidence of
-    its vertices on the kept rows (vertices by rows, booleans; else None)."""
+    its vertices on the kept rows (vertices by rows, booleans; else None);
+    and when no round runs, the mask of :func:`_facet_supports`' facets."""
     kept = _collapse_parallel(p.H, p.b)
     H, b = p.H[kept], p.b[kept]
     k = H.shape[0]
     if k <= 1:
-        return kept, None
+        return kept, None, None
     slack, radius = _interior_slack(H, b)
     removed = np.zeros(k, dtype=bool)
-    incidence = None
+    incidence = facets = None
     if radius > TOL.feas and (slack > 0.0).all():
-        wide, dd, columns = _clarkson_rounds(H, slack, removed)
+        wide, dd, columns, facets = _clarkson_rounds(H, slack, removed)
         if dd is not None and (b > TOL.feas).all():  # the slacks are b: y is x
             incidence = np.zeros((len(dd.rays), k - np.count_nonzero(removed)), dtype=bool)
             incidence[:, (np.cumsum(~removed) - 1)[columns]] = dd.tight[:, 1:] == 1.0
@@ -629,8 +640,8 @@ def _irredundant_rows(p: HPolytope):
             and out.value <= b[i] + TOL.feas
         )
     if removed.all():  # cannot happen for a bounded set; fail safe
-        return kept, None
-    return kept[~removed], incidence
+        return kept, None, None
+    return kept[~removed], incidence, facets
 
 
 def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
@@ -646,7 +657,8 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
     and every unsettled row. With it come the final description and the
     row of each of its inserted columns when that mask is empty and the
     description complete (every row left is one of its facets), else None
-    twice.
+    twice; and when no round runs, the mask of the rows that their own ray
+    crosses first, clearly (:func:`_facet_supports`' verdict; else None).
 
     On a tied hit, each tied row that still beats the description is
     inserted (:func:`_beating`) as a facet to be settled after the rounds.
@@ -659,7 +671,7 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
     known[first[clear]] = True
     wide = np.zeros(k, dtype=bool)
     if known.all():  # every row is a facet, as on most C-set shadows: nothing to build
-        return wide, None, None
+        return wide, None, None, clear & (first == np.arange(k))
     dd, rows = _Description(n), np.concatenate((H, -slack[:, None]), axis=1)
     order = list(np.flatnonzero(known))  # the inserted rows, in the order of dd's columns
     for j in order:
@@ -700,8 +712,8 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
         wide |= removed | unsettled
         removed[:] = False
     if wide.any():
-        return wide, None, None
-    return wide, dd, [j for j in order if not removed[j]]  # _settle drops removed rows' columns
+        return wide, None, None, None
+    return wide, dd, [j for j in order if not removed[j]], None  # _settle drops their columns
 
 
 def _tied_rows(direction: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
@@ -1055,7 +1067,11 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     """
     if not 1 <= keep < p.dim:
         raise ValidationError(f"keep must be in [1, {p.dim - 1}]")
-    cap = _facet_cap()
+    return _project(p, keep, _facet_cap())
+
+
+def _project(p: HPolytope, keep: int, cap: int) -> HPolytope:
+    """:func:`project` under the facet cap ``cap``, ``keep`` checked."""
     H, b = p.H, p.b
     for col in range(p.dim - 1, keep - 1, -1):
         shadow = _eliminate(H, b, col, cap)

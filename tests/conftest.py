@@ -68,6 +68,13 @@ def admits_input(sys, lam, C, x) -> bool:
     return out.status is not LpStatus.INFEASIBLE
 
 
+def memo_bits(memo) -> dict:
+    """A support memo's entries as bits: key, status, value and point."""
+    return {
+        key: (out.status, float(out.value).hex(), out.x.tobytes()) for key, out in memo.items()
+    }
+
+
 def count_lps(monkeypatch) -> list:
     """From now on, count the ``solve_lp`` calls, each one LP, in the
     returned one-entry list."""

@@ -346,11 +346,11 @@ class TestCliProcess:
     ):
         # a facet cap of 1 stops the first projection, which must not come
         # before the input's own validation error
-        def no_projection(p, keep):
+        def no_projection(p, keep, cap):
             raise AssertionError("projected before the input was checked")
 
         monkeypatch.setenv("CONTRACTA_MAX_FACETS", "1")
-        monkeypatch.setattr(onestep_module, "project", no_projection)
+        monkeypatch.setattr(onestep_module, "_project", no_projection)
         task = {"select-lambda": {"mu": 5.0 / 6.0, "lambda-star": 0.98, "strategy": strategy}}
         scenario = write(tmp_path, "s.json", scalar_scenario(task))
         assert main([subcommand, "--scenario", scenario]) == 3

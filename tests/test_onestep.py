@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import warnings
 from unittest import mock
 
@@ -52,6 +53,7 @@ from contracta.errors import (
 from conftest import (
     admits_input,
     count_lps,
+    memo_bits,
     nested_cset_pair,
     random_cset,
     random_controllable_system,
@@ -896,6 +898,92 @@ def count_projections(monkeypatch) -> list:
 
     monkeypatch.setattr(onestep, "_lift", counted)
     return projected
+
+
+def lift_anew(sysr, lam, D):
+    """The one-step lift's rows and offsets built from X, U and D alone:
+    X's and U's rows and offsets as they are, and D's rows ``H_D [A B]``
+    and offsets ``lam * b_D`` divided by the norms above ``_ZERO_ROW``."""
+    X, U, n = sysr.X, sysr.U, sysr.n
+    top = X.nfacets + U.nfacets
+    H = np.zeros((top + D.nfacets, n + sysr.m))
+    H[: X.nfacets, :n] = X.H.copy()
+    H[X.nfacets : top, n:] = U.H.copy()
+    made = H[top:]
+    made[:, :n] = D.H @ sysr.A
+    made[:, n:] = D.H @ sysr.B
+    b = np.concatenate((X.b.copy(), U.b.copy(), lam * D.b))
+    norms = polytope_module._row_norms(made)
+    unit = norms > polytope_module._ZERO_ROW
+    made[unit] /= norms[unit, None]
+    b[top:][unit] /= norms[unit]
+    return H, b
+
+
+class TestBornMemo:
+    """A one-step set whose reduction ran no redundancy round carries the
+    memo that its rays certified, and a step's lift copies the system's
+    constant rows."""
+
+    @pytest.mark.parametrize(
+        "make, lam, steps_born",
+        [(lambda n=n: scalar_system(n), 0.98, True) for n in (1, 2, 3)]
+        + [(oscillator_system, 0.9, True)]
+        + [(lambda n=n, s=s: random_controllable_system(np.random.default_rng(s), n, 1), 0.9,
+            False) for n, s in ((3, 7), (4, 2))],
+        ids=["scalar1", "scalar2", "scalar3", "oscillator", "ladder-3-1-seed7", "ladder-4-1-seed2"],
+    )
+    def test_step_memo_is_the_traced_one(self, make, lam, steps_born):
+        # no label: no support is asked, so each memo is the one it was born
+        # with. The ladder systems' first steps run the redundancy rounds
+        # and their later steps inherit a description: only their validated
+        # boxes are born with a memo
+        sysr = make()
+        start = validate_cset(symmetric_box(0.5 * np.array(halfwidths(make().X))))
+        for D in (sysr.X, start):
+            entries = iterate(sysr, lam, D, 3).entries
+            assert D._memo and all(bool(q._memo) is steps_born for q in entries[1:])
+            for q in entries:
+                if q._memo:
+                    (memo,) = q._memo.values()
+                    traced = polytope_module._facet_supports(q.H, q.b)
+                    assert memo_bits(memo) == memo_bits(traced)
+
+    def test_one_ray_pass_per_projected_step(self, monkeypatch):
+        # each step's reduction traces the rays along its rows' normals, and
+        # the verification's queries read the memo they made
+        sys3 = scalar_system(3)
+        callers = []
+        first_hits = polytope_module._first_hits
+
+        def traced(*args):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            return first_hits(*args)
+
+        monkeypatch.setattr(polytope_module, "_first_hits", traced)
+        projected = count_projections(monkeypatch)
+        iterate(sys3, 0.98, sys3.X, 5, SeedLabel.FROM_STATE_SET)
+        assert len(projected) == 5
+        assert callers == ["_clarkson_rounds"] * 5
+
+    @pytest.mark.parametrize("case", ["reset", "random", "two-inputs"])
+    def test_lift_copies_the_constant_rows(self, case):
+        rng = np.random.default_rng(4)
+        if case == "reset":  # rows of norm zero are left as made
+            sysr, D = reset_state_system(), validate_cset(symmetric_box([3.0, 2.0]))
+        else:
+            base = random_controllable_system(rng, 3, 1 if case == "random" else 2)
+            sysr, D = SystemModel(base.A, base.B, random_cset(rng, 3), base.U), random_cset(rng, 3)
+        fixed_H, fixed_b = sysr._lift_rows
+        for lam in (0.5, 0.9):
+            lifted = onestep._lift(sysr, lam, D)
+            H, b = lift_anew(sysr, lam, D)
+            assert lifted.H.tobytes() == H.tobytes() and lifted.b.tobytes() == b.tobytes()
+            assert not np.shares_memory(lifted.H, fixed_H) and not np.shares_memory(lifted.b, fixed_b)
+        assert sysr._lift_rows[0] is fixed_H and sysr._lift_rows[1] is fixed_b
+        assert not (fixed_H.flags.writeable or fixed_b.flags.writeable)
+        with pytest.raises(ValueError):
+            fixed_H[0, 0] = 1.0
 
 
 class TestOneStepMemo:

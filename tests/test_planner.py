@@ -304,20 +304,20 @@ class TestApproximation:
         sys2, seed = scalar_system(2), scalar_seed(2)
         plan = select_lambda(sys2, 0.98, seed, 5.0 / 6.0)
         assert plan.k == 64
-        original, project_once = onestep.one_step_set, onestep.project
+        original, project_once = onestep.one_step_set, onestep._project
         targets, projected = [], []  # one_step_set targets; the projected ones
 
         def counted(sys, lam, D):
             targets.append(D)
             return original(sys, lam, D)
 
-        def projecting(p, keep):
+        def projecting(p, keep, cap):
             projected.append(targets[-1])
-            return project_once(p, keep)
+            return project_once(p, keep, cap)
 
         monkeypatch.setattr(onestep, "one_step_set", counted)
         monkeypatch.setattr(planner, "one_step_set", counted)
-        monkeypatch.setattr(onestep, "project", projecting)
+        monkeypatch.setattr(onestep, "_project", projecting)
         for strategy, k_star in ((Strategy.ADAPTIVE_INCLUSION, 23), (Strategy.APRIORI_BOUND, 64)):
             projected.clear()
             # a fresh system each time, whose memo holds none of the sets

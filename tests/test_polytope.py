@@ -49,7 +49,7 @@ from contracta.errors import (
     ValidationError,
 )
 from contracta.benchmarks import scalar_system
-from conftest import count_lps, random_controllable_system, random_cset, recorded_lp
+from conftest import count_lps, memo_bits, random_controllable_system, random_cset, recorded_lp
 
 
 def brute_force_kept_rows(p):
@@ -694,6 +694,78 @@ class TestCertifiedFacets:
         assert ref.x.tobytes() == point.tobytes()
 
 
+class TestBornMemo:
+    """A reduced set whose normal rays find every row a facet, so that no
+    redundancy round runs, and a validated box are born with the support
+    memo that their first query would make: the rays are traced once."""
+
+    @pytest.mark.parametrize("kind", ["c-set", "near-duplicate", "origin-outside", "many-cuts"])
+    def test_reduction_memo_is_the_traced_one(self, kind):
+        # random rows are reduced, then their facets again: every row of
+        # the second reduction is a facet, and some sets' normal rays find
+        # them all (the translates' offsets give the empty memo)
+        born = 0
+        for seed, dim in itertools.product(range(60), (2, 3)):
+            once = remove_redundancy(random_rows(np.random.default_rng(seed), dim, kind))
+            for out in (once, remove_redundancy(HPolytope._computed(once.H, once.b))):
+                if not out._memo:  # the rounds ran: the memo is made on the first query
+                    continue
+                born += 1
+                assert list(out._memo) == [(TOL.feas, TOL.opt, TOL.pivot)]
+                traced = polytope_module._facet_supports(out.H, out.b)
+                assert memo_bits(out._memo[(TOL.feas, TOL.opt, TOL.pivot)]) == memo_bits(traced)
+        assert born == 0 if kind == "many-cuts" else born > 0
+
+    def test_born_set_traces_no_ray(self, monkeypatch):
+        # the memo is read, not made again, and the set's supports along
+        # its rows need no LP
+        sets = [validate_cset(box([-1.0, -2.0, -0.5], [3.0, 2.0, 0.25]))]
+        for seed, dim in itertools.product(range(60), (2, 3)):
+            once = remove_redundancy(random_rows(np.random.default_rng(seed), dim, "c-set"))
+            sets.append(remove_redundancy(HPolytope._computed(once.H, once.b)))
+        sets = [p for p in sets if p._memo]
+        assert len(sets) > 4
+
+        def fail(*args):
+            raise AssertionError("traced the rays again")
+
+        monkeypatch.setattr(polytope_module, "_first_hits", fail)
+        lps = count_lps(monkeypatch)
+        for p in sets:
+            support_many(p, p.H)
+        assert lps[0] == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_validated_box_memo_holds_every_row(self, monkeypatch, dim):
+        # each row's own ray crosses it alone: all 2n rows are certified, as
+        # tracing them finds; offsets at most feas give the empty memo
+        rng = np.random.default_rng(dim)
+        for lower, upper in ((-rng.uniform(0.5, 3.0, dim), rng.uniform(0.5, 3.0, dim)),
+                             (-np.full(dim, 1e-10), np.full(dim, 2.0))):
+            q = validate_cset(box(lower, upper))
+            (memo,) = q._memo.values()
+            assert memo_bits(memo) == memo_bits(polytope_module._facet_supports(q.H, q.b))
+            assert len(memo) == (2 * dim if lower[0] < -TOL.feas else 0)
+        # under other tolerances the rays are traced anew, once
+        q = validate_cset(symmetric_box(np.ones(dim)))
+        calls = []
+        first_hits = polytope_module._first_hits
+
+        def counted(*args):
+            calls.append(args)
+            return first_hits(*args)
+
+        monkeypatch.setattr(polytope_module, "_first_hits", counted)
+        feas, opt = TOL.feas, TOL.opt
+        try:
+            set_feasibility_tolerance(1e-7)
+            support_many(q, q.H)
+            support_many(q, q.H)
+        finally:
+            TOL.feas, TOL.opt = feas, opt
+        assert len(calls) == 1 and len(q._memo) == 2
+
+
 class TestVertexSupports:
     """A reduced set whose redundancy rounds end with its complete double
     description carries its vertices, each solved on its tight facets, and
@@ -873,7 +945,7 @@ class TestRedundancy:
         # the kept rows are the input's, not divided again by their norms
         for seed in range(10):
             p = random_rows(np.random.default_rng(seed), 3, kind)
-            keep, _ = polytope_module._irredundant_rows(p)
+            keep = polytope_module._irredundant_rows(p)[0]
             r = remove_redundancy(p)
             assert r.H.tobytes() == p.H[keep].tobytes() and r.b.tobytes() == p.b[keep].tobytes()
 
