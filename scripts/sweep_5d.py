@@ -21,10 +21,14 @@ while each step combined every pair of its target's facets, or faulted
 while each step rebuilt its description from nothing: deeper 5-D
 single-input runs, and 4-D runs with two and three inputs.
 
+The last line is the process's peak resident set size, which bounds what
+the systems' memos of one-step sets and of their plans hold.
+
 Usage: sweep_5d.py [first_seed] [last_seed]
        sweep_5d.py --wall
 """
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -110,6 +114,7 @@ def main() -> int:
         line, pinned = run(n, m, seed, steps, expected)
         print(line, flush=True)
         failed |= not pinned
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")  # KiB on Linux
     return 1 if failed else 0
 
 

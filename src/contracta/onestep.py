@@ -13,9 +13,8 @@ each link combines only the facets that may be adjacent and gives the set
 that every pair gives, and carries the sum's vertices and incidence on to
 the next. The step then reads its facets off a double description built
 from them, cut by X's rows, instead of reducing its rows from nothing.
-Each system memoizes its
-map: the bits of a target are projected once per rate and tolerances,
-whoever asks.
+Each system memoizes its map: the bits of a target are projected once per
+rate and tolerances, whoever asks, and its normals are planned once.
 """
 
 from __future__ import annotations
@@ -71,9 +70,10 @@ class SystemModel:
     """Linear system ``x+ = A x + B u`` with compact constraint sets X, U.
 
     Immutable: ``A`` and ``B`` are read-only copies of the caller's arrays.
-    Its certificate constants and the constant rows of its one-step lifts
-    are kept from their first use, its one-step sets in a memo that lives
-    and dies with it (:func:`one_step_set`).
+    Its certificate constants are kept from their first use; its one-step
+    sets, and the plans of their lifts and eliminations by the bits of the
+    normals they read, in memos that live and die with it
+    (:func:`one_step_set`), unbounded in size.
     """
 
     A: np.ndarray
@@ -98,7 +98,7 @@ class SystemModel:
             raise DimensionError("input constraint set dimension mismatch")
         A.setflags(write=False)
         B.setflags(write=False)
-        for name, value in (("A", A), ("B", B), ("X", X), ("U", U), ("_steps", {})):
+        for name, value in (("A", A), ("B", B), ("X", X), ("U", U), ("_steps", {}), ("_plans", {})):
             object.__setattr__(self, name, value)
 
     @property
@@ -134,19 +134,6 @@ class SystemModel:
     def radii(self) -> tuple[float, float, float]:
         """Exact inscribed and circumscribed radii of X, inscribed radius of U."""
         return inradius_origin(self.X), outer_radius(self.X), inradius_origin(self.U)
-
-    @cached_property
-    def _lift_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and offsets that open every one-step lift (:func:`_lift`),
-        read-only: X's on the state coordinates, then U's on the inputs'."""
-        X, U = self.X, self.U
-        H = np.zeros((X.nfacets + U.nfacets, self.n + self.m))
-        H[: X.nfacets, : self.n] = X.H
-        H[X.nfacets :, self.n :] = U.H
-        b = np.concatenate((X.b, U.b))
-        H.setflags(write=False)
-        b.setflags(write=False)
-        return H, b
 
     @property
     def controllable(self) -> bool:
@@ -219,6 +206,10 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     target whose shadow has its bits is returned itself (the first such
     target of those bits), so from it every later step is a memo hit that
     returns it again: a sequence that reaches a fixed point is stationary.
+    All that the lift and each elimination of a projection read but the
+    offsets is planned once per system, by the bits of ``D.H`` (:func:`_lift`)
+    and of the rows eliminated (:func:`~contracta.polytope._project`): a
+    target with an earlier one's normals replays only its offsets.
     """
     lam = _check_lambda(lam)
     if D.dim != sys.n:
@@ -234,7 +225,7 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     if shadow is None and rows is not None and sys.m == 1:  # one link's rows are the lift's
         shadow = remove_redundancy(rows)
     elif shadow is None:  # a longer chain's rows are not project's: project anew
-        shadow = _project(lifted, sys.n, cap)
+        shadow = _project(lifted, sys.n, cap, sys._plans)
     q = CSetPolytope._computed(shadow.H, shadow.b, shadow._memo, shadow._incidence,
                                shadow._vertices)
     if isinstance(D, CSetPolytope) and (q.H.tobytes(), q.b.tobytes()) == bits:
@@ -294,13 +285,12 @@ def _inherited(sys: SystemModel, lam: float, D: CSetPolytope, lifted: HPolytope,
             normals /= np.linalg.norm(normals, axis=1)[:, None]
         pairs = np.ones((len(H), len(H)), dtype=bool)
         pairs[-len(adjacent) :, -len(adjacent) :] = adjacent
-        rows = _eliminate(H, b, col, cap, pairs)
+        rows, plan = _eliminate(H, b, col, cap, pairs)
         g = sys.B[:, col - n]
         if (bounds is None or not s_min * _COND_LIMIT > s_max
                 or (np.abs(normals @ g) <= _FLAT_INPUT * np.linalg.norm(g)).any()):
             return rows, None
-        link = _segment(H[:, col], pairs, rows.nfacets, T, W, g,
-                        bounds[0][col - n], bounds[1][col - n])
+        link = _segment(H[:, col], plan, T, W, g, bounds[0][col - n], bounds[1][col - n])
         if link is None:
             return rows, None
         W, T = link
@@ -308,13 +298,13 @@ def _inherited(sys: SystemModel, lam: float, D: CSetPolytope, lifted: HPolytope,
     return rows, _described(sys, rows, W, T)
 
 
-def _segment(coeff: np.ndarray, pairs: np.ndarray, formed: int, T: np.ndarray,
-             W: np.ndarray, g: np.ndarray, u_lo: float, u_hi: float):
+def _segment(coeff: np.ndarray, plan, T: np.ndarray, W: np.ndarray, g: np.ndarray,
+             u_lo: float, u_hi: float):
     """The vertices of ``S (+) (-g [u_lo, u_hi])`` and their incidence on
-    the rows :func:`_eliminate` formed with ``pairs`` (``formed`` of them),
-    from the vertices ``W`` of the sum S and their incidence ``T`` on its
-    rows, the last of the rows whose coefficients on the eliminated column
-    are ``coeff``; None when the rows are not a segment sum's.
+    the rows that :func:`_eliminate` formed by ``plan``, from the vertices
+    ``W`` of the sum S and their incidence ``T`` on its rows, the last of
+    the rows whose coefficients on the eliminated column are ``coeff``;
+    None when the rows are not a segment sum's.
 
     A vertex ``w`` of S on a row with ``coeff < 0`` gives ``w - g u_hi``,
     and on a row with ``coeff > 0`` gives ``w - g u_lo``. Such a point lies
@@ -324,14 +314,13 @@ def _segment(coeff: np.ndarray, pairs: np.ndarray, formed: int, T: np.ndarray,
     rows), but for the column's own U pair, which combines into the one
     trivial row that :func:`_eliminate` drops.
     """
-    k = T.shape[1]
-    top = len(coeff) - k  # the rows before S's
-    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
-    i, j = pairs[np.ix_(pos, neg)].nonzero()
-    first, second = pos.nonzero()[0][i] - top, neg.nonzero()[0][j] - top  # U's rows < 0
-    if np.count_nonzero(~(pos | neg)) != top - 2 or formed != top - 2 + len(i) - 1:
+    top = len(coeff) - T.shape[1]  # the rows before S's
+    passed = plan.first.size - plan.second.size
+    first, second = plan.first[passed:] - top, plan.second - top  # U's rows < 0
+    if passed != top - 2 or len(plan.H) != top - 2 + len(second) - 1:
         return None  # a row without a normal besides the U pair's (the first)
     first, second = first[1:], second[1:]
+    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
     upper, lower = first < 0, second < 0  # a row of S moved toward u_hi, toward u_lo
     first, second = np.where(upper, second, first), np.where(lower, first, second)
     points, incidence = [], []
@@ -395,19 +384,27 @@ def _described(sys: SystemModel, rows: HPolytope, W: np.ndarray, T: np.ndarray) 
 def _lift(sys: SystemModel, lam: float, D: CSetPolytope) -> HPolytope:
     """The lifted polytope ``{(x, u) : x in X, u in U, H_D (A x + B u) <=
     lam * b_D}`` of :func:`one_step_set`: X's rows, U's, then one row per
-    facet of D, in D's order; the rows before D's are copied from
-    ``SystemModel._lift_rows``."""
-    fixed_H, fixed_b = sys._lift_rows
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        made = np.concatenate((D.H @ sys.A, D.H @ sys.B), axis=1)
-    lifted_b = np.concatenate((fixed_b, lam * D.b))
+    facet of D, in D's order. The rows, read-only, and the norms dividing
+    D's (1 for a row of norm at most ``_ZERO_ROW``, left as made) are kept
+    on ``sys`` by the bits of ``D.H``: a later lift only divides its offsets
+    ``lam * b_D``. X's and U's rows and offsets enter as they are."""
+    X, U, n = sys.X, sys.U, sys.n
+    lifted_b = np.concatenate((X.b, U.b, lam * D.b))
     if not np.all(lifted_b > 0.0):
         raise OriginNotInteriorError("one-step target must have the origin in its interior")
-    norms = _finite_norms(made)
-    unit = norms > _ZERO_ROW
-    np.divide(made, norms[:, None], out=made, where=unit[:, None])
-    np.divide(lifted_b[len(fixed_b) :], norms, out=lifted_b[len(fixed_b) :], where=unit)
-    return HPolytope._computed(np.concatenate((fixed_H, made)), lifted_b)
+    key = D.H.tobytes()
+    if key not in sys._plans:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            made = np.concatenate((D.H @ sys.A, D.H @ sys.B), axis=1)
+        norms = _finite_norms(made)
+        norms[norms <= _ZERO_ROW] = 1.0
+        H = np.block([[X.H, np.zeros((X.nfacets, sys.m))], [np.zeros((U.nfacets, n)), U.H],
+                      [made / norms[:, None]]])
+        H.setflags(write=False)
+        sys._plans[key] = H, norms
+    H, norms = sys._plans[key]
+    lifted_b[-len(norms) :] /= norms
+    return HPolytope._computed(H, lifted_b)
 
 
 def _verify(lam: float, prev: CSetPolytope, nxt: CSetPolytope, seed_label: SeedLabel, step: int):

@@ -236,8 +236,9 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     A coordinate direction that is the normal of a certified facet, as on
     a box, is a memo entry with no LP (:func:`_facet_supports`). The C-set
     shares ``p``'s ``H`` and ``b`` arrays, its memo and its vertex list.
-    A box (:func:`_box_bounds`) of at most ``_BOX_DIM`` dimensions that
-    carries neither a vertex list nor an incidence gets instead its 2^n
+    A box (:func:`_box_bounds`) of at most ``_BOX_DIM`` dimensions with
+    positive offsets that carries neither a vertex list nor an incidence is
+    a C-set by its form, certified with no query; it gets instead its 2^n
     vertices in closed form, read-only, and no incidence: one per sign
     pattern, each coordinate the bound its sign picks, the bits that
     solving the pattern's n rows gives (:func:`vertices`). It is born with
@@ -245,6 +246,15 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
     ray crosses it alone; its vertices answer the other directions.
     """
     interior = bool(np.all(p.b > 0.0))
+    if interior and p._vertices is None and p._incidence is None and p.dim <= _BOX_DIM:
+        bounds = _box_bounds(p)
+        if bounds is not None:  # bounded by its form, the origin inside: no ray to trace
+            upper = (np.arange(1 << p.dim)[:, None] >> np.arange(p.dim)) & 1
+            points = np.where(upper == 1, bounds[1], bounds[0])
+            points.setflags(write=False)
+            q = CSetPolytope._computed(p.H, p.b, vertices=points)
+            _memo(q, np.ones(p.nfacets, dtype=bool))  # each row's own ray crosses it alone
+            return q
     if not interior:
         probe = _checked(_support_lps(p, np.zeros((1, p.dim)))[0])
         if probe.status is LpStatus.INFEASIBLE:
@@ -254,15 +264,6 @@ def validate_cset(p: HPolytope) -> CSetPolytope:
         raise UnboundedSetError(f"unbounded in coordinate direction {axis}")
     if not interior:
         raise OriginNotInteriorError("origin is not strictly interior")
-    if p._vertices is None and p._incidence is None and p.dim <= _BOX_DIM:
-        bounds = _box_bounds(p)
-        if bounds is not None:
-            upper = (np.arange(1 << p.dim)[:, None] >> np.arange(p.dim)) & 1
-            points = np.where(upper == 1, bounds[1], bounds[0])
-            points.setflags(write=False)
-            q = CSetPolytope._computed(p.H, p.b, vertices=points)
-            _memo(q, np.ones(p.nfacets, dtype=bool))  # each row's own ray crosses it alone
-            return q
     return CSetPolytope._computed(p.H, p.b, p._memo, p._incidence, p._vertices)  # the same outcomes
 
 
@@ -1030,9 +1031,13 @@ def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore
     return hit, dots[rays, hit] * (t.min(axis=1) - t_first) > 10.0 * TOL.feas
 
 
-def _collapse_parallel(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _collapse_parallel(H: np.ndarray, b: np.ndarray, groups=None) -> np.ndarray:
     """Indices of the rows to keep, the tightest offset among rows sharing
-    an identical normal, in lexicographic order of the normals."""
+    an identical normal (the first row on a tie), in lexicographic order of
+    the normals; ``groups``, if known, is :func:`_parallel_groups` of ``H``."""
+    if groups is not None:
+        order, starts = groups
+        return order if starts is None else order[np.lexsort((b[order], starts.cumsum()))][starts]
     order = np.lexsort(np.concatenate((b[None, :], H.T[::-1])))  # H columns first, offset last
     H = H[order]
     # equal normals are adjacent, and the first row of a run has the smallest offset
@@ -1040,6 +1045,15 @@ def _collapse_parallel(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     keep[0] = True
     (H[1:] != H[:-1]).any(axis=1, out=keep[1:])
     return order[keep]
+
+
+def _parallel_groups(H: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows of ``H`` in lexicographic order of their normals (a stable
+    sort), and which of them start a run of equal normals (None if all do)."""
+    order = np.lexsort(H.T[::-1])
+    starts = np.ones(len(H), dtype=bool)
+    (H[order[1:]] != H[order[:-1]]).any(axis=1, out=starts[1:])
+    return order, None if starts.all() else starts
 
 
 def project(p: HPolytope, keep: int) -> HPolytope:
@@ -1070,77 +1084,115 @@ def project(p: HPolytope, keep: int) -> HPolytope:
     return _project(p, keep, _facet_cap())
 
 
-def _project(p: HPolytope, keep: int, cap: int) -> HPolytope:
-    """:func:`project` under the facet cap ``cap``, ``keep`` checked."""
+def _project(p: HPolytope, keep: int, cap: int, plans: dict | None = None) -> HPolytope:
+    """:func:`project` under the facet cap ``cap``, ``keep`` checked. With
+    ``plans``, a dict, each elimination's plan (:class:`_Elimination`), the
+    choice after it and a collapse's grouping (:func:`_parallel_groups`),
+    which depend on the normals alone, are kept there by ``col`` and the
+    bits of the rows eliminated: rows with those bits only replay their
+    offsets, to the bits and errors of a projection without ``plans``."""
     H, b = p.H, p.b
     for col in range(p.dim - 1, keep - 1, -1):
-        shadow = _eliminate(H, b, col, cap)
+        key = None if plans is None else (col, H.tobytes())
+        if key is not None and key in plans:
+            plan, collapse, groups = plans[key]
+            shadow = plan.replay(b, cap)
+        else:
+            shadow, plan = _eliminate(H, b, col, cap)
+            nxt = shadow.H[:, col - 1] if col > keep else shadow.H[:0, 0]
+            n_pos, n_neg = np.count_nonzero(nxt > _ZERO_ROW), np.count_nonzero(nxt < -_ZERO_ROW)
+            # the next elimination cannot add rows: collapse parallel rows, do not reduce
+            collapse = col > keep and n_pos * n_neg <= n_pos + n_neg
+            groups = _parallel_groups(shadow.H) if collapse and key is not None else None
+            if key is not None:
+                plans[key] = plan, collapse, groups
         H, b = shadow.H, shadow.b
-        if col > keep:
-            nxt = H[:, col - 1]
-            n_pos = np.count_nonzero(nxt > _ZERO_ROW)
-            n_neg = np.count_nonzero(nxt < -_ZERO_ROW)
-            if n_pos * n_neg <= n_pos + n_neg:  # the next elimination cannot add rows
-                kept = _collapse_parallel(H, b)
-                H, b = H[kept], b[kept]
-                continue
+        if collapse:
+            kept = _collapse_parallel(H, b) if groups is None else _collapse_parallel(H, b, groups)
+            H, b = H[kept], b[kept]
+            continue
         shadow = remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
     return shadow
 
 
 def _eliminate(H: np.ndarray, b: np.ndarray, col: int, cap: int,
-               pairs: np.ndarray | None = None) -> HPolytope:
+               pairs: np.ndarray | None = None) -> tuple[HPolytope, "_Elimination"]:
     """The Fourier-Motzkin shadow of ``{x | H x <= b}`` (unit rows) on its
-    coordinates before ``col``, the last one, with redundant rows kept.
+    coordinates before ``col``, the last one, with redundant rows kept, and
+    its plan, which replays it for other offsets (:class:`_Elimination`).
 
     It lists first the rows with a zero coefficient on ``col``, in order,
     then, for each row ``i`` with a positive coefficient ``c_i``, in order,
     its combination ``-c_j * row_i + c_i * row_j`` with each row ``j`` of
     negative coefficient ``c_j``, in order, that ``pairs[i, j]`` allows (a
     boolean matrix over the rows; None allows every pair); all combinations
-    are formed as one array, after the facet cap ``cap`` is checked against
-    their count. Rows whose normal vanishes are dropped: one with an offset below
-    ``-feas`` raises ``EmptySetError``, and no row left raises
-    ``UnboundedSetError``. Only a pair whose row is implied by the others
-    may be left out: the shadow is then the same set.
+    are formed as one array, offsets with normals, after the facet cap
+    ``cap`` is checked against their count. Rows whose normal vanishes are
+    dropped (:meth:`_Elimination.shadow`). Only a pair whose row is implied
+    by the others may be left out: the shadow is then the same set.
 
     FM combines two unit rows with positive weights, and the combined
     normal is no longer than the sum of the weights, so no normalized offset
     falls below the smallest input offset.
     """
     coeff = H[:, col]
-    pos = coeff > _ZERO_ROW
-    neg = coeff < -_ZERO_ROW
-    zero = ~(pos | neg)
-    c_pos = coeff[pos]
-    c_neg = -coeff[neg]
-    n_zero = np.count_nonzero(zero)
-    if pairs is None:
-        n_new = n_zero + c_pos.size * c_neg.size
-    else:
-        i, j = pairs[np.ix_(pos, neg)].nonzero()
-        n_new = n_zero + i.size
-    _check_facets(n_new, cap, "projection")
-    rows = np.concatenate((b[:, None], H[:, :col]), axis=1)  # offset, then kept coordinates
-    new = np.empty((n_new, col + 1))
-    new[:n_zero] = rows[zero]
-    # c_neg[j] * (positive row i) + c_pos[i] * (negative row j), the same bits either way
-    if pairs is None:  # row i * c_neg.size + j
-        new[n_zero:] = (
-            c_neg[None, :, None] * rows[pos, None] + c_pos[:, None, None] * rows[None, neg]
-        ).reshape(-1, col + 1)
-    else:
-        new[n_zero:] = c_neg[j, None] * rows[pos][i] + c_pos[i, None] * rows[neg][j]
-    norms = _row_norms(new[:, 1:])
-    trivial = norms <= _ZERO_ROW
-    if trivial.any():
-        if (new[trivial, 0] < -TOL.feas).any():
-            raise EmptySetError("projection input is empty")
-        new, norms = new[~trivial], norms[~trivial]
-    if norms.size == 0:
-        raise UnboundedSetError("projection shadow is unconstrained")
-    return HPolytope._computed(new[:, 1:] / norms[:, None], new[:, 0] / norms)
+    pos, neg = coeff > _ZERO_ROW, coeff < -_ZERO_ROW
+    zero, pos, neg = (~(pos | neg)).nonzero()[0], pos.nonzero()[0], neg.nonzero()[0]
+    block = None if pairs is None else pairs[np.ix_(pos, neg)]
+    count = pos.size * neg.size if block is None else np.count_nonzero(block)
+    _check_facets(zero.size + count, cap, "projection")  # before any pair is formed
+    # the pairs row by row: each i in order, its j in order
+    i, j = (np.ones((pos.size, neg.size), dtype=bool) if block is None else block).nonzero()
+    pos, second = pos[i], neg[j]
+    plan = _Elimination()
+    plan.first, plan.second = np.concatenate((zero, pos)), second
+    plan.c_neg, plan.c_pos = -coeff[second][:, None], coeff[pos][:, None]
+    new = plan.combine(np.concatenate((b[:, None], H[:, :col]), axis=1))  # offset, then normal
+    normals = new[:, 1:]
+    norms = _row_norms(normals)
+    plan.trivial, plan.kept = norms <= _ZERO_ROW, None
+    if plan.trivial.any():
+        plan.kept = ~plan.trivial
+        normals, norms = normals[plan.kept], norms[plan.kept]
+    plan.norms, plan.H = norms, normals / norms[:, None]
+    plan.H.setflags(write=False)
+    return plan.shadow(new[:, 0]), plan
+
+
+class _Elimination:
+    """What an elimination (:func:`_eliminate`) reads but the offsets: the
+    rows ``first`` that pass, then those that combine with the rows
+    ``second`` with weights ``c_neg`` and ``c_pos``; the shadow's unit rows
+    ``H`` and the ``norms`` that divided them, those whose normal vanished
+    (``trivial``) dropped, and the ``kept`` mask when any did."""
+
+    __slots__ = ("first", "second", "c_neg", "c_pos", "trivial", "kept", "norms", "H")
+
+    def combine(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` (2-D) combined, unnormalized: ``c_neg * row_i + c_pos * row_j``."""
+        out = rows[self.first]
+        pair = out[self.first.size - self.second.size :]
+        pair *= self.c_neg
+        pair += self.c_pos * rows[self.second]
+        return out
+
+    def replay(self, b: np.ndarray, cap: int) -> HPolytope:
+        """The shadow for offsets ``b``, its row count checked first against ``cap``."""
+        _check_facets(self.first.size, cap, "projection")
+        return self.shadow(self.combine(b[:, None])[:, 0])
+
+    def shadow(self, offsets: np.ndarray) -> HPolytope:
+        """The shadow on the planned rows with the unnormalized ``offsets``:
+        a dropped row with an offset below ``-feas`` raises ``EmptySetError``,
+        then no row left raises ``UnboundedSetError``."""
+        if self.kept is not None:
+            if (offsets[self.trivial] < -TOL.feas).any():
+                raise EmptySetError("projection input is empty")
+            offsets = offsets[self.kept]
+        if offsets.size == 0:
+            raise UnboundedSetError("projection shadow is unconstrained")
+        return HPolytope._computed(self.H, offsets / self.norms)
 
 
 def _vertex_points(H: np.ndarray, b: np.ndarray, tight: np.ndarray) -> np.ndarray | None:

@@ -923,7 +923,7 @@ def lift_anew(sysr, lam, D):
 class TestBornMemo:
     """A one-step set whose reduction ran no redundancy round carries the
     memo that its rays certified, and a step's lift copies the system's
-    constant rows."""
+    constant rows into the plan of its target's normals."""
 
     @pytest.mark.parametrize(
         "make, lam, steps_born",
@@ -974,16 +974,18 @@ class TestBornMemo:
         else:
             base = random_controllable_system(rng, 3, 1 if case == "random" else 2)
             sysr, D = SystemModel(base.A, base.B, random_cset(rng, 3), base.U), random_cset(rng, 3)
-        fixed_H, fixed_b = sysr._lift_rows
+        lifts = []
         for lam in (0.5, 0.9):
-            lifted = onestep._lift(sysr, lam, D)
+            lifts.append(onestep._lift(sysr, lam, D))
             H, b = lift_anew(sysr, lam, D)
-            assert lifted.H.tobytes() == H.tobytes() and lifted.b.tobytes() == b.tobytes()
-            assert not np.shares_memory(lifted.H, fixed_H) and not np.shares_memory(lifted.b, fixed_b)
-        assert sysr._lift_rows[0] is fixed_H and sysr._lift_rows[1] is fixed_b
-        assert not (fixed_H.flags.writeable or fixed_b.flags.writeable)
+            assert lifts[-1].H.tobytes() == H.tobytes() and lifts[-1].b.tobytes() == b.tobytes()
+            for given in (sysr.X, sysr.U, D):
+                assert not np.shares_memory(lifts[-1].H, given.H)
+                assert not np.shares_memory(lifts[-1].b, given.b)
+        # the second lift is the first's plan: the same rows, read-only
+        assert lifts[1].H is lifts[0].H and not lifts[0].H.flags.writeable
         with pytest.raises(ValueError):
-            fixed_H[0, 0] = 1.0
+            lifts[0].H[0, 0] = 1.0
 
 
 class TestOneStepMemo:

@@ -311,9 +311,9 @@ class TestApproximation:
             targets.append(D)
             return original(sys, lam, D)
 
-        def projecting(p, keep, cap):
+        def projecting(p, keep, cap, plans):
             projected.append(targets[-1])
-            return project_once(p, keep, cap)
+            return project_once(p, keep, cap, plans)
 
         monkeypatch.setattr(onestep, "one_step_set", counted)
         monkeypatch.setattr(planner, "one_step_set", counted)
@@ -326,6 +326,38 @@ class TestApproximation:
             assert outcome.k_star == k_star
             assert sum(D is seed for D in projected) == 1
             assert len(projected) == 2 * k_star + 1
+
+    def test_plans_once_per_normals(self, monkeypatch):
+        # the a-priori run's 205 lifts have 2 targets' normals: it plans 2
+        # lifts and 4 eliminations (collapsed after its first elimination,
+        # the second target's rows are the first's), and all others replay
+        sys3, seed = scalar_system(3), scalar_seed(3)
+        plan = select_lambda(sys3, 0.98, seed, 5.0 / 6.0)
+        fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)
+        lift, eliminate, replay = onestep._lift, polytope_module._eliminate, (
+            polytope_module._Elimination.replay)
+        targets, made, replayed = [], [], []
+
+        def lifting(sys, lam, D):
+            targets.append(D.H.tobytes())
+            return lift(sys, lam, D)
+
+        def eliminating(*args):
+            made.append(args[2])
+            return eliminate(*args)
+
+        def replaying(self, b, cap):
+            replayed.append(len(b))
+            return replay(self, b, cap)
+
+        monkeypatch.setattr(onestep, "_lift", lifting)
+        monkeypatch.setattr(polytope_module, "_eliminate", eliminating)
+        monkeypatch.setattr(polytope_module._Elimination, "replay", replaying)
+        outcome = approximate_cmax1(fresh, plan, seed, Strategy.APRIORI_BOUND)
+        assert outcome.k_star == plan.k == 102 and len(targets) == 2 * plan.k + 1
+        assert len(set(targets)) == 2
+        assert sorted(type(key).__name__ for key in fresh._plans) == ["bytes"] * 2 + ["tuple"] * 4
+        assert made == [5, 4, 3, 5] and len(replayed) == 3 * len(targets) - 4
 
     def test_support_lps_once_per_polytope(self, monkeypatch):
         # the slack, the distance and the steps' inclusion tests ask the same

@@ -138,6 +138,30 @@ class TestValidateCset:
         with pytest.raises(OriginNotInteriorError):
             validate_cset(box([1.0, -1.0], [2.0, 1.0]))
 
+    def test_box_certified_by_its_form(self, monkeypatch):
+        # a box with positive offsets is bounded with the origin inside: no
+        # support is queried and the input's memo stays empty, and the C-set
+        # has its bits, its vertices and the memo its rays would certify; a
+        # box without the origin inside is probed and queried as before
+        queried, support_lps = [], polytope_module._support_lps
+
+        def recorded(p, directions):
+            queried.append(len(directions))
+            return support_lps(p, directions)
+
+        monkeypatch.setattr(polytope_module, "_support_lps", recorded)
+        for lower, upper in (([-1.0, -2.0, -3.0], [1.0, 2.0, 3.0]), ([-1.0, -2.0], [0.5, 4.0])):
+            p = box(lower, upper)
+            q = validate_cset(p)
+            assert queried == [] and p._memo == {}
+            assert q.H.tobytes() == p.H.tobytes() and q.b.tobytes() == p.b.tobytes()
+            (memo,) = q._memo.values()
+            assert memo_bits(memo) == memo_bits(polytope_module._facet_supports(q.H, q.b))
+            assert sorted(map(tuple, q._vertices)) == sorted(itertools.product(*zip(lower, upper)))
+        with pytest.raises(OriginNotInteriorError):
+            validate_cset(box([1.0, -1.0], [2.0, 1.0]))
+        assert queried == [1, 4]  # the origin probe, then the coordinate directions
+
     def test_keeps_rows_and_memo(self, monkeypatch):
         # the C-set has the input's bits and its memo: the input's supports
         # are read with no LP, and the coordinate LPs serve both
@@ -1392,6 +1416,69 @@ class TestProjection:
         # (or the error) equal those of the per-row elimination loop
         p = lifted_case(np.random.default_rng(seed), n, m, inputs, offsets)
         assert _traced_projection(project, p, n) == _traced_projection(_reference_project, p, n)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from(["dense", "sparse"]),
+        st.sampled_from(["c-set", "shifted"]),
+        st.sampled_from(["c-set", "shifted"]),
+        st.sampled_from([None, 4, 12, 40]),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_replayed_plans_give_the_cold_projection(self, seed, n, m, inputs, offsets, again,
+                                                     cap):
+        # a projection under plans made by a first projection of the same
+        # normals with other offsets has the bits, or the error class and
+        # message (cap, then empty, then unbounded), of one without plans
+        rng = np.random.default_rng(seed)
+        p = lifted_case(rng, n, m, inputs, offsets)
+        if again == "c-set":
+            b = np.abs(p.b) * rng.uniform(0.5, 1.5, size=p.nfacets) + 0.1
+        else:
+            b = p.b - rng.uniform(0.0, 1.5, size=p.nfacets)
+        q = HPolytope._computed(p.H, b)
+        cap = polytope_module._facet_cap() if cap is None else cap
+        plans = {}
+        first = _outcome(polytope_module._project, p, n, polytope_module._facet_cap(), plans)
+        assert first == _outcome(polytope_module._project, p, n, polytope_module._facet_cap())
+        assert (p.dim - 1, p.H.tobytes()) in plans or isinstance(first[0], type)
+        warm = _outcome(polytope_module._project, q, n, cap, plans)
+        assert warm == _outcome(polytope_module._project, q, n, cap)
+
+    def test_replay_checks_the_cap_then_the_offsets(self, monkeypatch):
+        # 7 rows with a positive and 11 with a negative coefficient on y
+        # form 77 rows, 7 of them without a normal (a and -a cancel). Rows
+        # planned under a cap of 77 and replayed under 76 raise before their
+        # offsets are read, as without a plan; under 77, offsets of -1 make
+        # those rows 0 <= -c, and the replay raises that the input is empty
+        a = np.linspace(-1.0, 1.0, 18)
+        p = HPolytope(np.column_stack([a, np.r_[np.ones(7), -np.ones(11)]]), np.ones(18))
+        plans = {}
+        monkeypatch.setenv("CONTRACTA_MAX_FACETS", "77")
+        polytope_module._project(p, 1, polytope_module._facet_cap(), plans)
+        made, eliminate = [], polytope_module._eliminate
+        monkeypatch.setattr(polytope_module, "_eliminate",
+                            lambda *args: made.append(args[2]) or eliminate(*args))
+        empty = HPolytope._computed(p.H, np.full(18, -1.0))
+        for cap, error, message in ((76, FacetBudgetError, "would create 77 facets"),
+                                    (77, EmptySetError, "projection input is empty")):
+            monkeypatch.setenv("CONTRACTA_MAX_FACETS", str(cap))
+            with pytest.raises(error, match=message):
+                polytope_module._project(empty, 1, polytope_module._facet_cap(), plans)
+            with pytest.raises(error, match=message):
+                project(empty, 1)
+        assert made == [1, 1]  # only the projections without plans eliminated y
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s bits, or its error class and message."""
+    try:
+        out = fn(*args)
+    except ContractaError as exc:
+        return type(exc), str(exc)
+    return out.H.tobytes(), out.b.tobytes()
 
 
 def lifted_case(rng, n, m, inputs, offsets):
