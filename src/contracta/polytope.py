@@ -53,9 +53,9 @@ earlier target itself when they are equal.
 
 Redundancy removal tests each row against the facets found so far by
 reading its maximum off their vertices, which an incremental double
-description keeps as facets are found; a ray whose first crossing ties is
-settled by inserting the tied rows, and only rows this cannot decide with a
-clear margin, and flat sets, take an LP (:func:`remove_redundancy`).
+description keeps as facets are found; only rows this cannot decide with a
+clear margin, rays whose first crossing ties included, and flat sets, take
+an LP (:func:`remove_redundancy`).
 :func:`vertices` reads the vertex list a set carries, or else the same
 description, in any dimension. A description's incidence is bounded by the
 square of the facet cap (``FacetBudgetError``).
@@ -566,32 +566,25 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
       are traced together, in row order, and a row whose ray hits a facet
       found earlier in the same round is also tested again next round.
     * A ray hit is clear when the next row lies more than ``10 feas`` of
-      violation behind it. On a tie, as through the degenerate vertices of
-      a cross-polytope's shadows, each tied row whose maximum still beats
-      its offset joins the description, last row first (of rows that differ
-      by rounding, the all-rows test keeps the last), and the ray's row is
-      tested again next round. After the rounds, a tied row is a facet when
-      the ray toward the centroid of its vertices hits it clearly, with
-      only the rows removed before it ignored; a tied row whose vertices
-      span less than a facet is redundant among the facets, which drop it
-      without changing the set.
+      violation behind it. A tie, as through the degenerate vertices of a
+      cross-polytope's shadows, inserts no row.
 
     Some rows instead take the all-rows test, one LP against all rows
     except those removed before it, in order: those whose maximum lies
     within ``_DD_MARGIN`` of ``offset + feas``, those whose ray inserts no
-    row, every row of a set whose Chebyshev radius is at most ``feas`` (a
-    flat set), and, since a missed vertex could only make a row look
-    redundant, every row found redundant and every tied row left unsettled
-    when a tied row is neither confirmed nor dropped, or the final
-    description is not bounded with each facet tight at ``n`` vertices or
-    more. The kept rows are thus those of testing every row, in order,
+    row and hits none found earlier in the same round (a tied hit inserts
+    none), every row of a set whose Chebyshev radius is at most ``feas``
+    (a flat set), and, since a missed vertex could only make a row look
+    redundant, every row found redundant when the final description is not
+    bounded with each facet tight at ``n`` vertices or more. The kept rows
+    are thus those of testing every row, in order,
     against all rows not yet removed. A row whose all-rows LP faults
     (``solve_lp`` raises ``ComputationError``, as on near-parallel rows
     1e-9 apart) is kept, which never changes the set.
 
     When the rounds end with the complete description of the output (a
     bounded one, each facet tight at ``n`` vertices or more, no row left to
-    the all-rows test or unsettled) and the interior point is the origin,
+    the all-rows test) and the interior point is the origin,
     the output carries its vertices, which answer its supports
     (:func:`_support_lps`): each solved on its tight rows when first read
     (:func:`_vertex_list`), and none kept when a vertex's tight rows do not
@@ -653,18 +646,16 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
     Marks redundant rows in ``removed`` and returns the mask of rows that
     need the all-rows test: maxima within ``_DD_MARGIN`` of the verdict,
     rays whose hit inserts no row, and, when the final description is not
-    a polytope whose every facet meets ``n`` vertices or a row inserted on
-    a tied hit stays unsettled (:func:`_settle`), every row found redundant
-    and every unsettled row. With it come the final description and the
-    row of each of its inserted columns when that mask is empty and the
-    description complete (every row left is one of its facets), else None
-    twice; and when no round runs, the mask of the rows that their own ray
-    crosses first, clearly (:func:`_facet_supports`' verdict; else None).
+    a polytope whose every facet meets ``n`` vertices, every row found
+    redundant. With it come the final description and the row of each of
+    its inserted columns when that mask is empty (every row left is one of
+    its facets), else None twice; and when no round runs, the mask of the
+    rows that their own ray crosses first, clearly (:func:`_facet_supports`'
+    verdict; else None).
 
-    On a tied hit, each tied row that still beats the description is
-    inserted (:func:`_beating`) as a facet to be settled after the rounds.
-    The ray's row is tested again next round when its hit, or one of its
-    tied rows, was inserted in this round.
+    A clear hit on a row not yet known inserts it. Otherwise the ray's row
+    is tested again next round when its hit was inserted in this round,
+    and takes the all-rows test when not: a tied hit inserts no row.
     """
     k, n = H.shape
     known = np.zeros(k, dtype=bool)
@@ -677,9 +668,8 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
     order = list(np.flatnonzero(known))  # the inserted rows, in the order of dd's columns
     for j in order:
         dd.insert(rows[j])
-    tied = np.zeros(k, dtype=bool)  # rows inserted on a tied hit
     while True:
-        todo = np.flatnonzero(~(known | tied | removed | wide))
+        todo = np.flatnonzero(~(known | removed | wide))
         if todo.size == 0:
             break
         values, directions = dd.maxima(H[todo])
@@ -693,91 +683,19 @@ def _clarkson_rounds(H: np.ndarray, slack: np.ndarray, removed: np.ndarray):
         # the ray toward the best vertex (or along an unbounded ray) leaves the set early
         first, clear = _first_hits(directions[beaten], H, slack, removed)
         found = np.zeros(k, dtype=bool)  # rows inserted in this round
-        for i, direction, hit, ok in zip(todo[beaten], directions[beaten], first, clear):
-            if ok and not (known[hit] or tied[hit]):
+        for i, hit, ok in zip(todo[beaten], first, clear):
+            if ok and not known[hit]:
                 known[hit] = found[hit] = True
                 order.append(hit)
                 dd.insert(rows[hit])
-                continue
-            hits = [hit]
-            if not ok:
-                hits = _tied_rows(direction, H, slack, removed)
-                for j in _beating(dd, hits[~(known[hits] | tied[hits])], H, slack):
-                    tied[j] = found[j] = True
-                    order.append(j)
-                    dd.insert(rows[j])
-            if not found[hits].any():
+            elif not found[hit]:
                 wide[i] = True
-    unsettled = _settle(dd, order, tied, H, slack, removed) if tied.any() else tied
-    if unsettled.any() or not dd.is_polytope():
-        wide |= removed | unsettled
+    if not dd.is_polytope():
+        wide |= removed
         removed[:] = False
     if wide.any():
         return wide, None, None, None
-    return wide, dd, [j for j in order if not removed[j]], None  # _settle drops their columns
-
-
-def _tied_rows(direction: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore: np.ndarray):
-    """The rows that the ray from the interior point along ``direction``
-    crosses within ``10 feas`` of violation of its first crossing, which
-    make that crossing unclear (:func:`_first_hits`), in row order."""
-    dots = H @ direction
-    dots[ignore] = 0.0
-    t = np.divide(slack, dots, out=np.full(dots.shape, np.inf), where=dots > 0.0)
-    hit = t.argmin()
-    return np.flatnonzero(dots[hit] * (t - t[hit]) <= 10.0 * TOL.feas)
-
-
-def _beating(dd: "_Description", candidates: np.ndarray, H: np.ndarray, slack: np.ndarray):
-    """Yield, last row first, each of the rows ``candidates`` whose maximum
-    over the description beats its verdict threshold by more than
-    ``_DD_MARGIN`` when its turn comes; the caller inserts each row yielded.
-    Inserts only shrink the set, so a row that does not beat it stays
-    behind. Of rows that differ by rounding only, the last is inserted and
-    the others no longer beat the set: the all-rows test, in order, also
-    keeps the last of them."""
-    candidates = candidates[::-1]
-    while candidates.size:
-        values, _ = dd.maxima(H[candidates])
-        candidates = candidates[values - (slack[candidates] + TOL.feas) > _DD_MARGIN]
-        if candidates.size:
-            yield candidates[0]
-            candidates = candidates[1:]
-
-
-def _settle(dd: "_Description", order: list, tied: np.ndarray, H: np.ndarray,
-            slack: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Settle the rows in the mask ``tied``, inserted on tied hits, once the
-    rounds are over; return the mask of those left unsettled.
-
-    A row is a facet when the ray toward the centroid of the vertices that
-    its column of ``dd`` marks tight hits it clearly (:func:`_first_hits`),
-    ignoring only the removed rows before it, which the all-rows test, in
-    order, has removed by then: the ray violates the row by more than ``10
-    feas`` at a point that satisfies every other row present at that test,
-    which so keeps it. A row whose tight rays have rank below ``n`` has a
-    face that is not a facet, so it is redundant among the other rows of
-    ``dd``: it is marked in ``removed`` and its column dropped, which leaves
-    the set, its vertices and every verdict read off them unchanged.
-    """
-    n = H.shape[1]
-    vertex = dd.rays[:, -1] > 0.0
-    points = dd.rays[:, :-1] / np.where(vertex, dd.rays[:, -1], 1.0)[:, None]
-    unsettled, lower = tied.copy(), []
-    for c, j in enumerate(order, start=1):
-        if not tied[j]:
-            continue
-        marks = dd.tight[:, c] == 1.0
-        if marks.sum() < n or np.linalg.matrix_rank(dd.rays[marks]) < n:
-            lower.append(c)
-            unsettled[j], removed[j] = False, True
-        elif vertex[marks].all():
-            ignore = removed.copy()
-            ignore[j:] = False
-            hit, clear = _first_hits(points[marks].mean(axis=0)[None], H, slack, ignore)
-            unsettled[j] = not (clear[0] and hit[0] == j)
-    dd.tight = np.delete(dd.tight, lower, axis=1)
-    return unsettled
+    return wide, dd, order, None
 
 
 # A generator lies on a hyperplane when |a . g| <= _DD_TIGHT |a|, g of unit norm.

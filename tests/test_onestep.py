@@ -489,10 +489,10 @@ class TestInheritedDescription:
 
     def test_dropped_rows_are_weakly_redundant(self, monkeypatch):
         # (5, 1) seed 0, step 4: redundancy removal falls back to all-rows
-        # LPs and keeps 783 rows, the inherited description 714 of them. The
+        # LPs and keeps 727 rows, the inherited description 714 of them. The
         # 714 rows bound the set that every Fourier-Motzkin row bounds: on
         # the vertices of a description built anew from them, no row is
-        # broken, and each of the 69 rows dropped besides only touches it
+        # broken, and each of the 13 rows dropped besides only touches it
         record = inherited_steps(monkeypatch)
         sysr = random_controllable_system(np.random.default_rng(0), 5, 1)
         seq = iterate(sysr, 0.9, sysr.X, 4)
@@ -504,7 +504,7 @@ class TestInheritedDescription:
         ref = polytope_module.remove_redundancy(rows)
         kept = {(h.tobytes(), c.tobytes()) for h, c in zip(out.H, out.b)}
         extra = [(h.tobytes(), c.tobytes()) not in kept for h, c in zip(ref.H, ref.b)]
-        assert ref.nfacets == 783 and sum(extra) == 69
+        assert ref.nfacets == 727 and sum(extra) == 13
         excess = (ref.H[extra] @ V.T).max(axis=1) - ref.b[extra]
         assert np.abs(excess).max() <= 1e-12
 

@@ -139,11 +139,11 @@ class TestEpsilonPlan:
         assert plan.d_seed_state == pytest.approx(math.log(10.0), abs=1e-12)  # along each axis
         assert plan.k == 170
 
-    def test_cross_polytope_plan_takes_no_all_rows_lp(self, monkeypatch):
+    def test_cross_polytope_plan_ties_take_the_all_rows_test(self, monkeypatch):
         # scripts/cross5_plan_scenario.json: the one-step sets of X = {|x|_1 <= 5}
-        # are degenerate shadows whose ray hits tie on 1,340 rows; the rounds
-        # settle every tie with no all-rows LP; every LP the plan solves is a
-        # support LP
+        # are degenerate shadows whose ray hits tie; the 1,217 rows whose tied
+        # hit finds no row inserted in its round take the all-rows LP, and the
+        # plan's other LPs are support LPs
         scenario = json.loads((SCRIPTS / "cross5_plan_scenario.json").read_text())
         lps = count_lps(monkeypatch)
         reading, solved = [], []
@@ -164,8 +164,8 @@ class TestEpsilonPlan:
         monkeypatch.setattr(polytope_module, "_support_lps", read)
         monkeypatch.setattr(polytope_module, "_solve_or_fault", solving)
         plan = run_scenario_dict(scenario).results["plan"]
-        assert solved == []
-        assert lps[0] == 172
+        assert len(solved) == 1217
+        assert lps[0] == 1217 + 172
         assert plan["k"] == 120
         assert plan["eta"] == 0.9089056137473465
 
