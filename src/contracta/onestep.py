@@ -206,10 +206,10 @@ def one_step_set(sys: SystemModel, lam: float, D: CSetPolytope) -> CSetPolytope:
     target whose shadow has its bits is returned itself (the first such
     target of those bits), so from it every later step is a memo hit that
     returns it again: a sequence that reaches a fixed point is stationary.
-    All that the lift and each elimination of a projection read but the
-    offsets is planned once per system, by the bits of ``D.H`` (:func:`_lift`)
-    and of the rows eliminated (:func:`~contracta.polytope._project`): a
-    target with an earlier one's normals replays only its offsets.
+    All that the lift, each elimination and its reduction read but the offsets
+    is planned once per system, by the bits of ``D.H`` (:func:`_lift`) and of
+    the rows eliminated (:func:`~contracta.polytope._project`; a reduction on
+    its first replay): a target with an earlier one's normals replays only them.
     """
     lam = _check_lambda(lam)
     if D.dim != sys.n:

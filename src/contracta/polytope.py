@@ -370,7 +370,8 @@ def _row_keys(rows: np.ndarray) -> list:
     return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
-def _facet_supports(H: np.ndarray, b: np.ndarray, facets: np.ndarray | None = None) -> dict:
+def _facet_supports(H: np.ndarray, b: np.ndarray, facets: np.ndarray | None = None,
+                    keys: list | None = None) -> dict:
     """The support outcomes of ``{x | H x <= b}`` along the normal ``h_i``
     of each certified facet, keyed as in its memo. When every offset
     exceeds ``feas``, a row that the ray from the origin along its own
@@ -379,7 +380,8 @@ def _facet_supports(H: np.ndarray, b: np.ndarray, facets: np.ndarray | None = No
     h_i`` of the set (``+ 0.0`` turns ``-0`` into the simplex's ``+0``, so
     an axis-aligned facet's outcome is ``solve_lp``'s, bit for bit). A
     caller that traced those rays already, under the tolerances in force,
-    passes their verdict as the mask ``facets``."""
+    passes their verdict as the mask ``facets``, and may pass their memo
+    ``keys`` (:func:`_row_keys` of ``H[facets]``)."""
     if not (b > TOL.feas).all():
         return {}
     if facets is None:
@@ -390,7 +392,7 @@ def _facet_supports(H: np.ndarray, b: np.ndarray, facets: np.ndarray | None = No
     points.setflags(write=False)  # read-only, as every memoized optimal point
     return {
         key: LpOutcome(LpStatus.OPTIMAL, value, x)
-        for key, value, x in zip(_row_keys(H), b.tolist(), points)
+        for key, value, x in zip(_row_keys(H) if keys is None else keys, b.tolist(), points)
     }
 
 
@@ -590,7 +592,8 @@ def remove_redundancy(p: HPolytope) -> HPolytope:
     (:func:`_vertex_list`), and none kept when a vertex's tight rows do not
     span the space. A ray's own quotient ``y / t`` is not kept: it can
     break a row of the set by more than ``feas``. When no round runs, the
-    normal rays were the memo's, and the output is born with its memo.
+    normal rays were the memo's, and the output is born with its memo. A
+    projection's replayed step gets it by plan (:meth:`_Elimination.reduce`).
     """
     keep, incidence, facets = _irredundant_rows(p)
     out = HPolytope._computed(p.H[keep], p.b[keep], incidence=incidence)
@@ -941,7 +944,12 @@ def _first_hits(directions: np.ndarray, H: np.ndarray, slack: np.ndarray, ignore
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
     dots = directions @ H.T
     dots[:, ignore] = 0.0
-    t = np.divide(slack, dots, out=np.full(dots.shape, np.inf), where=dots > 0.0)
+    return _ray_hits(dots, dots > 0.0, slack)
+
+
+def _ray_hits(dots: np.ndarray, ahead: np.ndarray, slack: np.ndarray):
+    """:func:`_first_hits` from the rays' dots with the rows and its mask ``dots > 0``."""
+    t = np.divide(slack, dots, out=np.full(dots.shape, np.inf), where=ahead)
     rays = np.arange(t.shape[0])
     hit = t.argmin(axis=1)
     t_first = t[rays, hit]
@@ -1008,11 +1016,12 @@ def _project(p: HPolytope, keep: int, cap: int, plans: dict | None = None) -> HP
     choice after it and a collapse's grouping (:func:`_parallel_groups`),
     which depend on the normals alone, are kept there by ``col`` and the
     bits of the rows eliminated: rows with those bits only replay their
-    offsets, to the bits and errors of a projection without ``plans``."""
+    offsets, and their reduction (:meth:`_Elimination.reduce`), to the bits,
+    born memo and errors of a projection without ``plans``."""
     H, b = p.H, p.b
     for col in range(p.dim - 1, keep - 1, -1):
         key = None if plans is None else (col, H.tobytes())
-        if key is not None and key in plans:
+        if replayed := key is not None and key in plans:
             plan, collapse, groups = plans[key]
             shadow = plan.replay(b, cap)
         else:
@@ -1029,7 +1038,7 @@ def _project(p: HPolytope, keep: int, cap: int, plans: dict | None = None) -> HP
             kept = _collapse_parallel(H, b) if groups is None else _collapse_parallel(H, b, groups)
             H, b = H[kept], b[kept]
             continue
-        shadow = remove_redundancy(shadow)
+        shadow = plan.reduce(shadow) if replayed else remove_redundancy(shadow)
         H, b = shadow.H, shadow.b
     return shadow
 
@@ -1069,7 +1078,7 @@ def _eliminate(H: np.ndarray, b: np.ndarray, col: int, cap: int,
     new = plan.combine(np.concatenate((b[:, None], H[:, :col]), axis=1))  # offset, then normal
     normals = new[:, 1:]
     norms = _row_norms(normals)
-    plan.trivial, plan.kept = norms <= _ZERO_ROW, None
+    plan.trivial, plan.kept, plan.reduction = norms <= _ZERO_ROW, None, None
     if plan.trivial.any():
         plan.kept = ~plan.trivial
         normals, norms = normals[plan.kept], norms[plan.kept]
@@ -1081,11 +1090,12 @@ def _eliminate(H: np.ndarray, b: np.ndarray, col: int, cap: int,
 class _Elimination:
     """What an elimination (:func:`_eliminate`) reads but the offsets: the
     rows ``first`` that pass, then those that combine with the rows
-    ``second`` with weights ``c_neg`` and ``c_pos``; the shadow's unit rows
-    ``H`` and the ``norms`` that divided them, those whose normal vanished
-    (``trivial``) dropped, and the ``kept`` mask when any did."""
+    ``second`` with weights ``c_neg`` and ``c_pos``; the shadow's unit rows ``H``
+    and the ``norms`` that divided them, those whose normal vanished (``trivial``)
+    dropped, the ``kept`` mask when any did, and, from the first replay, the
+    plan of the shadow's reduction (``reduction``, :meth:`reduce`)."""
 
-    __slots__ = ("first", "second", "c_neg", "c_pos", "trivial", "kept", "norms", "H")
+    __slots__ = ("first", "second", "c_neg", "c_pos", "trivial", "kept", "norms", "H", "reduction")
 
     def combine(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` (2-D) combined, unnormalized: ``c_neg * row_i + c_pos * row_j``."""
@@ -1111,6 +1121,26 @@ class _Elimination:
         if offsets.size == 0:
             raise UnboundedSetError("projection shadow is unconstrained")
         return HPolytope._computed(self.H, offsets / self.norms)
+
+    def reduce(self, shadow: HPolytope) -> HPolytope:
+        """:func:`remove_redundancy` of ``shadow``, a replay of this plan, bit for bit:
+        by the plan alone when every offset exceeds ``feas`` and each row is its own clear hit."""
+        H, b = shadow.H, shadow.b
+        if self.reduction is None:  # planned on the first replay, never on a first sight
+            groups = _parallel_groups(H)
+            rows = H[_collapse_parallel(H, b, groups)]  # any copy of a group: same dots and keys
+            dots = rows @ rows.T if 1 < len(rows) <= _RAY_BLOCK else None  # else: unplanned
+            self.reduction = () if dots is None else (groups, dots, dots > 0.0, _row_keys(rows))
+        if not self.reduction or not (b > TOL.feas).all():
+            return remove_redundancy(shadow)
+        groups, dots, ahead, keys = self.reduction
+        kept = _collapse_parallel(H, b, groups)
+        H, b = H[kept], b[kept]  # a group's copies may differ in the sign of a zero
+        first, clear = _ray_hits(dots, ahead, b)
+        if not (clear & (first == np.arange(len(b)))).all():
+            return remove_redundancy(shadow)
+        memo = _facet_supports(H, b, clear, keys)
+        return HPolytope._computed(H, b, {(TOL.feas, TOL.opt, TOL.pivot): memo})
 
 
 def _vertex_points(H: np.ndarray, b: np.ndarray, tight: np.ndarray) -> np.ndarray | None:

@@ -950,21 +950,26 @@ class TestBornMemo:
                     assert memo_bits(memo) == memo_bits(traced)
 
     def test_one_ray_pass_per_projected_step(self, monkeypatch):
-        # each step's reduction traces the rays along its rows' normals, and
-        # the verification's queries read the memo they made
+        # each step's reduction traces the rays along its rows' normals once,
+        # and the verification's queries read the memo they made: step 1 in
+        # the redundancy rounds, the steps with its normals by the plan of
+        # its reduction
         sys3 = scalar_system(3)
         callers = []
-        first_hits = polytope_module._first_hits
+        ray_hits = polytope_module._ray_hits
 
         def traced(*args):
-            callers.append(inspect.currentframe().f_back.f_code.co_name)
-            return first_hits(*args)
+            frame = inspect.currentframe().f_back
+            if frame.f_code.co_name == "_first_hits":  # rays that are given, not planned
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return ray_hits(*args)
 
-        monkeypatch.setattr(polytope_module, "_first_hits", traced)
+        monkeypatch.setattr(polytope_module, "_ray_hits", traced)
         projected = count_projections(monkeypatch)
         iterate(sys3, 0.98, sys3.X, 5, SeedLabel.FROM_STATE_SET)
         assert len(projected) == 5
-        assert callers == ["_clarkson_rounds"] * 5
+        assert callers == ["_clarkson_rounds"] + ["reduce"] * 4
 
     @pytest.mark.parametrize("case", ["reset", "random", "two-inputs"])
     def test_lift_copies_the_constant_rows(self, case):

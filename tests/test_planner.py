@@ -330,13 +330,18 @@ class TestApproximation:
     def test_plans_once_per_normals(self, monkeypatch):
         # the a-priori run's 205 lifts have 2 targets' normals: it plans 2
         # lifts and 4 eliminations (collapsed after its first elimination,
-        # the second target's rows are the first's), and all others replay
+        # the second target's rows are the first's), and all others replay.
+        # The one cold reduction makes no plan and takes remove_redundancy;
+        # the 204 replayed ones plan once and, each row decided by the
+        # first trace, never take it
         sys3, seed = scalar_system(3), scalar_seed(3)
         plan = select_lambda(sys3, 0.98, seed, 5.0 / 6.0)
         fresh = SystemModel(sys3.A, sys3.B, sys3.X, sys3.U)
         lift, eliminate, replay = onestep._lift, polytope_module._eliminate, (
             polytope_module._Elimination.replay)
-        targets, made, replayed = [], [], []
+        reduce, remove_redundancy = polytope_module._Elimination.reduce, (
+            polytope_module.remove_redundancy)
+        targets, made, replayed, reduced = [], [], [], []
 
         def lifting(sys, lam, D):
             targets.append(D.H.tobytes())
@@ -350,14 +355,24 @@ class TestApproximation:
             replayed.append(len(b))
             return replay(self, b, cap)
 
+        def reducing(self, shadow):
+            reduced.append((id(self), self.reduction is None))  # None: not planned yet
+            return reduce(self, shadow)
+
         monkeypatch.setattr(onestep, "_lift", lifting)
         monkeypatch.setattr(polytope_module, "_eliminate", eliminating)
         monkeypatch.setattr(polytope_module._Elimination, "replay", replaying)
+        monkeypatch.setattr(polytope_module._Elimination, "reduce", reducing)
+        monkeypatch.setattr(polytope_module, "remove_redundancy",
+                            lambda p: reduced.append("cold") or remove_redundancy(p))
         outcome = approximate_cmax1(fresh, plan, seed, Strategy.APRIORI_BOUND)
         assert outcome.k_star == plan.k == 102 and len(targets) == 2 * plan.k + 1
         assert len(set(targets)) == 2
         assert sorted(type(key).__name__ for key in fresh._plans) == ["bytes"] * 2 + ["tuple"] * 4
         assert made == [5, 4, 3, 5] and len(replayed) == 3 * len(targets) - 4
+        assert reduced[0] == "cold" and len(reduced) == len(targets)
+        assert len({plan for plan, _ in reduced[1:]}) == 1  # one plan reduces every replay
+        assert [unplanned for _, unplanned in reduced[1:]] == [True] + [False] * (len(targets) - 2)
 
     def test_support_lps_once_per_polytope(self, monkeypatch):
         # the slack, the distance and the steps' inclusion tests ask the same

@@ -1417,8 +1417,9 @@ class TestProjection:
     def test_replayed_plans_give_the_cold_projection(self, seed, n, m, inputs, offsets, again,
                                                      cap):
         # a projection under plans made by a first projection of the same
-        # normals with other offsets has the bits, or the error class and
-        # message (cap, then empty, then unbounded), of one without plans
+        # normals with other offsets has the bits and born memo, or the
+        # error class and message (cap, then empty, then unbounded), of one
+        # without plans
         rng = np.random.default_rng(seed)
         p = lifted_case(rng, n, m, inputs, offsets)
         if again == "c-set":
@@ -1458,14 +1459,58 @@ class TestProjection:
                 project(empty, 1)
         assert made == [1, 1]  # only the projections without plans eliminated y
 
+    def test_replayed_reduction_keeps_the_tighter_copy(self, monkeypatch):
+        # x <= -1 written twice, once with a -0 entry: one collapse group,
+        # whose kept copy, and so its bits, follow the offsets. Offsets that
+        # swap which copy is tighter replay the reduction's plan, made on
+        # the first replay from either copy, to the bits and born memo of a
+        # projection without plans
+        H = np.array([[-1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, -1.0, 0.0], [0.6, 0.0, 0.8], [0.6, 0.0, -0.8]])
+        offsets = (np.r_[1.0, 2.0, np.ones(5)], np.r_[2.0, 1.0, np.ones(5)])  # -0 copy, +0 copy
+        cap = polytope_module._facet_cap()
+        reduce = mock.Mock(wraps=polytope_module.remove_redundancy)
+        monkeypatch.setattr(polytope_module, "remove_redundancy", reduce)
+        for order in (offsets, offsets[::-1]):
+            plans, kept = {}, []
+            for b in order + order:
+                p = HPolytope._computed(H, b)
+                warm = _outcome(polytope_module._project, p, 2, cap, plans)
+                assert warm == _outcome(polytope_module._project, p, 2, cap)
+                kept.append(warm[0][:16])  # the first row: x <= -1
+            assert kept[0] == kept[2] != kept[1] == kept[3]
+        assert reduce.call_count == 2 * (1 + 4)  # each first projection, each without plans
+
+    @pytest.mark.parametrize("case", ["empty", "over a ray block"])
+    def test_replayed_reduction_falls_back(self, monkeypatch, case):
+        # a replay whose offsets are not all above feas, or whose rows are
+        # more than one block of rays, takes remove_redundancy: an empty
+        # square (x <= 1, x >= 2) raises as without plans, though each row
+        # is its own clear first hit from the origin
+        prism = np.vstack([np.eye(3), -np.eye(3)])
+        plans, cap, b = {}, polytope_module._facet_cap(), np.ones(6)
+        polytope_module._project(HPolytope._computed(prism, b), 2, cap, plans)
+        if case == "empty":
+            b = np.r_[1.0, 1.0, 1.0, -2.0, 1.0, 1.0]
+        else:
+            monkeypatch.setattr(polytope_module, "_RAY_BLOCK", 3)  # the square has 4 rows
+        reduce = mock.Mock(wraps=polytope_module.remove_redundancy)
+        monkeypatch.setattr(polytope_module, "remove_redundancy", reduce)
+        for scale in (1.0, 2.0):
+            q = HPolytope._computed(prism, scale * b)
+            warm = _outcome(polytope_module._project, q, 2, cap, plans)
+            assert warm == _outcome(polytope_module._project, q, 2, cap)
+        assert reduce.call_count == 4
+
 
 def _outcome(fn, *args):
-    """``fn(*args)``'s bits, or its error class and message."""
+    """``fn(*args)``'s bits and those of the support memo it is born with
+    (keys, values and points), or its error class and message."""
     try:
         out = fn(*args)
     except ContractaError as exc:
         return type(exc), str(exc)
-    return out.H.tobytes(), out.b.tobytes()
+    return out.H.tobytes(), out.b.tobytes(), {tol: memo_bits(m) for tol, m in out._memo.items()}
 
 
 def lifted_case(rng, n, m, inputs, offsets):
